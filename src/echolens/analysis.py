@@ -9,16 +9,14 @@ identical results and config produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import artifacts
 from .demographics import DemographicAnnotation, DistributionResult
-from .influence import RankTable, write_rank_table_csv, write_rank_table_json
+from .influence import RankTable
 from .ingest import TweetRecord
 
 __all__ = [
@@ -174,52 +172,14 @@ class ReportBundle:
     data_fixtures: dict[str, str] = field(default_factory=dict)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_distribution_csv(dist: DistributionResult, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bucket", "count", "share"])
-        for bucket, (count, share) in dist.buckets.items():
-            writer.writerow([bucket, count, repr(share)])
-        writer.writerow(["(missing)", dist.missing, ""])
-
-
-def _write_distribution_json(dist: DistributionResult, path: Path) -> None:
-    payload = {
+def _distribution_report(dist: DistributionResult):
+    rows = [[bucket, count, repr(share)] for bucket, (count, share) in dist.buckets.items()]
+    rows.append(["(missing)", dist.missing, ""])
+    value = {
         "buckets": {b: {"count": c, "share": s} for b, (c, s) in dist.buckets.items()},
         "missing": dist.missing,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_representation_csv(report: RepresentationReport, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["axis", "cluster_id", "bucket", "topic_share",
-                         "corpus_share", "ratio", "direction"])
-        for r in report.rows:
-            writer.writerow([r.axis, r.cluster_id, r.bucket, repr(r.topic_share),
-                             repr(r.corpus_share), repr(r.ratio), r.direction])
-
-
-def _write_representation_json(report: RepresentationReport, path: Path) -> None:
-    payload = {
-        "tau_hi": report.tau_hi,
-        "tau_lo": report.tau_lo,
-        "rows": [vars(r) for r in report.rows],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    return ["bucket", "count", "share"], rows, value
 
 
 def emit_reports(bundle: ReportBundle, out_dir: str | Path,
@@ -238,36 +198,38 @@ def emit_reports(bundle: ReportBundle, out_dir: str | Path,
     if unknown:
         raise ValueError(f"unknown report formats: {sorted(unknown)}")
 
+    table, representation = bundle.rank_table, bundle.representation
+    # (file stem, CSV header, CSV rows, JSON value) per report.
+    reports = [
+        ("rank_table", ["rank", "retweeted", "pagerank", "tweet_volume"], table.rows,
+         [{"rank": rank, "retweeted": rt, "pagerank": pr, "tweet_volume": tv}
+          for rank, rt, pr, tv in table.rows]),
+        ("continent_distribution", *_distribution_report(bundle.continent_distribution)),
+        ("ethnicity_distribution", *_distribution_report(bundle.ethnicity_distribution)),
+        ("disproportionality",
+         ["axis", "cluster_id", "bucket", "topic_share", "corpus_share", "ratio",
+          "direction"],
+         [[r.axis, r.cluster_id, r.bucket, repr(r.topic_share), repr(r.corpus_share),
+           repr(r.ratio), r.direction] for r in representation.rows],
+         {"tau_hi": representation.tau_hi, "tau_lo": representation.tau_lo,
+          "rows": [vars(r) for r in representation.rows]}),
+    ]
     written: list[Path] = []
-    if "csv" in formats:
-        write_rank_table_csv(bundle.rank_table, out / "rank_table.csv")
-        _write_distribution_csv(bundle.continent_distribution,
-                                out / "continent_distribution.csv")
-        _write_distribution_csv(bundle.ethnicity_distribution,
-                                out / "ethnicity_distribution.csv")
-        _write_representation_csv(bundle.representation, out / "disproportionality.csv")
-        written += [out / "rank_table.csv", out / "continent_distribution.csv",
-                    out / "ethnicity_distribution.csv", out / "disproportionality.csv"]
-    if "json" in formats:
-        write_rank_table_json(bundle.rank_table, out / "rank_table.json")
-        _write_distribution_json(bundle.continent_distribution,
-                                 out / "continent_distribution.json")
-        _write_distribution_json(bundle.ethnicity_distribution,
-                                 out / "ethnicity_distribution.json")
-        _write_representation_json(bundle.representation, out / "disproportionality.json")
-        written += [out / "rank_table.json", out / "continent_distribution.json",
-                    out / "ethnicity_distribution.json", out / "disproportionality.json"]
+    for stem, header, rows, value in reports:
+        if "csv" in formats:
+            written.append(out / f"{stem}.csv")
+            artifacts.write_csv(written[-1], header, rows)
+        if "json" in formats:
+            written.append(out / f"{stem}.json")
+            artifacts.write_json(written[-1], value)
 
     manifest = {
         "config_hash": bundle.config_hash,
         "seed": bundle.seed,
         "stage_counts": bundle.stage_counts,
         "data_fixtures": bundle.data_fixtures,
-        "files": {p.name: _sha256(p) for p in sorted(written)},
+        "files": {p.name: artifacts.sha256(p) for p in sorted(written)},
     }
     manifest["files"]["manifest.json"] = None
-    manifest_path = out / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_json(out / "manifest.json", manifest)
     return sorted(manifest["files"])

@@ -1,0 +1,120 @@
+"""Reading and writing of every on-disk artifact.
+
+This is the one module that opens intermediate and report files, so the
+on-disk format is decided here and nowhere else:
+
+- Every artifact is UTF-8 text with `\\n` line endings and a trailing newline.
+- CSV: a header row, then one row per record; minimal quoting.
+- JSON: one value, `indent=2`, sorted keys, non-ASCII kept as UTF-8.
+- NDJSON: one object per line, sorted keys, non-ASCII kept as UTF-8.
+- Line lists: one entry per line.
+
+Writes are atomic: each file is written to a temporary sibling and moved over
+the target with `os.replace`. If the writer raises, the temporary file is
+removed and any earlier file at the path is left untouched, so a reader never
+sees a half-written artifact. Readers of row formats stream rows lazily, so a
+large edge file is never held in memory as text.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Sequence
+
+__all__ = [
+    "write_csv",
+    "write_json",
+    "write_ndjson",
+    "write_lines",
+    "read_csv",
+    "read_json",
+    "read_ndjson",
+    "read_lines",
+    "sha256",
+]
+
+
+@contextmanager
+def _replace_atomically(path: str | Path, newline: str):
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path: str | Path, header: Sequence[str],
+              rows: Iterable[Sequence[Any]]) -> None:
+    with _replace_atomically(path, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, value: Any) -> None:
+    with _replace_atomically(path, newline="\n") as fh:
+        json.dump(value, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_ndjson(path: str | Path, objects: Iterable[Any]) -> int:
+    """Write one JSON object per line; returns the line count."""
+    n = 0
+    with _replace_atomically(path, newline="\n") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+            fh.write("\n")
+            n += 1
+    return n
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    with _replace_atomically(path, newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def read_csv(path: str | Path) -> Iterator[dict[str, str]]:
+    """Yield each data row as a header-keyed dict."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        yield from csv.DictReader(fh)
+
+
+def read_json(path: str | Path) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_ndjson(path: str | Path) -> Iterator[Any]:
+    """Yield the object on each non-blank line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield json.loads(line)
+
+
+def read_lines(path: str | Path) -> Iterator[str]:
+    """Yield each non-blank line with surrounding whitespace stripped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield line
+
+
+def sha256(path: str | Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            h.update(chunk)
+    return h.hexdigest()

@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="run config file (flat key = value)")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="global seed (overrides config)")
-        p.add_argument("--threads", type=int, help="worker count (default 1)")
         p.add_argument("--k", type=int, help="number of topic clusters")
         p.add_argument("--min-community-size", type=int, dest="min_community_size",
                        help="community gate threshold (strictly greater than)")
@@ -61,8 +60,6 @@ def _load(args: argparse.Namespace) -> RunConfig:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     if getattr(args, "k", None) is not None:
         cfg.k = args.k
     if getattr(args, "min_community_size", None) is not None:

@@ -11,12 +11,12 @@ procedure deterministic for a given (graph, importance, seed).
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import artifacts
 from . import influence as _influence
 from .graph import InteractionGraph, induced_subgraph
 from .ingest import TweetRecord, UserRecord, match_text
@@ -277,9 +277,6 @@ def write_review_flags(path: str | Path, assignment: CommunityAssignment,
                        flags: Sequence[tuple[int, str]]) -> None:
     """Persist review flags as `community_id,size,anchor,reason`."""
     by_id = assignment.community_map()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["community_id", "size", "anchor", "reason"])
-        for cid, reason in sorted(flags):
-            community = by_id[cid]
-            writer.writerow([cid, community.size, community.anchor, reason])
+    artifacts.write_csv(path, ["community_id", "size", "anchor", "reason"],
+                        ([cid, by_id[cid].size, by_id[cid].anchor, reason]
+                         for cid, reason in sorted(flags)))

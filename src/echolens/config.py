@@ -34,7 +34,6 @@ class RunConfig:
     users: str | None = None
     out_dir: str = "out"
     seed: int = 0
-    threads: int = 1
 
     streams: list[StreamSpec] = field(default_factory=list)
 
@@ -106,8 +105,6 @@ class RunConfig:
                 errors.append("users: path to the user corpus is required")
         if self.seed < 0:
             errors.append("seed: must be >= 0")
-        if self.threads < 1:
-            errors.append("threads: must be >= 1")
         if self.min_community_size < 1:
             errors.append("min_community_size: must be >= 1")
         if self.lp_max_rounds < 1:
@@ -183,7 +180,7 @@ def derive_seed(global_seed: int, stage: str) -> int:
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
 
-_INT_KEYS = {"seed", "threads", "min_community_size", "lp_max_rounds",
+_INT_KEYS = {"seed", "min_community_size", "lp_max_rounds",
              "pagerank_max_iter", "table_rows", "k", "dim", "kmeans_max_iter",
              "review_sample_size"}
 _FLOAT_KEYS = {"damping", "pagerank_tol", "tau", "tau_hi", "tau_lo"}

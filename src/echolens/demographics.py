@@ -12,14 +12,13 @@ data/ are small synthetic fixtures for tests and demos only.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import artifacts
 from .ingest import TweetRecord, UserRecord
 
 __all__ = [
@@ -111,22 +110,21 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     """Gazetteer CSV: `kind(place|box),name_or_coords,country`; box coords are
     four space-separated numbers lat_min lon_min lat_max lon_max."""
     gaz = Gazetteer()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            kind = row["kind"].strip()
-            country = row["country"].strip().upper()
-            if kind == "place":
-                gaz.entries[normalize_name(row["name_or_coords"])] = country
-            elif kind == "box":
-                parts = [float(p) for p in row["name_or_coords"].split()]
-                if len(parts) != 4:
-                    raise ValueError(f"bad box row: {row}")
-                lat_min, lon_min, lat_max, lon_max = parts
-                if not (lat_min <= lat_max and lon_min <= lon_max):
-                    raise ValueError(f"degenerate box: {row}")
-                gaz.boxes.append((lat_min, lon_min, lat_max, lon_max, country))
-            else:
-                raise ValueError(f"unknown gazetteer kind {kind!r}")
+    for row in artifacts.read_csv(path):
+        kind = row["kind"].strip()
+        country = row["country"].strip().upper()
+        if kind == "place":
+            gaz.entries[normalize_name(row["name_or_coords"])] = country
+        elif kind == "box":
+            parts = [float(p) for p in row["name_or_coords"].split()]
+            if len(parts) != 4:
+                raise ValueError(f"bad box row: {row}")
+            lat_min, lon_min, lat_max, lon_max = parts
+            if not (lat_min <= lat_max and lon_min <= lon_max):
+                raise ValueError(f"degenerate box: {row}")
+            gaz.boxes.append((lat_min, lon_min, lat_max, lon_max, country))
+        else:
+            raise ValueError(f"unknown gazetteer kind {kind!r}")
     return gaz
 
 
@@ -142,11 +140,8 @@ def geolocate_country(t: TweetRecord, gaz: Gazetteer) -> str | None:
 
 
 def _load_continents() -> dict[str, str]:
-    table = {}
-    with open(DATA_DIR / "continents.csv", "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            table[row["country"].strip().upper()] = row["continent"].strip()
-    return table
+    return {row["country"].strip().upper(): row["continent"].strip()
+            for row in artifacts.read_csv(DATA_DIR / "continents.csv")}
 
 
 _CONTINENTS: dict[str, str] | None = None
@@ -263,23 +258,21 @@ def load_name_lists(path: str | Path) -> list[tuple[str, set[str]]]:
     which is the precedence order for conflicting hits."""
     ordered: list[tuple[str, set[str]]] = []
     index: dict[str, set[str]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            category = fold_label(row["category"])
-            if category not in index:
-                names: set[str] = set()
-                index[category] = names
-                ordered.append((category, names))
-            index[category].add(normalize_name(row["name"]))
+    for row in artifacts.read_csv(path):
+        category = fold_label(row["category"])
+        if category not in index:
+            names: set[str] = set()
+            index[category] = names
+            ordered.append((category, names))
+        index[category].add(normalize_name(row["name"]))
     return ordered
 
 
 def load_training_names(path: str | Path) -> tuple[list[str], list[str]]:
     names, labels = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            names.append(row["name"])
-            labels.append(row["category"])
+    for row in artifacts.read_csv(path):
+        names.append(row["name"])
+        labels.append(row["category"])
     return names, labels
 
 
@@ -323,16 +316,11 @@ class ProperNounLexicon:
 
     @classmethod
     def from_files(cls, names_path: str | Path, stopwords_path: str | Path):
-        lex = cls()
-        with open(names_path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                lex.names.add(normalize_name(row["name"]))
-        with open(stopwords_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                word = line.strip()
-                if word and not word.startswith("#"):
-                    lex.stopwords.add(word.casefold())
-        return lex
+        return cls(
+            names={normalize_name(row["name"]) for row in artifacts.read_csv(names_path)},
+            stopwords={word.casefold() for word in artifacts.read_lines(stopwords_path)
+                       if not word.startswith("#")},
+        )
 
     def has_proper_noun(self, display_name: str) -> bool:
         for token in display_name.split():
@@ -463,24 +451,14 @@ ANNOTATION_FIELDS = ("user_id", "country", "continent", "race", "age", "gender",
 def write_annotations(path: str | Path,
                       annotations: Mapping[str, DemographicAnnotation]) -> None:
     """Annotation NDJSON with exactly the documented fields, one user per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for user_id in sorted(annotations):
-            ann = annotations[user_id]
-            obj = {name: getattr(ann, name) for name in ANNOTATION_FIELDS}
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    artifacts.write_ndjson(path, ({name: getattr(annotations[user_id], name)
+                                   for name in ANNOTATION_FIELDS}
+                                  for user_id in sorted(annotations)))
 
 
 def read_annotations(path: str | Path) -> dict[str, DemographicAnnotation]:
-    out: dict[str, DemographicAnnotation] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out[obj["user_id"]] = DemographicAnnotation(**{k: obj.get(k) for k in ANNOTATION_FIELDS})
-    return out
+    return {obj["user_id"]: DemographicAnnotation(**{k: obj.get(k) for k in ANNOTATION_FIELDS})
+            for obj in artifacts.read_ndjson(path)}
 
 
 def default_data_path(name: str) -> Path:

@@ -7,11 +7,11 @@ PageRank rewards accounts that receive interactions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import artifacts
 from .ingest import TweetRecord
 
 __all__ = [
@@ -110,10 +110,6 @@ class InteractionGraph:
             for dst, (rt, rp) in targets.items():
                 yield src, dst, rt + rp, rt, rp
 
-    def out_edges(self, node: str):
-        for dst, (rt, rp) in self._adj.get(node, {}).items():
-            yield dst, rt + rp
-
     def weight(self, src: str, dst: str) -> int:
         counts = self._adj.get(src, {}).get(dst)
         return 0 if counts is None else counts[0] + counts[1]
@@ -133,14 +129,6 @@ class InteractionGraph:
         mine = {(s, d): tuple(c) for s, ts in self._adj.items() for d, c in ts.items()}
         theirs = {(s, d): tuple(c) for s, ts in other._adj.items() for d, c in ts.items()}
         return mine == theirs
-
-    def undirected_adjacency(self) -> dict[str, dict[str, int]]:
-        """Symmetrized view: weight(u,v) = w(u->v) + w(v->u)."""
-        und: dict[str, dict[str, int]] = {n: {} for n in self._nodes}
-        for src, dst, w, _, _ in self.edges():
-            und[src][dst] = und[src].get(dst, 0) + w
-            und[dst][src] = und[dst].get(src, 0) + w
-        return und
 
 
 def build_interaction_graph(tweets: Sequence[TweetRecord],
@@ -227,30 +215,18 @@ def induced_subgraph(g: InteractionGraph, nodes: Iterable[str]) -> InteractionGr
 
 def write_edge_csv(g: InteractionGraph, path: str | Path) -> None:
     """Dump edges as `src,dst,weight,retweets,replies`, sorted for stability."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src", "dst", "weight", "retweets", "replies"])
-        for src, dst, w, rt, rp in sorted(g.edges()):
-            writer.writerow([src, dst, w, rt, rp])
+    artifacts.write_csv(path, ["src", "dst", "weight", "retweets", "replies"],
+                        sorted(g.edges()))
 
 
 def write_node_list(g: InteractionGraph, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for node in g.sorted_nodes():
-            fh.write(node + "\n")
+    artifacts.write_lines(path, g.sorted_nodes())
 
 
 def read_edge_csv(edge_path: str | Path, node_path: str | Path | None = None) -> InteractionGraph:
     """Rebuild a graph persisted by write_edge_csv (+ optional node list,
     needed to recover isolated nodes)."""
-    nodes: list[str] = []
-    if node_path is not None:
-        with open(node_path, "r", encoding="utf-8") as fh:
-            nodes = [line.strip() for line in fh if line.strip()]
-
-    def _edges():
-        with open(edge_path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                yield row["src"], row["dst"], int(row["retweets"]), int(row["replies"])
-
-    return InteractionGraph.from_weighted_edges(_edges(), nodes=nodes)
+    nodes = artifacts.read_lines(node_path) if node_path is not None else ()
+    edges = ((row["src"], row["dst"], int(row["retweets"]), int(row["replies"]))
+             for row in artifacts.read_csv(edge_path))
+    return InteractionGraph.from_weighted_edges(edges, nodes=nodes)

@@ -9,10 +9,7 @@ Raw scores are then mapped linearly onto the 0..10 presentation scale.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,8 +24,6 @@ __all__ = [
     "pagerank",
     "scale_scores",
     "rank_tables",
-    "write_rank_table_csv",
-    "write_rank_table_json",
 ]
 
 
@@ -169,20 +164,3 @@ def rank_tables(g: InteractionGraph, scaled_scores: Mapping[str, float],
         ))
     return RankTable(rows=rows, columns=cols)
 
-
-def write_rank_table_csv(table: RankTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "retweeted", "pagerank", "tweet_volume"])
-        for row in table.rows:
-            writer.writerow(row)
-
-
-def write_rank_table_json(table: RankTable, path: str | Path) -> None:
-    payload = [
-        {"rank": rank, "retweeted": rt, "pagerank": pr, "tweet_volume": tv}
-        for rank, rt, pr, tv in table.rows
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")

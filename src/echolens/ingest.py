@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import artifacts
+
 __all__ = [
     "TweetRecord",
     "UserRecord",
@@ -289,14 +291,9 @@ def serialize_user(u: UserRecord) -> dict:
 
 def write_ndjson(path: str | Path, records: Iterable[TweetRecord | UserRecord]) -> int:
     """Serialize records one JSON object per line; returns the line count."""
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            obj = serialize_tweet(rec) if isinstance(rec, TweetRecord) else serialize_user(rec)
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-            n += 1
-    return n
+    return artifacts.write_ndjson(
+        path, (serialize_tweet(rec) if isinstance(rec, TweetRecord) else serialize_user(rec)
+               for rec in records))
 
 
 def parse_corpus(path: str | Path, schema: str = "tweets"):

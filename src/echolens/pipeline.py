@@ -8,13 +8,11 @@ pipeline run (the full run simply calls the same stage functions in order).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import random
 from pathlib import Path
 
-from . import analysis, community, demographics, influence, ingest, topics
+from . import analysis, artifacts, community, demographics, influence, ingest, topics
 from .config import RunConfig, derive_seed
 from .graph import (InteractionGraph, build_interaction_graph, read_edge_csv,
                     write_edge_csv, write_node_list)
@@ -58,17 +56,6 @@ def _require(path: Path, produced_by: str | None = None) -> Path:
     return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # Stage implementations
 
@@ -87,14 +74,9 @@ def stage_ingest(cfg: RunConfig) -> None:
     selected = ingest.select_streams(tweets, cfg.streams, user_index, stats)
     cleaned = ingest.engagement_filter(selected)
     stats.records_kept = len(cleaned)
-    assert stats.reconciles()
 
-    with open(out / "tweet_index.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tweet_id", "author_id"])
-        for t in tweets:
-            writer.writerow([t.tweet_id, t.author_id])
-
+    artifacts.write_csv(out / "tweet_index.csv", ["tweet_id", "author_id"],
+                        ([t.tweet_id, t.author_id] for t in tweets))
     ingest.write_ndjson(out / "selected_tweets.ndjson", cleaned)
     ingest.write_ndjson(out / "users.ndjson", users)
     payload = stats.to_dict()
@@ -105,7 +87,7 @@ def stage_ingest(cfg: RunConfig) -> None:
         "users_read": len(users) + len(user_errors),
         "users_kept": len(users),
     })
-    _write_json(out / "ingest_stats.json", payload)
+    artifacts.write_json(out / "ingest_stats.json", payload)
 
 
 def _load_tweets(cfg: RunConfig) -> list[ingest.TweetRecord]:
@@ -126,8 +108,7 @@ def _load_users(cfg: RunConfig) -> dict[str, ingest.UserRecord]:
 
 def _load_tweet_index(cfg: RunConfig) -> dict[str, str]:
     path = _require(_out(cfg) / "tweet_index.csv", "ingest")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return {row["tweet_id"]: row["author_id"] for row in csv.DictReader(fh)}
+    return {row["tweet_id"]: row["author_id"] for row in artifacts.read_csv(path)}
 
 
 def stage_graph(cfg: RunConfig) -> None:
@@ -137,7 +118,7 @@ def stage_graph(cfg: RunConfig) -> None:
     g, stats = build_interaction_graph(tweets, index)
     write_edge_csv(g, out / "graph_edges.csv")
     write_node_list(g, out / "graph_nodes.txt")
-    _write_json(out / "graph_stats.json", {
+    artifacts.write_json(out / "graph_stats.json", {
         "nodes": len(g),
         "edges": g.num_edges(),
         "total_weight": g.total_weight(),
@@ -175,17 +156,11 @@ def stage_communities(cfg: RunConfig) -> None:
              if keywords else [])
     community.write_review_flags(out / "review_flags.csv", gated, flags)
 
-    with open(out / "community_labels.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "community_id"])
-        for user_id in sorted(gated.labels):
-            writer.writerow([user_id, gated.labels[user_id]])
-    with open(out / "communities.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["community_id", "size", "anchor"])
-        for c in gated.communities:
-            writer.writerow([c.community_id, c.size, c.anchor])
-    _write_json(out / "community_stats.json", {
+    artifacts.write_csv(out / "community_labels.csv", ["user_id", "community_id"],
+                        sorted(gated.labels.items()))
+    artifacts.write_csv(out / "communities.csv", ["community_id", "size", "anchor"],
+                        ([c.community_id, c.size, c.anchor] for c in gated.communities))
+    artifacts.write_json(out / "community_stats.json", {
         "iterations_run": assignment.iterations_run,
         "converged": assignment.converged,
         "communities_pre_gate": len(assignment.communities),
@@ -201,13 +176,10 @@ def stage_influence(cfg: RunConfig) -> None:
     result = influence.pagerank(g, damping=cfg.damping, tol=cfg.pagerank_tol,
                                 max_iter=cfg.pagerank_max_iter)
     scaled = influence.scale_scores(result.scores) if result.scores else {}
-    with open(out / "influence.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "raw", "scaled"])
-        for user_id in sorted(result.scores):
-            writer.writerow([user_id, repr(result.scores[user_id]),
-                             repr(scaled[user_id])])
-    _write_json(out / "influence_stats.json", {
+    artifacts.write_csv(out / "influence.csv", ["user_id", "raw", "scaled"],
+                        ([user_id, repr(raw), repr(scaled[user_id])]
+                         for user_id, raw in sorted(result.scores.items())))
+    artifacts.write_json(out / "influence_stats.json", {
         "iterations": result.iterations,
         "converged": result.converged,
     })
@@ -215,9 +187,8 @@ def stage_influence(cfg: RunConfig) -> None:
 
 def _load_influence(cfg: RunConfig) -> dict[str, tuple[float, float]]:
     path = _require(_out(cfg) / "influence.csv", "influence")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return {row["user_id"]: (float(row["raw"]), float(row["scaled"]))
-                for row in csv.DictReader(fh)}
+    return {row["user_id"]: (float(row["raw"]), float(row["scaled"]))
+            for row in artifacts.read_csv(path)}
 
 
 def stage_demographics(cfg: RunConfig) -> None:
@@ -241,8 +212,7 @@ def stage_demographics(cfg: RunConfig) -> None:
 
 def _load_community_members(cfg: RunConfig) -> set[str]:
     path = _require(_out(cfg) / "community_labels.csv", "communities")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return {row["user_id"] for row in csv.DictReader(fh)}
+    return {row["user_id"] for row in artifacts.read_csv(path)}
 
 
 def stage_topics(cfg: RunConfig) -> None:
@@ -288,7 +258,7 @@ def stage_topics(cfg: RunConfig) -> None:
     topics.write_cluster_csv(clusters, out / "topic_clusters.csv")
     sil = (topics.silhouette(vectors, result.assignments)
            if 2 <= cfg.k < len(corpus) <= 4000 else None)
-    _write_json(out / "topic_stats.json", {
+    artifacts.write_json(out / "topic_stats.json", {
         "clustered_tweets": len(corpus),
         "iterations": result.iterations,
         "converged": result.converged,
@@ -299,9 +269,8 @@ def stage_topics(cfg: RunConfig) -> None:
 
 def _load_clusters(cfg: RunConfig) -> list[tuple[int, int, str]]:
     path = _require(_out(cfg) / "topic_clusters.csv", "topics")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [(int(row["cluster_id"]), int(row["size"]), row["top_terms"])
-                for row in csv.DictReader(fh)]
+    return [(int(row["cluster_id"]), int(row["size"]), row["top_terms"])
+            for row in artifacts.read_csv(path)]
 
 
 def stage_report(cfg: RunConfig) -> None:
@@ -348,7 +317,7 @@ def stage_report(cfg: RunConfig) -> None:
         ("community_stats.json", ("communities_post_gate", "dropped_members")),
         ("topic_stats.json", ("clustered_tweets",)),
     ):
-        payload = _read_json(_require(out / stats_file))
+        payload = artifacts.read_json(_require(out / stats_file))
         for key in keys:
             stage_counts[key] = payload[key]
 
@@ -356,7 +325,7 @@ def stage_report(cfg: RunConfig) -> None:
     for name in ("gazetteer", "name_lists", "classifier_names", "given_names",
                  "stopwords"):
         path = cfg.data_file(name)
-        fixtures[path.name] = analysis._sha256(path)
+        fixtures[path.name] = artifacts.sha256(path)
 
     bundle = analysis.ReportBundle(
         rank_table=table,
@@ -441,13 +410,13 @@ def review_sample(cfg: RunConfig, n: int | None = None,
         if len(bucket) < 3:
             bucket.append(tid)
 
-    path = out / "review_sample.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster_id", "size", "stratum", "top_terms",
-                         "example_texts"])
+    def rows():
         for stratum_name, (cid, size, terms) in chosen:
             snippets = [tweets[tid].text.replace("\n", " ")
                         for tid in examples.get(cid, []) if tid in tweets]
-            writer.writerow([cid, size, stratum_name, terms, " | ".join(snippets)])
+            yield [cid, size, stratum_name, terms, " | ".join(snippets)]
+
+    path = out / "review_sample.csv"
+    artifacts.write_csv(path, ["cluster_id", "size", "stratum", "top_terms",
+                               "example_texts"], rows())
     return path

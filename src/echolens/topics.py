@@ -10,9 +10,7 @@ initialization, which is fully reproducible for a given seed.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import math
 import re
 import unicodedata
@@ -22,9 +20,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import artifacts
+
 __all__ = [
     "NormalizedText",
-    "EmbeddingVector",
     "TopicCluster",
     "KMeansResult",
     "BuiltinEmbedder",
@@ -95,19 +94,6 @@ def normalize_text(raw: str) -> NormalizedText:
         urls=urls,
         original=raw,
     )
-
-
-@dataclass
-class EmbeddingVector:
-    values: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
 
 
 @dataclass
@@ -200,14 +186,7 @@ def load_external_vectors(path: str | Path, tweet_ids: Sequence[str],
     Every requested tweet id must be present; missing ids raise with the ids
     named so the caller can fix the vector file.
     """
-    table: dict[str, list[float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            table[obj["tweet_id"]] = obj["vector"]
+    table = {obj["tweet_id"]: obj["vector"] for obj in artifacts.read_ndjson(path)}
     missing = [tid for tid in tweet_ids if tid not in table]
     if missing:
         raise ValueError(f"external vectors missing for tweet ids: {missing[:10]}")
@@ -377,29 +356,18 @@ def silhouette(vectors: np.ndarray, assignments: np.ndarray) -> float:
 
 def write_cluster_csv(clusters: Sequence[TopicCluster], path: str | Path) -> None:
     """Cluster output CSV `cluster_id,size,top_terms` (terms space-joined)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster_id", "size", "top_terms"])
-        for c in sorted(clusters, key=lambda c: c.cluster_id):
-            writer.writerow([c.cluster_id, c.size, " ".join(c.top_terms)])
+    artifacts.write_csv(path, ["cluster_id", "size", "top_terms"],
+                        ([c.cluster_id, c.size, " ".join(c.top_terms)]
+                         for c in sorted(clusters, key=lambda c: c.cluster_id)))
 
 
 def write_assignments(path: str | Path, assignment_map: Mapping[str, int]) -> None:
     """Assignment NDJSON `tweet_id,cluster_id`, one tweet per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for tweet_id in sorted(assignment_map):
-            fh.write(json.dumps({"tweet_id": tweet_id,
-                                 "cluster_id": int(assignment_map[tweet_id])},
-                                sort_keys=True))
-            fh.write("\n")
+    artifacts.write_ndjson(path, ({"tweet_id": tweet_id,
+                                   "cluster_id": int(assignment_map[tweet_id])}
+                                  for tweet_id in sorted(assignment_map)))
 
 
 def read_assignments(path: str | Path) -> dict[str, int]:
-    out: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out[obj["tweet_id"]] = int(obj["cluster_id"])
-    return out
+    return {obj["tweet_id"]: int(obj["cluster_id"])
+            for obj in artifacts.read_ndjson(path)}

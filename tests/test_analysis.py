@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 from echolens.analysis import (ReportBundle, RepresentationReport, TopicEngagement,
                                disproportionality_report, emit_reports,
                                representation_ratio, topic_engagement)
+from echolens.config import load_config
 from echolens.demographics import DemographicAnnotation, DistributionResult
 from echolens.influence import RankTable
+from echolens.pipeline import run_pipeline
+from echolens.synth import write_fixture
 
 from conftest import make_tweet
 
@@ -187,3 +191,28 @@ class TestEmitReports:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_reports(tiny_bundle(), tmp_path, formats={"parquet"})
+
+
+def test_report_rows_ordered_across_axes(tmp_path):
+    """The report stage merges the per-axis reports into one order; on the
+    2000-tweet fixture the leading rows mix axes, so the merge sort matters."""
+    config_path = write_fixture(tmp_path / "fixture", seed=7, n_tweets=2000)
+    cfg = load_config(config_path)
+    cfg.out_dir = str(tmp_path / "run")
+    cfg.formats = {"csv", "json"}
+    run_pipeline(cfg)
+
+    def key(row):
+        ratio = float(row["ratio"])
+        return (-(abs(math.log(ratio)) if ratio > 0 else math.inf),
+                row["axis"], int(row["cluster_id"]), row["bucket"])
+
+    with open(tmp_path / "run" / "disproportionality.csv", encoding="utf-8",
+              newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    json_rows = json.loads(
+        (tmp_path / "run" / "disproportionality.json").read_text())["rows"]
+    for rows in (csv_rows, json_rows):
+        keys = [key(r) for r in rows]
+        assert keys == sorted(keys)
+        assert len({r["axis"] for r in rows[:12]}) > 1

@@ -25,13 +25,15 @@ class TestConfig:
         assert cfg.dim == 512
         assert cfg.tau == 0.6
         assert cfg.tau_hi == 1.25 and cfg.tau_lo == 0.8
-        assert cfg.seed == 0 and cfg.threads == 1
+        assert cfg.seed == 0
         assert cfg.formats == {"csv"}
 
     def test_unknown_key_reported_with_field(self):
-        with pytest.raises(ConfigError) as exc:
-            parse_config_text("dampign = 0.9\n")
-        assert any("dampign" in e for e in exc.value.errors)
+        # threads was a knob that changed no output; it is now an unknown key.
+        for key in ("dampign", "threads"):
+            with pytest.raises(ConfigError) as exc:
+                parse_config_text(f"{key} = 4\n")
+            assert exc.value.errors == [f"{key}: unknown key"]
 
     def test_stream_groups_parsed(self):
         cfg = parse_config_text(
@@ -129,7 +131,10 @@ class TestPipelineRuns:
         assert main(["run", "--config", str(config), "--out", str(full)]) == 0
         for stage in STAGES:
             assert main([stage, "--config", str(config), "--out", str(staged)]) == 0, stage
-        for name in REPORT_FILES:
+        names = sorted(p.name for p in full.iterdir())
+        assert names == sorted(p.name for p in staged.iterdir())
+        assert set(REPORT_FILES) < set(names)
+        for name in names:
             assert (full / name).read_bytes() == (staged / name).read_bytes(), name
 
     def test_formats_override_adds_json(self, fixture_dir, tmp_path):

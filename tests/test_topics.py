@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echolens.synth import make_corpus
-from echolens.topics import (DEFAULT_K, BuiltinEmbedder, EmbeddingVector,
-                             cluster, embed_corpus, load_external_vectors,
-                             normalize_text, silhouette, top_terms, word_idf)
+from echolens.topics import (DEFAULT_K, BuiltinEmbedder, cluster, embed_corpus,
+                             load_external_vectors, normalize_text, silhouette,
+                             top_terms, word_idf)
 
 
 class TestNormalizeText:
@@ -94,11 +94,6 @@ class TestBuiltinEmbedder:
     def test_dim_validated(self):
         with pytest.raises(ValueError):
             BuiltinEmbedder(dim=1)
-
-    def test_embedding_vector_wrapper(self):
-        vec = EmbeddingVector(values=np.array([3.0, 4.0]))
-        assert vec.dim == 2
-        assert abs(vec.norm - 5.0) < 1e-12
 
 
 class TestExternalVectors:
