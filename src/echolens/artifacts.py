@@ -12,14 +12,16 @@ on-disk format is decided here and nowhere else:
 Writes are atomic: each file is written to a temporary sibling and moved over
 the target with `os.replace`. If the writer raises, the temporary file is
 removed and any earlier file at the path is left untouched, so a reader never
-sees a half-written artifact. Readers of row formats stream rows lazily, so a
-large edge file is never held in memory as text.
+sees a half-written artifact. Readers of row formats stream rows lazily,
+except `read_csv_columns`, which reads a whole CSV file into one list per
+column for callers that turn the columns into arrays.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -32,6 +34,7 @@ __all__ = [
     "write_ndjson",
     "write_lines",
     "read_csv",
+    "read_csv_columns",
     "read_json",
     "read_ndjson",
     "read_lines",
@@ -87,6 +90,28 @@ def read_csv(path: str | Path) -> Iterator[dict[str, str]]:
     """Yield each data row as a header-keyed dict."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         yield from csv.DictReader(fh)
+
+
+def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
+    """Read a whole CSV file column-wise: header name -> field strings.
+
+    Builds no object per row, so a large file read this way leaves the
+    garbage collector nothing to scan. A plain file (newline-terminated, no
+    quote, carriage return or blank line) is split on separators directly;
+    any other file goes through the csv module. Blank lines are skipped.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    names = header.split(",")
+    fields = body.replace("\n", ",").split(",")[:-1] if body else []
+    plain = (text.endswith("\n") and "\n\n" not in text
+             and not any(c in text for c in '"\r'))
+    if not plain or len(fields) % len(names):
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        names, rows = rows[0], rows[1:]
+        return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    return {name: fields[i::len(names)] for i, name in enumerate(names)}
 
 
 def read_json(path: str | Path) -> Any:

@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import artifacts
 from . import influence as _influence
-from .graph import InteractionGraph, induced_subgraph
+from .graph import InteractionGraph, weighted_in_degrees
 from .ingest import TweetRecord, UserRecord, match_text
 
 __all__ = [
@@ -68,19 +70,18 @@ def node_importance(g: InteractionGraph, mode: str = "weighted_in_degree",
 
     weighted_in_degree reads the weight straight off the graph; pagerank
     delegates to the influence module and returns raw probability mass.
-    Isolated nodes get the configured floor.
+    Either way a node gets max(weight, floor), so isolated nodes get the
+    floor.
     """
     if mode not in IMPORTANCE_MODES:
         raise ValueError(f"unknown importance mode {mode!r}")
     if len(g) == 0:
         return {}
     if mode == "weighted_in_degree":
-        win: dict[str, float] = {n: floor for n in g.sorted_nodes()}
-        for _, dst, w, _, _ in g.edges():
-            win[dst] = win.get(dst, 0.0) + w
-        return win
-    scores = _influence.pagerank(g, **pagerank_kwargs).scores
-    return {n: max(s, floor) for n, s in scores.items()}
+        raw = weighted_in_degrees(g)
+    else:
+        raw = _influence.pagerank(g, **pagerank_kwargs).scores
+    return {node: max(float(w), floor) for node, w in raw.items()}
 
 
 def label_propagation(g: InteractionGraph, importance: Mapping[str, float],
@@ -93,28 +94,24 @@ def label_propagation(g: InteractionGraph, importance: Mapping[str, float],
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    nodes = g.sorted_nodes()
+    nodes = g.ids
     n = len(nodes)
     if n == 0:
         return CommunityAssignment(converged=True, iterations_run=0)
-    index = {node: i for i, node in enumerate(nodes)}
 
     missing = [node for node in nodes if node not in importance]
     if missing:
         raise ValueError(f"importance missing for nodes: {missing[:5]}")
 
-    # Static vote weights: und_weight(u, v) * importance(v), built in sorted
-    # node order so float summation order is reproducible.
-    und: list[dict[int, int]] = [dict() for _ in range(n)]
-    for src, dst, w, _, _ in g.edges():
-        i, j = index[src], index[dst]
-        und[i][j] = und[i].get(j, 0) + w
-        und[j][i] = und[j].get(i, 0) + w
-    imp = [float(importance[node]) for node in nodes]
-    neighbors = [
-        [(j, w * imp[j]) for j, w in sorted(und[i].items())]
-        for i in range(n)
-    ]
+    # Static vote weights: und_weight(u, v) * importance(v), each node's
+    # neighbours in index order so float summation order is reproducible.
+    imp = np.fromiter((float(importance[node]) for node in nodes), np.float64, n)
+    indptr, cols, und = g.undirected()
+    bounds = indptr.tolist()
+    cols_l = cols.tolist()
+    votes_l = (und * imp[cols]).tolist()
+    nbr_ids = [cols_l[bounds[i]:bounds[i + 1]] for i in range(n)]
+    nbr_votes = [votes_l[bounds[i]:bounds[i + 1]] for i in range(n)]
 
     labels = list(range(n))
     rng = random.Random(seed)
@@ -132,14 +129,14 @@ def label_propagation(g: InteractionGraph, importance: Mapping[str, float],
             if not pending[u]:
                 continue
             pending[u] = 0
-            nbrs = neighbors[u]
+            nbrs = nbr_ids[u]
             if not nbrs:
                 continue
             votes: dict[int, float] = {}
             get = votes.get
             best_val = -1.0
             best_lbl = -1
-            for j, vote in nbrs:
+            for j, vote in zip(nbrs, nbr_votes[u]):
                 lbl = labels[j]
                 v = get(lbl, 0.0) + vote
                 votes[lbl] = v
@@ -152,38 +149,32 @@ def label_propagation(g: InteractionGraph, importance: Mapping[str, float],
                 continue
             labels[u] = best_lbl
             changed = True
-            for j, _ in nbrs:
+            for j in nbrs:
                 pending[j] = 1
         if not changed:
             converged = True
             break
 
-    groups: dict[int, list[str]] = {}
-    for i, node in enumerate(nodes):
-        groups.setdefault(labels[i], []).append(node)
+    # Group nodes by label (members stay in id order), then read every
+    # community's anchor off one within-community in-weight pass.
+    lab = np.asarray(labels)
+    by_label = np.argsort(lab, kind="stable")
+    starts = np.flatnonzero(np.diff(lab[by_label], prepend=-1))
+    groups = np.split(by_label, starts[1:])
+    groups.sort(key=lambda members: (-len(members), members[0]))
+    win_within = g.in_weights(edge_mask=lab[g.sources()] == lab[g.indices])
 
-    # Within-community weighted in-degree for every node in one edge pass;
-    # equivalent to anchor_user's induced-subgraph read but not quadratic in
-    # the number of communities.
-    final_label_of = {node: labels[i] for i, node in enumerate(nodes)}
-    win_within = {node: 0 for node in nodes}
-    for src, dst, w, _, _ in g.edges():
-        if final_label_of[src] == final_label_of[dst]:
-            win_within[dst] += w
-
-    ordered = sorted(groups.values(), key=lambda members: (-len(members), min(members)))
     communities = []
     final_labels: dict[str, int] = {}
-    for cid, members in enumerate(ordered):
-        members = tuple(sorted(members))
+    for cid, idx in enumerate(groups):
+        members = tuple(nodes[i] for i in idx.tolist())
         communities.append(Community(
             community_id=cid,
             members=members,
             size=len(members),
-            anchor=min(members, key=lambda m: (-win_within[m], m)),
+            anchor=_anchor(nodes, idx, win_within),
         ))
-        for node in members:
-            final_labels[node] = cid
+        final_labels.update(dict.fromkeys(members, cid))
     return CommunityAssignment(
         labels=final_labels,
         communities=communities,
@@ -221,11 +212,15 @@ def anchor_user(g: InteractionGraph, members: Sequence[str]) -> str:
     members = list(members)
     if not members:
         raise ValueError("anchor_user needs a nonempty member set")
-    sub = induced_subgraph(g, members)
-    win = {m: 0 for m in members}
-    for _, dst, w, _, _ in sub.edges():
-        win[dst] += w
-    return min(members, key=lambda m: (-win[m], m))
+    inside = g.node_mask(members)
+    win = g.in_weights(edge_mask=inside[g.sources()] & inside[g.indices])
+    return _anchor(g.ids, np.flatnonzero(inside), win)
+
+
+def _anchor(ids: Sequence[str], members: np.ndarray, win_within: np.ndarray) -> str:
+    """The member (sorted node indices) with the largest within-community
+    weighted in-degree; argmax takes the first, so ties go to the smallest id."""
+    return ids[members[np.argmax(win_within[members])]]
 
 
 def flag_offtopic(assignment: CommunityAssignment, tweets: Sequence[TweetRecord],

@@ -3,13 +3,23 @@
 Edge direction is interactor -> target: a retweet or reply points from the
 engaging user at the author who received the engagement, so downstream
 PageRank rewards accounts that receive interactions.
+
+The graph is stored once, in integer form: node ids are kept sorted, node i
+is `ids[i]`, and the out-edges of node i are positions `indptr[i]` to
+`indptr[i + 1]` of the CSR arrays `indices` (target node), `retweets` and
+`replies` (int64), ordered by target. String ids become integers only where
+a graph is built (`from_weighted_edges`, `build_interaction_graph`,
+`read_edge_csv`) and turn back into strings only where results leave a
+kernel. Every graph kernel reads these arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import artifacts
 from .ingest import TweetRecord
@@ -20,10 +30,13 @@ __all__ = [
     "DegreeStats",
     "build_interaction_graph",
     "degree_stats",
+    "weighted_in_degrees",
     "induced_subgraph",
     "write_edge_csv",
     "read_edge_csv",
 ]
+
+_EDGE_HEADER = ["src", "dst", "weight", "retweets", "replies"]
 
 
 @dataclass
@@ -42,93 +55,243 @@ class DegreeStats:
     weighted_out: int = 0
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer for row indices that are already sorted."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _sum_duplicates(rows: np.ndarray, cols: np.ndarray, n: int,
+                   *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sort (row, col) pairs and sum the values of repeated pairs.
+
+    Returns (rows, cols, *summed values), ordered by row then column, one
+    entry per distinct pair. Equal pairs keep their input order before
+    summing, and the sums stay in the values' dtype.
+    """
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    sums = tuple(np.add.reduceat(v[order], starts) if starts.size else v[:0]
+                 for v in values)
+    return (key[starts] // n, key[starts] % n) + sums
+
+
 class InteractionGraph:
     """Aggregated multigraph: one edge per ordered user pair, with its weight
-    split into retweet and reply counts. Self-loops are rejected."""
+    split into retweet and reply counts. Self-loops are rejected.
+
+    Build it with `from_weighted_edges`, `build_interaction_graph` or
+    `read_edge_csv`. `add_node` and `add_interaction` only queue columns; the
+    queue is folded into the arrays by the same build on the next read.
+    """
 
     def __init__(self):
-        self._nodes: dict[str, None] = {}
-        # src -> dst -> [retweet_count, reply_count]
-        self._adj: dict[str, dict[str, list[int]]] = {}
+        self._pending: tuple[list, list, list, list, list] = ([], [], [], [], [])
+        self._set((), np.zeros(0, np.int64), np.zeros(0, np.int64),
+                  np.zeros(0, np.int64), np.zeros(0, np.int64))
 
     # -- construction -----------------------------------------------------
 
+    def _set(self, ids: tuple[str, ...], src: np.ndarray, dst: np.ndarray,
+             retweets: np.ndarray, replies: np.ndarray) -> None:
+        """The one build pass: node i is ids[i] (ids sorted); (src, dst) are
+        int64 node indices of any order, repeated pairs are summed."""
+        n = len(ids)
+        if np.any(src == dst):
+            raise ValueError("self-interactions are not representable")
+        src, dst, retweets, replies = _sum_duplicates(src, dst, n, retweets, replies)
+        self._ids = ids
+        self._index: dict[str, int] | None = None
+        self._indptr = _frozen(_indptr(src, n))
+        self._indices = _frozen(dst)
+        self._retweets = _frozen(retweets)
+        self._replies = _frozen(replies)
+
+    def _build(self, nodes: Iterable[str], src: Sequence[str], dst: Sequence[str],
+               retweets, replies) -> "InteractionGraph":
+        """Intern string columns to sorted integer ids, then build."""
+        ids = tuple(sorted(map(str, set(nodes).union(src, dst))))
+        index = {node: i for i, node in enumerate(ids)}
+        m = len(src)
+        self._set(ids,
+                  np.fromiter(map(index.__getitem__, src), np.int64, m),
+                  np.fromiter(map(index.__getitem__, dst), np.int64, m),
+                  np.asarray(retweets, dtype=np.int64).reshape(m),
+                  np.asarray(replies, dtype=np.int64).reshape(m))
+        return self
+
     def add_node(self, node: str) -> None:
-        self._nodes.setdefault(node, None)
+        self._pending[0].append(node)
 
     def add_interaction(self, src: str, dst: str, kind: str, count: int = 1) -> None:
         if src == dst:
             raise ValueError("self-interactions are not representable")
         if kind not in ("retweet", "reply"):
             raise ValueError(f"unknown interaction kind {kind!r}")
-        self.add_node(src)
-        self.add_node(dst)
-        counts = self._adj.setdefault(src, {}).setdefault(dst, [0, 0])
-        counts[0 if kind == "retweet" else 1] += count
+        _, srcs, dsts, rts, rps = self._pending
+        srcs.append(src)
+        dsts.append(dst)
+        rts.append(count if kind == "retweet" else 0)
+        rps.append(count if kind == "reply" else 0)
+
+    def _settled(self) -> "InteractionGraph":
+        nodes, srcs, dsts, rts, rps = self._pending
+        if nodes or srcs:
+            self._pending = ([], [], [], [], [])
+            ids = self._ids
+            self._build(ids + tuple(nodes),
+                        [ids[i] for i in self.sources().tolist()] + srcs,
+                        [ids[i] for i in self._indices.tolist()] + dsts,
+                        np.concatenate([self._retweets, np.asarray(rts, np.int64)]),
+                        np.concatenate([self._replies, np.asarray(rps, np.int64)]))
+        return self
 
     @classmethod
     def from_weighted_edges(cls, edges: Iterable[tuple[str, str, int, int]],
                             nodes: Iterable[str] = ()) -> "InteractionGraph":
         """Bulk constructor from (src, dst, retweets, replies) tuples."""
-        g = cls()
-        for node in nodes:
-            g.add_node(node)
-        adj = g._adj
-        nd = g._nodes
-        for src, dst, rt, rp in edges:
-            if src == dst:
-                raise ValueError("self-interactions are not representable")
-            nd.setdefault(src, None)
-            nd.setdefault(dst, None)
-            counts = adj.setdefault(src, {}).setdefault(dst, [0, 0])
-            counts[0] += rt
-            counts[1] += rp
-        return g
+        columns = tuple(zip(*edges)) or ((), (), (), ())
+        return cls()._build(nodes, *columns)
+
+    # -- arrays -------------------------------------------------------------
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Sorted node ids; node i of every array is ids[i]."""
+        return self._settled()._ids
+
+    @property
+    def index(self) -> dict[str, int]:
+        """Node id -> integer index."""
+        if self._settled()._index is None:
+            self._index = {node: i for i, node in enumerate(self._ids)}
+        return self._index
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._settled()._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._settled()._indices
+
+    @property
+    def retweets(self) -> np.ndarray:
+        return self._settled()._retweets
+
+    @property
+    def replies(self) -> np.ndarray:
+        return self._settled()._replies
+
+    def sources(self) -> np.ndarray:
+        """Source node of every edge, aligned with `indices`."""
+        indptr = self.indptr
+        return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+    def weights(self, kind: str | None = None) -> np.ndarray:
+        """Per-edge weight: both kinds summed, or only "retweet" or "reply"."""
+        if kind is None:
+            return self.retweets + self.replies
+        if kind == "retweet":
+            return self.retweets
+        if kind == "reply":
+            return self.replies
+        raise ValueError(f"unknown edge kind {kind!r}")
+
+    def in_weights(self, kind: str | None = None,
+                   edge_mask: np.ndarray | None = None) -> np.ndarray:
+        """Weighted in-degree per node (int64, in id order), optionally for
+        one edge kind and only over the edges where edge_mask is true."""
+        dst, w = self.indices, self.weights(kind)
+        if edge_mask is not None:
+            dst, w = dst[edge_mask], w[edge_mask]
+        return np.bincount(dst, weights=w, minlength=len(self)).astype(np.int64)
+
+    def node_mask(self, nodes: Collection[str]) -> np.ndarray:
+        """Boolean mask over node indices marking nodes; unknown nodes raise."""
+        index = self.index
+        unknown = [node for node in nodes if node not in index]
+        if unknown:
+            raise ValueError(f"nodes not in graph: {sorted(unknown)[:5]}")
+        mask = np.zeros(len(self), dtype=bool)
+        mask[[index[node] for node in nodes]] = True
+        return mask
+
+    def transposed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR of the reversed graph: (indptr, sources, edge positions), with
+        each node's in-edges in source order."""
+        order = np.argsort(self.indices, kind="stable")
+        return _indptr(self.indices[order], len(self)), self.sources()[order], order
+
+    def undirected(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR (indptr, indices, weights) of the symmetrised graph, where the
+        weight of {u, v} is w(u, v) + w(v, u); neighbours sorted by index."""
+        src, dst, w = self.sources(), self.indices, self.weights()
+        rows, cols, sym = _sum_duplicates(np.concatenate([src, dst]),
+                                         np.concatenate([dst, src]), len(self),
+                                         np.concatenate([w, w]))
+        return _indptr(rows, len(self)), cols, sym
 
     # -- queries -----------------------------------------------------------
 
     @property
     def nodes(self) -> set[str]:
-        return set(self._nodes)
+        return set(self.ids)
 
     def sorted_nodes(self) -> list[str]:
         """Canonical node ordering used by every array-based kernel."""
-        return sorted(self._nodes)
+        return list(self.ids)
 
     def __contains__(self, node: str) -> bool:
-        return node in self._nodes
+        return node in self.index
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.ids)
 
     def num_edges(self) -> int:
-        return sum(len(d) for d in self._adj.values())
+        return len(self.indices)
 
     def edges(self):
-        """Yield (src, dst, weight, retweets, replies) in insertion order."""
-        for src, targets in self._adj.items():
-            for dst, (rt, rp) in targets.items():
-                yield src, dst, rt + rp, rt, rp
-
-    def weight(self, src: str, dst: str) -> int:
-        counts = self._adj.get(src, {}).get(dst)
-        return 0 if counts is None else counts[0] + counts[1]
+        """Yield (src, dst, weight, retweets, replies) in (src, dst) order."""
+        ids = self.ids
+        for s, d, rt, rp in zip(self.sources().tolist(), self.indices.tolist(),
+                                self.retweets.tolist(), self.replies.tolist()):
+            yield ids[s], ids[d], rt + rp, rt, rp
 
     def edge_kind_counts(self, src: str, dst: str) -> tuple[int, int]:
-        counts = self._adj.get(src, {}).get(dst)
-        return (0, 0) if counts is None else (counts[0], counts[1])
+        index = self.index
+        if src not in index or dst not in index:
+            return (0, 0)
+        i, j = index[src], index[dst]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        pos = lo + np.searchsorted(self.indices[lo:hi], j)
+        if pos == hi or self.indices[pos] != j:
+            return (0, 0)
+        return (int(self.retweets[pos]), int(self.replies[pos]))
+
+    def weight(self, src: str, dst: str) -> int:
+        return sum(self.edge_kind_counts(src, dst))
 
     def total_weight(self) -> int:
-        return sum(w for _, _, w, _, _ in self.edges())
+        return int(self.retweets.sum() + self.replies.sum())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InteractionGraph):
             return NotImplemented
-        if set(self._nodes) != set(other._nodes):
-            return False
-        mine = {(s, d): tuple(c) for s, ts in self._adj.items() for d, c in ts.items()}
-        theirs = {(s, d): tuple(c) for s, ts in other._adj.items() for d, c in ts.items()}
-        return mine == theirs
+        return self.ids == other.ids and all(
+            np.array_equal(a, b) for a, b in
+            ((self.indptr, other.indptr), (self.indices, other.indices),
+             (self.retweets, other.retweets), (self.replies, other.replies)))
 
 
 def build_interaction_graph(tweets: Sequence[TweetRecord],
@@ -142,11 +305,10 @@ def build_interaction_graph(tweets: Sequence[TweetRecord],
     when isolated. reverse_edges flips direction to target -> interactor for
     sensitivity runs. Returns (graph, stats).
     """
-    g = InteractionGraph()
     stats = GraphBuildStats()
+    src, dst, retweets = [], [], []
     for t in tweets:
-        g.add_node(t.author_id)
-        for target_id, kind in ((t.retweet_of, "retweet"), (t.reply_to, "reply")):
+        for target_id, is_retweet in ((t.retweet_of, 1), (t.reply_to, 0)):
             if target_id is None:
                 continue
             target_author = tweet_index.get(target_id)
@@ -156,77 +318,65 @@ def build_interaction_graph(tweets: Sequence[TweetRecord],
             if target_author == t.author_id:
                 stats.self_interactions += 1
                 continue
-            if reverse_edges:
-                g.add_interaction(target_author, t.author_id, kind)
-            else:
-                g.add_interaction(t.author_id, target_author, kind)
-            if kind == "retweet":
-                stats.resolved_retweets += 1
-            else:
-                stats.resolved_replies += 1
+            src.append(target_author if reverse_edges else t.author_id)
+            dst.append(t.author_id if reverse_edges else target_author)
+            retweets.append(is_retweet)
+    stats.resolved_retweets = sum(retweets)
+    stats.resolved_replies = len(retweets) - stats.resolved_retweets
+    retweets = np.asarray(retweets, dtype=np.int64)
+    g = InteractionGraph()._build((t.author_id for t in tweets), src, dst,
+                                  retweets, 1 - retweets)
     return g, stats
 
 
 def degree_stats(g: InteractionGraph) -> dict[str, DegreeStats]:
     """Per-node degree summary; weighted in-degrees and out-degrees both sum
     to the total edge weight."""
-    out = {n: DegreeStats() for n in g.sorted_nodes()}
-    for src, dst, w, _, _ in g.edges():
-        out[src].out_degree += 1
-        out[src].weighted_out += w
-        out[dst].in_degree += 1
-        out[dst].weighted_in += w
-    return out
+    n = len(g)
+    columns = (np.bincount(g.indices, minlength=n), np.diff(g.indptr),
+               g.in_weights(),
+               np.bincount(g.sources(), weights=g.weights(), minlength=n).astype(np.int64))
+    return {node: DegreeStats(*row)
+            for node, row in zip(g.ids, zip(*(c.tolist() for c in columns)))}
 
 
 def weighted_in_degrees(g: InteractionGraph, kind: str | None = None) -> dict[str, int]:
     """Weighted in-degree per node, optionally restricted to one edge kind."""
-    win = {n: 0 for n in g.sorted_nodes()}
-    for src, dst, w, rt, rp in g.edges():
-        if kind is None:
-            win[dst] += w
-        elif kind == "retweet":
-            win[dst] += rt
-        elif kind == "reply":
-            win[dst] += rp
-        else:
-            raise ValueError(f"unknown edge kind {kind!r}")
-    return win
+    return dict(zip(g.ids, g.in_weights(kind).tolist()))
 
 
 def induced_subgraph(g: InteractionGraph, nodes: Iterable[str]) -> InteractionGraph:
     """Subgraph on the given nodes, keeping exactly the edges with both
     endpoints inside the set. Unknown nodes raise."""
-    keep = set(nodes)
-    unknown = keep - g.nodes
-    if unknown:
-        raise ValueError(f"nodes not in graph: {sorted(unknown)[:5]}")
+    inside = g.node_mask(set(nodes))
+    src, dst = g.sources(), g.indices
+    edge_mask = inside[src] & inside[dst]
+    renumber = np.cumsum(inside) - 1
     sub = InteractionGraph()
-    for n in keep:
-        sub.add_node(n)
-    for src, dst, _, rt, rp in g.edges():
-        if src in keep and dst in keep:
-            if rt:
-                sub.add_interaction(src, dst, "retweet", rt)
-            if rp:
-                sub.add_interaction(src, dst, "reply", rp)
+    sub._set(tuple(node for node, kept in zip(g.ids, inside.tolist()) if kept),
+             renumber[src[edge_mask]], renumber[dst[edge_mask]],
+             g.retweets[edge_mask], g.replies[edge_mask])
     return sub
 
 
 def write_edge_csv(g: InteractionGraph, path: str | Path) -> None:
-    """Dump edges as `src,dst,weight,retweets,replies`, sorted for stability."""
-    artifacts.write_csv(path, ["src", "dst", "weight", "retweets", "replies"],
-                        sorted(g.edges()))
+    """Dump edges as `src,dst,weight,retweets,replies` in (src, dst) order."""
+    ids = g.ids
+    artifacts.write_csv(path, _EDGE_HEADER, zip(
+        [ids[i] for i in g.sources().tolist()], [ids[i] for i in g.indices.tolist()],
+        g.weights().tolist(), g.retweets.tolist(), g.replies.tolist()))
 
 
 def write_node_list(g: InteractionGraph, path: str | Path) -> None:
-    artifacts.write_lines(path, g.sorted_nodes())
+    artifacts.write_lines(path, g.ids)
 
 
 def read_edge_csv(edge_path: str | Path, node_path: str | Path | None = None) -> InteractionGraph:
     """Rebuild a graph persisted by write_edge_csv (+ optional node list,
     needed to recover isolated nodes)."""
     nodes = artifacts.read_lines(node_path) if node_path is not None else ()
-    edges = ((row["src"], row["dst"], int(row["retweets"]), int(row["replies"]))
-             for row in artifacts.read_csv(edge_path))
-    return InteractionGraph.from_weighted_edges(edges, nodes=nodes)
+    columns = artifacts.read_csv_columns(edge_path)
+    return InteractionGraph()._build(
+        nodes, columns["src"], columns["dst"],
+        np.array(columns["retweets"], dtype=np.int64),
+        np.array(columns["replies"], dtype=np.int64))

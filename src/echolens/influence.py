@@ -46,6 +46,8 @@ def pagerank(g: InteractionGraph, damping: float = 0.85, tol: float = 1e-9,
 
     x' = damping * (P x + dangling_mass / n) + (1 - damping) / n, iterated
     until the L1 change is below tol. Scores sum to 1 to within float error.
+    A graph without edges is its own fixed point: every node is dangling, so
+    the scores are exactly 1/n, converged after 0 iterations.
     """
     if len(g) == 0:
         raise ValueError("pagerank needs a nonempty graph")
@@ -54,25 +56,19 @@ def pagerank(g: InteractionGraph, damping: float = 0.85, tol: float = 1e-9,
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    nodes = g.sorted_nodes()
-    n = len(nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-
-    rows, cols, data = [], [], []
-    out_weight = np.zeros(n)
-    for src, dst, w, _, _ in g.edges():
-        i, j = index[src], index[dst]
-        rows.append(j)
-        cols.append(i)
-        data.append(float(w))
-        out_weight[i] += w
+    n = len(g)
+    if g.num_edges() == 0:
+        return PageRankResult(scores=dict.fromkeys(g.ids, 1.0 / n),
+                              iterations=0, converged=True)
+    src, w = g.sources(), g.weights()
+    out_weight = np.bincount(src, weights=w, minlength=n)
     dangling = out_weight == 0.0
     safe_out = np.where(dangling, 1.0, out_weight)
-    if data:
-        data = np.asarray(data) / safe_out[np.asarray(cols)]
-        transition = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    else:
-        transition = sparse.csr_matrix((n, n))
+    # P[dst, src] = w / out_weight[src], laid out as the transpose's CSR so
+    # each row sums its terms in source order, as canonical CSR does.
+    indptr, t_src, order = g.transposed()
+    transition = sparse.csr_matrix((w[order] / safe_out[t_src], t_src, indptr),
+                                   shape=(n, n))
 
     x = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n
@@ -88,7 +84,7 @@ def pagerank(g: InteractionGraph, damping: float = 0.85, tol: float = 1e-9,
             break
 
     return PageRankResult(
-        scores={node: float(x[index[node]]) for node in nodes},
+        scores=dict(zip(g.ids, x.tolist())),
         iterations=iterations,
         converged=converged,
     )

@@ -152,10 +152,6 @@ class CorpusStats:
     def records_filtered(self) -> int:
         return self.records_read - self.records_rejected - self.records_kept
 
-    def reconciles(self) -> bool:
-        return (self.records_read ==
-                self.records_kept + self.records_rejected + self.records_filtered)
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["records_filtered"] = self.records_filtered

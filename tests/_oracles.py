@@ -1,8 +1,10 @@
 """Independent oracles used by the test suite.
 
 These deliberately re-derive expected values through different code paths
-than the library: dense-matrix power iteration instead of sparse, and exact
-brute-force partition enumeration instead of label propagation.
+than the library: dense-matrix power iteration instead of sparse, exact
+brute-force partition enumeration instead of label propagation, a
+dict-of-dicts label propagation instead of the array-based one, and
+per-node scans over every edge instead of array reductions.
 """
 
 from __future__ import annotations
@@ -80,3 +82,110 @@ def best_modularity_partition(nodes, weighted_edges):
         if q > best_q:
             best_q, best = q, partition
     return frozenset(frozenset(block) for block in best), best_q
+
+
+def reference_label_propagation(nodes, weighted_edges, importance, seed, max_rounds):
+    """Dict-of-dicts label propagation, kept as the reference for the
+    array-based kernel.
+
+    weighted_edges: mapping (src, dst) -> weight. Same contract as
+    `label_propagation`: seeded asynchronous rounds over the symmetrised
+    graph, votes are weight times the neighbour's importance summed in
+    sorted-neighbour order, ties keep the current label if it leads and
+    otherwise go to the lowest label. Returns a dict with `labels`,
+    `communities` (a list of (members, anchor), canonically ordered),
+    `iterations_run` and `converged`.
+    """
+    import random
+
+    nodes = sorted(nodes)
+    n = len(nodes)
+    if n == 0:
+        return {"labels": {}, "communities": [], "iterations_run": 0,
+                "converged": True}
+    index = {node: i for i, node in enumerate(nodes)}
+    und = [dict() for _ in range(n)]
+    for (src, dst), w in weighted_edges.items():
+        i, j = index[src], index[dst]
+        und[i][j] = und[i].get(j, 0) + w
+        und[j][i] = und[j].get(i, 0) + w
+    imp = [float(importance[node]) for node in nodes]
+    neighbors = [[(j, w * imp[j]) for j, w in sorted(und[i].items())]
+                 for i in range(n)]
+
+    labels = list(range(n))
+    rng = random.Random(seed)
+    order = list(range(n))
+    pending = [True] * n
+    converged = False
+    rounds = 0
+    for rounds in range(1, max_rounds + 1):
+        rng.shuffle(order)
+        changed = False
+        for u in order:
+            if not pending[u]:
+                continue
+            pending[u] = False
+            if not neighbors[u]:
+                continue
+            votes = {}
+            best_val, best_lbl = -1.0, -1
+            for j, vote in neighbors[u]:
+                lbl = labels[j]
+                votes[lbl] = votes.get(lbl, 0.0) + vote
+                if votes[lbl] > best_val:
+                    best_val, best_lbl = votes[lbl], lbl
+                elif votes[lbl] == best_val and lbl < best_lbl:
+                    best_lbl = lbl
+            if votes.get(labels[u]) == best_val:
+                continue
+            labels[u] = best_lbl
+            changed = True
+            for j, _ in neighbors[u]:
+                pending[j] = True
+        if not changed:
+            converged = True
+            break
+
+    label_of = {node: labels[i] for i, node in enumerate(nodes)}
+    groups = {}
+    for node in nodes:
+        groups.setdefault(label_of[node], []).append(node)
+    win_within = {node: 0 for node in nodes}
+    for (src, dst), w in weighted_edges.items():
+        if label_of[src] == label_of[dst]:
+            win_within[dst] += w
+    ordered = sorted(groups.values(), key=lambda members: (-len(members), min(members)))
+    communities, final = [], {}
+    for cid, members in enumerate(ordered):
+        members = tuple(sorted(members))
+        communities.append((members, min(members, key=lambda m: (-win_within[m], m))))
+        final.update({node: cid for node in members})
+    return {"labels": final, "communities": communities,
+            "iterations_run": rounds, "converged": converged}
+
+
+def reference_degree_stats(nodes, kind_edges):
+    """(in_degree, out_degree, weighted_in, weighted_out) per node, by
+    scanning every edge for every node. kind_edges: (src, dst) -> (rt, rp)."""
+    stats = {}
+    for node in nodes:
+        into = [rt + rp for (_, d), (rt, rp) in kind_edges.items() if d == node]
+        out = [rt + rp for (s, _), (rt, rp) in kind_edges.items() if s == node]
+        stats[node] = (len(into), len(out), sum(into), sum(out))
+    return stats
+
+
+def reference_weighted_in_degrees(nodes, kind_edges, kind=None):
+    """Weighted in-degree per node, by scanning every edge for every node."""
+    pick = {None: lambda rt, rp: rt + rp, "retweet": lambda rt, rp: rt,
+            "reply": lambda rt, rp: rp}[kind]
+    return {node: sum(pick(rt, rp) for (_, d), (rt, rp) in kind_edges.items()
+                      if d == node)
+            for node in nodes}
+
+
+def reference_induced_subgraph(kind_edges, keep):
+    """The edges of kind_edges with both endpoints in keep."""
+    return {(s, d): counts for (s, d), counts in kind_edges.items()
+            if s in keep and d in keep}

@@ -34,3 +34,23 @@ def test_failed_write_keeps_previous_file(tmp_path):
         artifacts.write_csv(path, ["src", "dst"], rows())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["edges.csv"]
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [["u1", "u2", 3], ["u1", "", 0]],
+    [["a,b", 'say "hi"', 1], ["line\nbreak", "ü", 2]],
+])
+def test_read_csv_columns_matches_row_reader(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    artifacts.write_csv(path, ["src", "dst", "n"], rows)
+    by_row = list(artifacts.read_csv(path))
+    columns = artifacts.read_csv_columns(path)
+    assert columns == {name: [row[name] for row in by_row] for name in ("src", "dst", "n")}
+    assert columns["n"] == [str(row[2]) for row in rows]
+
+
+def test_read_csv_columns_skips_blank_lines_and_reads_last_unterminated_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n\n3,4", encoding="utf-8")
+    assert artifacts.read_csv_columns(path) == {"a": ["1", "3"], "b": ["2", "4"]}

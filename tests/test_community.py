@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +8,9 @@ from echolens.community import (Community, CommunityAssignment, anchor_user,
                                 flag_offtopic, gate_communities,
                                 label_propagation, node_importance)
 from echolens.graph import InteractionGraph
+from echolens.influence import pagerank
 
-from _oracles import best_modularity_partition
+from _oracles import best_modularity_partition, reference_label_propagation
 from conftest import clique_graph, make_tweet, make_user
 
 CLIQUE_A = tuple(f"a{i}" for i in range(5))
@@ -40,6 +43,19 @@ class TestNodeImportance:
         g = InteractionGraph()
         g.add_node("solo")
         assert node_importance(g, floor=0.5) == {"solo": 0.5}
+
+    def test_floor_below_in_weight_is_not_added(self):
+        g = InteractionGraph()
+        g.add_interaction("B", "A", "retweet", 3)
+        assert node_importance(g, floor=0.5) == {"A": 3.0, "B": 0.5}
+
+    def test_floor_applies_in_both_modes(self):
+        g = InteractionGraph()
+        g.add_interaction("B", "A", "retweet", 3)
+        scores = pagerank(g).scores
+        assert scores["B"] < 0.5 < scores["A"]
+        imp = node_importance(g, mode="pagerank", floor=0.5)
+        assert imp == {"A": scores["A"], "B": 0.5}
 
     def test_pagerank_mode_cycle_symmetric(self):
         g = InteractionGraph()
@@ -240,3 +256,44 @@ def test_disjoint_cliques_property_any_seed(seed):
     g = clique_graph(*cliques)
     assignment = run_lp(g, seed=seed)
     assert member_sets(assignment) == {frozenset(c) for c in cliques}
+
+
+def random_lp_graph(seed):
+    """Seeded graph with isolated nodes, a few hub targets that take most of
+    the edges, and small integer weights, so integer importances tie often."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 60)
+    nodes = [f"u{i}" for i in range(n)]
+    hubs = rng.sample(nodes, max(1, n // 10))
+    isolated = set(rng.sample(nodes, n // 8))
+    active = [node for node in nodes if node not in isolated]
+    edges = {}
+    for _ in range(rng.randint(0, 4 * n) if len(active) > 1 else 0):
+        src = rng.choice(active)
+        dst = rng.choice(hubs if rng.random() < 0.6 else active)
+        if src != dst and dst not in isolated:
+            edges[(src, dst)] = edges.get((src, dst), 0) + rng.randint(1, 3)
+    g = InteractionGraph.from_weighted_edges(
+        ((s, d, w, 0) for (s, d), w in edges.items()), nodes=nodes)
+    return g, edges
+
+
+def test_label_propagation_matches_reference_on_random_graphs():
+    # Integer importances make vote ties common; tenths make float sums
+    # depend on summation order ((0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1).
+    for seed in range(60):
+        g, edges = random_lp_graph(seed)
+        if seed % 2:
+            rng = random.Random(seed)
+            importance = {node: rng.choice((0.1, 0.2, 0.3)) for node in g.nodes}
+        else:
+            importance = node_importance(g)
+        max_rounds = (1, 2, 100)[seed % 3]
+        got = label_propagation(g, importance, seed=seed, max_rounds=max_rounds)
+        want = reference_label_propagation(g.sorted_nodes(), edges, importance,
+                                           seed, max_rounds)
+        assert got.labels == want["labels"], seed
+        assert got.iterations_run == want["iterations_run"], seed
+        assert got.converged == want["converged"], seed
+        assert [(c.members, c.anchor) for c in got.communities] == want["communities"], seed
+        assert [c.community_id for c in got.communities] == list(range(len(got.communities)))

@@ -1,0 +1,59 @@
+"""Degenerate-input contracts of the graph kernels: a graph with nodes but no
+edges, and the empty graph. One test per contract."""
+
+import pytest
+
+from echolens.community import label_propagation, node_importance
+from echolens.graph import (InteractionGraph, degree_stats, read_edge_csv,
+                            write_edge_csv, write_node_list)
+from echolens.influence import pagerank
+
+NODES = [f"n{i}" for i in range(7)]
+
+
+def edgeless():
+    return InteractionGraph.from_weighted_edges([], nodes=NODES)
+
+
+class TestEdgelessGraph:
+    def test_pagerank_exactly_uniform(self):
+        result = pagerank(edgeless())
+        assert result.scores == dict.fromkeys(NODES, 1.0 / len(NODES))
+        assert result.converged
+
+    def test_label_propagation_singletons_in_round_one(self):
+        g = edgeless()
+        assignment = label_propagation(g, node_importance(g), seed=0)
+        assert [c.members for c in assignment.communities] == [(n,) for n in NODES]
+        assert assignment.converged and assignment.iterations_run == 1
+
+    def test_node_importance_is_floor(self):
+        assert node_importance(edgeless(), floor=0.25) == dict.fromkeys(NODES, 0.25)
+
+    def test_degree_stats_all_zero(self):
+        stats = degree_stats(edgeless())
+        assert list(stats) == NODES
+        assert all((s.in_degree, s.out_degree, s.weighted_in, s.weighted_out)
+                   == (0, 0, 0, 0) for s in stats.values())
+
+    def test_edge_file_round_trip_keeps_isolated_nodes(self, tmp_path):
+        g = edgeless()
+        write_edge_csv(g, tmp_path / "edges.csv")
+        write_node_list(g, tmp_path / "nodes.txt")
+        assert (tmp_path / "edges.csv").read_text() == "src,dst,weight,retweets,replies\n"
+        back = read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
+        assert back == g and back.sorted_nodes() == NODES
+
+
+class TestEmptyGraph:
+    def test_pagerank_rejected(self):
+        with pytest.raises(ValueError):
+            pagerank(InteractionGraph())
+
+    def test_label_propagation_empty_converged(self):
+        assignment = label_propagation(InteractionGraph(), {}, seed=0)
+        assert assignment.labels == {} and assignment.communities == []
+        assert assignment.converged
+
+    def test_node_importance_empty(self):
+        assert node_importance(InteractionGraph()) == {}

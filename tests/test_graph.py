@@ -7,6 +7,8 @@ from echolens.graph import (InteractionGraph, build_interaction_graph,
                             degree_stats, induced_subgraph, read_edge_csv,
                             weighted_in_degrees, write_edge_csv, write_node_list)
 
+from _oracles import (reference_degree_stats, reference_induced_subgraph,
+                      reference_weighted_in_degrees)
 from conftest import make_tweet
 
 
@@ -150,3 +152,68 @@ def test_edge_csv_round_trip(tmp_path):
     write_node_list(g, tmp_path / "nodes.txt")
     back = read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
     assert back == g
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Node list plus (src, dst, retweets, replies) rows, repeats allowed."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    nodes = [f"v{i}" for i in range(n)]
+    if n < 2:
+        return nodes, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    rows = draw(st.lists(st.tuples(pair, st.integers(0, 3), st.integers(0, 3)),
+                         max_size=40))
+    return nodes, [(nodes[s], nodes[d], rt, rp) for (s, d), rt, rp in rows]
+
+
+def summed(rows):
+    kind_edges = {}
+    for s, d, rt, rp in rows:
+        old = kind_edges.get((s, d), (0, 0))
+        kind_edges[(s, d)] = (old[0] + rt, old[1] + rp)
+    return kind_edges
+
+
+class TestAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(raw_edge_lists())
+    def test_degree_stats(self, graph):
+        nodes, rows = graph
+        g = InteractionGraph.from_weighted_edges(rows, nodes=nodes)
+        want = reference_degree_stats(nodes, summed(rows))
+        got = {node: (s.in_degree, s.out_degree, s.weighted_in, s.weighted_out)
+               for node, s in degree_stats(g).items()}
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_edge_lists(), st.sampled_from([None, "retweet", "reply"]))
+    def test_weighted_in_degrees(self, graph, kind):
+        nodes, rows = graph
+        g = InteractionGraph.from_weighted_edges(rows, nodes=nodes)
+        assert weighted_in_degrees(g, kind) == reference_weighted_in_degrees(
+            nodes, summed(rows), kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_edge_lists(), st.randoms(use_true_random=False))
+    def test_induced_subgraph(self, graph, rng):
+        nodes, rows = graph
+        g = InteractionGraph.from_weighted_edges(rows, nodes=nodes)
+        keep = {node for node in nodes if rng.random() < 0.6}
+        sub = induced_subgraph(g, keep)
+        want = reference_induced_subgraph(summed(rows), keep)
+        assert sub.sorted_nodes() == sorted(keep)
+        assert {(s, d): (rt, rp) for s, d, _, rt, rp in sub.edges()} == want
+        assert sub == InteractionGraph.from_weighted_edges(
+            ((s, d, rt, rp) for (s, d), (rt, rp) in want.items()), nodes=keep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_edge_lists())
+    def test_edges_sorted_and_summed(self, graph):
+        nodes, rows = graph
+        g = InteractionGraph.from_weighted_edges(rows, nodes=nodes)
+        edges = list(g.edges())
+        assert [(s, d) for s, d, *_ in edges] == sorted(summed(rows))
+        assert {(s, d): (rt, rp) for s, d, _, rt, rp in edges} == summed(rows)
+        assert all(w == rt + rp for _, _, w, rt, rp in edges)

@@ -213,7 +213,6 @@ class TestCorpusStats:
         stats.records_kept = len(cleaned)
         assert stats.records_kept == 1
         assert stats.records_filtered == 2
-        assert stats.reconciles()
 
     def test_no_streams_keeps_everything(self):
         tweets = [make_tweet("t1"), make_tweet("t2")]
