@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             run_stage(cfg, args.command)
             print(f"stage {args.command} complete")
     except MissingInputError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_MISSING_INPUT
     except StageError as exc:
         print(str(exc), file=sys.stderr)

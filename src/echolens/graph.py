@@ -295,15 +295,13 @@ class InteractionGraph:
 
 
 def build_interaction_graph(tweets: Sequence[TweetRecord],
-                            tweet_index: Mapping[str, str],
-                            reverse_edges: bool = False):
+                            tweet_index: Mapping[str, str]):
     """Build the interaction graph from cleaned tweets.
 
     tweet_index maps tweet_id -> author_id and is used to resolve retweet and
     reply targets; unresolvable targets and self-interactions are counted in
     the returned stats, never raised. Every tweet author becomes a node even
-    when isolated. reverse_edges flips direction to target -> interactor for
-    sensitivity runs. Returns (graph, stats).
+    when isolated. Returns (graph, stats).
     """
     stats = GraphBuildStats()
     src, dst, retweets = [], [], []
@@ -318,8 +316,8 @@ def build_interaction_graph(tweets: Sequence[TweetRecord],
             if target_author == t.author_id:
                 stats.self_interactions += 1
                 continue
-            src.append(target_author if reverse_edges else t.author_id)
-            dst.append(t.author_id if reverse_edges else target_author)
+            src.append(t.author_id)
+            dst.append(target_author)
             retweets.append(is_retweet)
     stats.resolved_retweets = sum(retweets)
     stats.resolved_replies = len(retweets) - stats.resolved_retweets

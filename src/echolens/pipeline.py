@@ -3,7 +3,8 @@
 Every stage reads only the config plus files written by earlier stages and
 persists its own output under the run directory, so any stage can be re-run
 in isolation and a chained stage-by-stage run is byte-identical to a full
-pipeline run (the full run simply calls the same stage functions in order).
+pipeline run (the full run calls the same stage functions in order, and they
+share one parse of each intermediate).
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from pathlib import Path
 
 from . import analysis, artifacts, community, demographics, influence, ingest, topics
 from .config import RunConfig, derive_seed
-from .graph import (InteractionGraph, build_interaction_graph, read_edge_csv,
-                    write_edge_csv, write_node_list)
+from .graph import build_interaction_graph, read_edge_csv, write_edge_csv, write_node_list
 
 __all__ = [
     "StageError",
@@ -56,11 +56,72 @@ def _require(path: Path, produced_by: str | None = None) -> Path:
     return path
 
 
+def _parse_records(path: Path, schema: str) -> list:
+    records, errors = ingest.parse_corpus(path, schema=schema)
+    if errors:
+        raise ValueError(f"corrupt intermediate {path}: {errors[0]}")
+    return records
+
+
+# Every intermediate a stage reads: its files, the stage that writes them and
+# its parser. Parsers look their readers up when called, so a wrapper installed
+# later on a module attribute (ingest.parse_corpus, read_edge_csv) sees each parse.
+_INTERMEDIATES = {
+    "tweets": (("selected_tweets.ndjson",), "ingest",
+               lambda path: _parse_records(path, "tweets")),
+    "users": (("users.ndjson",), "ingest",
+              lambda path: {u.user_id: u for u in _parse_records(path, "users")}),
+    "tweet_index": (("tweet_index.csv",), "ingest",
+                    lambda path: {row["tweet_id"]: row["author_id"]
+                                  for row in artifacts.read_csv(path)}),
+    "ingest_stats": (("ingest_stats.json",), "ingest",
+                     lambda path: artifacts.read_json(path)),
+    "graph": (("graph_edges.csv", "graph_nodes.txt"), "graph",
+              lambda edges, nodes: read_edge_csv(edges, nodes)),
+    "graph_stats": (("graph_stats.json",), "graph",
+                    lambda path: artifacts.read_json(path)),
+    "community_members": (("community_labels.csv",), "communities",
+                          lambda path: {row["user_id"] for row in artifacts.read_csv(path)}),
+    "community_stats": (("community_stats.json",), "communities",
+                        lambda path: artifacts.read_json(path)),
+    "scaled_influence": (("influence.csv",), "influence",
+                         lambda path: {row["user_id"]: float(row["scaled"])
+                                       for row in artifacts.read_csv(path)}),
+    "annotations": (("annotations.ndjson",), "demographics",
+                    lambda path: demographics.read_annotations(path)),
+    "assignments": (("topic_assignments.ndjson",), "topics",
+                    lambda path: topics.read_assignments(path)),
+    "clusters": (("topic_clusters.csv",), "topics",
+                 lambda path: [(int(row["cluster_id"]), int(row["size"]), row["top_terms"])
+                               for row in artifacts.read_csv(path)]),
+    "topic_stats": (("topic_stats.json",), "topics",
+                    lambda path: artifacts.read_json(path)),
+}
+
+
+class _Intermediates:
+    """The intermediates of one run directory, each parsed from disk the
+    first time it is asked for and returned as that same value after. One
+    instance lives for one run_pipeline, run_stage or review_sample call, so
+    no parsed value outlives the call that parsed it."""
+
+    def __init__(self, out: Path):
+        self._out = out
+        self._parsed: dict[str, object] = {}
+
+    def __getitem__(self, name: str):
+        if name not in self._parsed:
+            files, producer, parse = _INTERMEDIATES[name]
+            self._parsed[name] = parse(*(_require(self._out / f, producer)
+                                         for f in files))
+        return self._parsed[name]
+
+
 # ---------------------------------------------------------------------------
 # Stage implementations
 
 
-def stage_ingest(cfg: RunConfig) -> None:
+def stage_ingest(cfg: RunConfig, inputs: _Intermediates) -> None:
     out = _out(cfg)
     tweets_path = _require(Path(cfg.tweets))
     users_path = _require(Path(cfg.users))
@@ -90,32 +151,9 @@ def stage_ingest(cfg: RunConfig) -> None:
     artifacts.write_json(out / "ingest_stats.json", payload)
 
 
-def _load_tweets(cfg: RunConfig) -> list[ingest.TweetRecord]:
-    path = _require(_out(cfg) / "selected_tweets.ndjson", "ingest")
-    records, errors = ingest.parse_corpus(path, schema="tweets")
-    if errors:
-        raise ValueError(f"corrupt intermediate {path}: {errors[0]}")
-    return records
-
-
-def _load_users(cfg: RunConfig) -> dict[str, ingest.UserRecord]:
-    path = _require(_out(cfg) / "users.ndjson", "ingest")
-    records, errors = ingest.parse_corpus(path, schema="users")
-    if errors:
-        raise ValueError(f"corrupt intermediate {path}: {errors[0]}")
-    return {u.user_id: u for u in records}
-
-
-def _load_tweet_index(cfg: RunConfig) -> dict[str, str]:
-    path = _require(_out(cfg) / "tweet_index.csv", "ingest")
-    return {row["tweet_id"]: row["author_id"] for row in artifacts.read_csv(path)}
-
-
-def stage_graph(cfg: RunConfig) -> None:
+def stage_graph(cfg: RunConfig, inputs: _Intermediates) -> None:
     out = _out(cfg)
-    tweets = _load_tweets(cfg)
-    index = _load_tweet_index(cfg)
-    g, stats = build_interaction_graph(tweets, index)
+    g, stats = build_interaction_graph(inputs["tweets"], inputs["tweet_index"])
     write_edge_csv(g, out / "graph_edges.csv")
     write_node_list(g, out / "graph_nodes.txt")
     artifacts.write_json(out / "graph_stats.json", {
@@ -129,30 +167,19 @@ def stage_graph(cfg: RunConfig) -> None:
     })
 
 
-def _load_graph(cfg: RunConfig) -> InteractionGraph:
+def stage_communities(cfg: RunConfig, inputs: _Intermediates) -> None:
     out = _out(cfg)
-    edges = _require(out / "graph_edges.csv", "graph")
-    nodes = _require(out / "graph_nodes.txt", "graph")
-    return read_edge_csv(edges, nodes)
-
-
-def stage_communities(cfg: RunConfig) -> None:
-    out = _out(cfg)
-    g = _load_graph(cfg)
-    users = _load_users(cfg)
-    tweets = _load_tweets(cfg)
-
+    g = inputs["graph"]
     importance = community.node_importance(
         g, mode=cfg.importance_mode, damping=cfg.damping,
-        tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter,
-    ) if cfg.importance_mode == "pagerank" else community.node_importance(g)
+        tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter)
     assignment = community.label_propagation(
         g, importance, seed=derive_seed(cfg.seed, "communities"),
         max_rounds=cfg.lp_max_rounds)
     gated = community.gate_communities(assignment, cfg.min_community_size)
 
     keywords = cfg.effective_flag_keywords()
-    flags = (community.flag_offtopic(gated, tweets, keywords, users)
+    flags = (community.flag_offtopic(gated, inputs["tweets"], keywords, inputs["users"])
              if keywords else [])
     community.write_review_flags(out / "review_flags.csv", gated, flags)
 
@@ -170,11 +197,10 @@ def stage_communities(cfg: RunConfig) -> None:
     })
 
 
-def stage_influence(cfg: RunConfig) -> None:
+def stage_influence(cfg: RunConfig, inputs: _Intermediates) -> None:
     out = _out(cfg)
-    g = _load_graph(cfg)
-    result = influence.pagerank(g, damping=cfg.damping, tol=cfg.pagerank_tol,
-                                max_iter=cfg.pagerank_max_iter)
+    result = influence.pagerank(inputs["graph"], damping=cfg.damping,
+                                tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter)
     scaled = influence.scale_scores(result.scores) if result.scores else {}
     artifacts.write_csv(out / "influence.csv", ["user_id", "raw", "scaled"],
                         ([user_id, repr(raw), repr(scaled[user_id])]
@@ -185,16 +211,8 @@ def stage_influence(cfg: RunConfig) -> None:
     })
 
 
-def _load_influence(cfg: RunConfig) -> dict[str, tuple[float, float]]:
-    path = _require(_out(cfg) / "influence.csv", "influence")
-    return {row["user_id"]: (float(row["raw"]), float(row["scaled"]))
-            for row in artifacts.read_csv(path)}
-
-
-def stage_demographics(cfg: RunConfig) -> None:
+def stage_demographics(cfg: RunConfig, inputs: _Intermediates) -> None:
     out = _out(cfg)
-    users = _load_users(cfg)
-    tweets = _load_tweets(cfg)
     gaz = demographics.load_gazetteer(_require(cfg.data_file("gazetteer")))
     names, labels = demographics.load_training_names(
         _require(cfg.data_file("classifier_names")))
@@ -206,30 +224,25 @@ def stage_demographics(cfg: RunConfig) -> None:
     lexicon = demographics.ProperNounLexicon.from_files(
         _require(cfg.data_file("given_names")), _require(cfg.data_file("stopwords")))
     annotations = demographics.annotate_users(
-        list(users.values()), tweets, gaz, model, lexicon)
+        list(inputs["users"].values()), inputs["tweets"], gaz, model, lexicon)
     demographics.write_annotations(out / "annotations.ndjson", annotations)
 
 
-def _load_community_members(cfg: RunConfig) -> set[str]:
-    path = _require(_out(cfg) / "community_labels.csv", "communities")
-    return {row["user_id"] for row in artifacts.read_csv(path)}
-
-
-def stage_topics(cfg: RunConfig) -> None:
+def stage_topics(cfg: RunConfig, inputs: _Intermediates) -> None:
     out = _out(cfg)
-    tweets = _load_tweets(cfg)
-    members = _load_community_members(cfg)
-    annotations = demographics.read_annotations(
-        _require(out / "annotations.ndjson", "demographics"))
+    tweets = inputs["tweets"]
+    community_members = inputs["community_members"]
+    annotations = inputs["annotations"]
 
-    studied = {uid for uid in members
+    studied = {uid for uid in community_members
                if uid in annotations and annotations[uid].eligible_youth}
     corpus = [t for t in tweets if t.author_id in studied]
+    tweet_ids = [t.tweet_id for t in corpus]
     texts = [topics.normalize_text(t.text) for t in corpus]
 
     if cfg.embedding_source == "external":
         vectors = topics.load_external_vectors(
-            _require(Path(cfg.vectors)), [t.tweet_id for t in corpus], cfg.dim)
+            _require(Path(cfg.vectors)), tweet_ids, cfg.dim)
     else:
         vectors, _ = topics.embed_corpus(texts, cfg.dim)
 
@@ -237,24 +250,18 @@ def stage_topics(cfg: RunConfig) -> None:
                             max_iter=cfg.kmeans_max_iter)
 
     idf = topics.word_idf(texts)
-    clusters = []
-    assignment_map: dict[str, int] = {}
-    for cid in range(cfg.k):
-        member_ids = [corpus[i].tweet_id for i in range(len(corpus))
-                      if result.assignments[i] == cid]
-        member_texts = [texts[i] for i in range(len(corpus))
-                        if result.assignments[i] == cid]
-        for tid in member_ids:
-            assignment_map[tid] = cid
-        clusters.append(topics.TopicCluster(
-            cluster_id=cid,
-            centroid=result.centroids[cid],
-            member_tweet_ids=member_ids,
-            top_terms=topics.top_terms(member_texts, idf) if member_texts else [],
-            size=len(member_ids),
-        ))
+    cluster_ids = result.assignments.tolist()
+    grouped = [([], []) for _ in range(cfg.k)]
+    for tweet_id, text, cid in zip(tweet_ids, texts, cluster_ids):
+        grouped[cid][0].append(tweet_id)
+        grouped[cid][1].append(text)
+    clusters = [topics.TopicCluster(
+        cluster_id=cid, centroid=result.centroids[cid], member_tweet_ids=member_ids,
+        top_terms=topics.top_terms(member_texts, idf) if member_texts else [],
+        size=len(member_ids)) for cid, (member_ids, member_texts) in enumerate(grouped)]
 
-    topics.write_assignments(out / "topic_assignments.ndjson", assignment_map)
+    topics.write_assignments(out / "topic_assignments.ndjson",
+                             dict(zip(tweet_ids, cluster_ids)))
     topics.write_cluster_csv(clusters, out / "topic_clusters.csv")
     sil = (topics.silhouette(vectors, result.assignments)
            if 2 <= cfg.k < len(corpus) <= 4000 else None)
@@ -267,26 +274,14 @@ def stage_topics(cfg: RunConfig) -> None:
     })
 
 
-def _load_clusters(cfg: RunConfig) -> list[tuple[int, int, str]]:
-    path = _require(_out(cfg) / "topic_clusters.csv", "topics")
-    return [(int(row["cluster_id"]), int(row["size"]), row["top_terms"])
-            for row in artifacts.read_csv(path)]
-
-
-def stage_report(cfg: RunConfig) -> None:
+def stage_report(cfg: RunConfig, inputs: _Intermediates) -> None:
     out = _out(cfg)
-    g = _load_graph(cfg)
-    tweets = _load_tweets(cfg)
-    users = _load_users(cfg)
-    scores = _load_influence(cfg)
-    annotations = demographics.read_annotations(
-        _require(out / "annotations.ndjson", "demographics"))
-    assignments = topics.read_assignments(
-        _require(out / "topic_assignments.ndjson", "topics"))
+    tweets = inputs["tweets"]
+    annotations = inputs["annotations"]
+    assignments = inputs["assignments"]
 
-    scaled = {uid: sc for uid, (_, sc) in scores.items()}
-    table = influence.rank_tables(g, scaled, tweets, users,
-                                  k=cfg.table_rows, privacy=cfg.privacy)
+    table = influence.rank_tables(inputs["graph"], inputs["scaled_influence"], tweets,
+                                  inputs["users"], k=cfg.table_rows, privacy=cfg.privacy)
 
     by_id = {t.tweet_id: t for t in tweets}
     studied_users = sorted({by_id[tid].author_id for tid in assignments if tid in by_id})
@@ -310,16 +305,12 @@ def stage_report(cfg: RunConfig) -> None:
     merged = analysis.RepresentationReport(rows=rows, tau_hi=cfg.tau_hi,
                                            tau_lo=cfg.tau_lo)
 
-    stage_counts: dict[str, int] = {}
-    for stats_file, keys in (
-        ("ingest_stats.json", ("records_read", "records_rejected", "records_kept")),
-        ("graph_stats.json", ("nodes", "edges")),
-        ("community_stats.json", ("communities_post_gate", "dropped_members")),
-        ("topic_stats.json", ("clustered_tweets",)),
-    ):
-        payload = artifacts.read_json(_require(out / stats_file))
-        for key in keys:
-            stage_counts[key] = payload[key]
+    stage_counts = {key: inputs[stats][key] for stats, keys in (
+        ("ingest_stats", ("records_read", "records_rejected", "records_kept")),
+        ("graph_stats", ("nodes", "edges")),
+        ("community_stats", ("communities_post_gate", "dropped_members")),
+        ("topic_stats", ("clustered_tweets",)),
+    ) for key in keys}
 
     fixtures = {}
     for name in ("gazetteer", "name_lists", "classifier_names", "given_names",
@@ -351,20 +342,26 @@ _STAGE_FUNCS = {
 }
 
 
+def _run(cfg: RunConfig, stages: tuple[str, ...]) -> None:
+    inputs = _Intermediates(_out(cfg))
+    for stage in stages:
+        try:
+            _STAGE_FUNCS[stage](cfg, inputs)
+        except MissingInputError:
+            raise
+        except Exception as exc:
+            raise StageError(stage, exc) from exc
+
+
 def run_stage(cfg: RunConfig, stage: str) -> None:
     """Run one stage; upstream artifacts must already be persisted."""
-    try:
-        _STAGE_FUNCS[stage](cfg)
-    except MissingInputError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+    _run(cfg, (stage,))
 
 
 def run_pipeline(cfg: RunConfig) -> Path:
-    """Run every stage in order; returns the manifest path."""
-    for stage in STAGES:
-        run_stage(cfg, stage)
+    """Run every stage in order, each intermediate parsed at most once;
+    returns the manifest path."""
+    _run(cfg, STAGES)
     return _out(cfg) / "manifest.json"
 
 
@@ -377,10 +374,10 @@ def review_sample(cfg: RunConfig, n: int | None = None,
     same topics. Writes review_sample.csv and returns its path.
     """
     out = _out(cfg)
-    clusters = [c for c in _load_clusters(cfg) if c[1] > 0]
-    assignments = topics.read_assignments(
-        _require(out / "topic_assignments.ndjson", "topics"))
-    tweets = {t.tweet_id: t for t in _load_tweets(cfg)}
+    inputs = _Intermediates(out)
+    clusters = [c for c in inputs["clusters"] if c[1] > 0]
+    assignments = inputs["assignments"]
+    tweets = {t.tweet_id: t for t in inputs["tweets"]}
 
     n = n if n is not None else cfg.review_sample_size
     seed = seed if seed is not None else derive_seed(cfg.seed, "review-sample")

@@ -1,4 +1,5 @@
-"""The graph demos run end to end against the installed package."""
+"""The graph demos and the full-pipeline demo run end to end against the
+installed package."""
 
 import os
 import subprocess
@@ -11,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["02_interaction_graph.py", "03_communities.py",
-                                  "04_influence_ranking.py"])
+                                  "04_influence_ranking.py", "07_full_pipeline.py"])
 def test_graph_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,

@@ -63,13 +63,6 @@ class TestBuildGraph:
         assert g.num_edges() == 0
         assert stats.unresolved_targets == 1
 
-    def test_reverse_edges_sensitivity_option(self):
-        tweets, index = interaction_fixture()
-        forward, _ = build_interaction_graph(tweets, index)
-        reverse, _ = build_interaction_graph(tweets, index, reverse_edges=True)
-        assert forward.weight("B", "A") == 2 and reverse.weight("A", "B") == 2
-        assert reverse.weight("B", "A") == 0
-
     def test_total_weight_equals_resolvable_interactions(self):
         tweets, index = interaction_fixture()
         g, stats = build_interaction_graph(tweets, index)

@@ -1,0 +1,100 @@
+"""The stage runner's intermediates: each is parsed at most once per run,
+never outlives the call that parsed it, and names its producer when missing."""
+
+import shutil
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from echolens import artifacts, ingest
+from echolens.cli import main
+from echolens.config import load_config
+from echolens.pipeline import run_pipeline, run_stage
+from echolens.synth import write_fixture
+
+
+@pytest.fixture(scope="module")
+def fixture_config(tmp_path_factory):
+    return write_fixture(tmp_path_factory.mktemp("fixture"), seed=7, n_tweets=2000)
+
+
+@pytest.fixture(scope="module")
+def full_run(fixture_config, tmp_path_factory):
+    out = tmp_path_factory.mktemp("full")
+    assert main(["run", "--config", str(fixture_config), "--out", str(out)]) == 0
+    return out
+
+
+def _config(config_path, out, **knobs):
+    cfg = load_config(config_path)
+    cfg.out_dir = str(out)
+    for key, value in knobs.items():
+        setattr(cfg, key, value)
+    return cfg
+
+
+def test_full_run_parses_each_intermediate_once(fixture_config, tmp_path, monkeypatch):
+    reads = Counter()
+
+    def counting(fn):
+        def wrapper(path, *args, **kwargs):
+            reads[Path(path).resolve()] += 1
+            return fn(path, *args, **kwargs)
+        return wrapper
+
+    for name in ("read_csv", "read_csv_columns", "read_json", "read_ndjson",
+                 "read_lines", "sha256"):
+        monkeypatch.setattr(artifacts, name, counting(getattr(artifacts, name)))
+    monkeypatch.setattr(ingest, "parse_corpus", counting(ingest.parse_corpus))
+
+    out = (tmp_path / "run").resolve()
+    run_pipeline(_config(fixture_config, out))
+    under_out = {path.name: n for path, n in reads.items() if out in path.parents}
+    assert {"selected_tweets.ndjson", "users.ndjson", "graph_edges.csv",
+            "annotations.ndjson"} <= set(under_out)
+    assert {name: n for name, n in under_out.items() if n > 1} == {}
+
+
+def test_in_process_knob_iteration_equals_fresh_run(fixture_config, tmp_path):
+    knobs = {"min_community_size": 120, "k": 4}
+    staged, fresh = tmp_path / "staged", tmp_path / "fresh"
+    run_pipeline(_config(fixture_config, staged))
+    tuned = _config(fixture_config, staged, **knobs)
+    for stage in ("communities", "topics", "report"):
+        run_stage(tuned, stage)
+    run_pipeline(_config(fixture_config, fresh, **knobs))
+
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in staged.iterdir())
+    for name in names:
+        assert (staged / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name, consumer, producer", [
+    ("selected_tweets.ndjson", "graph", "ingest"),
+    ("tweet_index.csv", "graph", "ingest"),
+    ("users.ndjson", "communities", "ingest"),
+    ("graph_edges.csv", "communities", "graph"),
+    ("graph_nodes.txt", "communities", "graph"),
+    ("community_labels.csv", "topics", "communities"),
+    ("annotations.ndjson", "topics", "demographics"),
+    ("influence.csv", "report", "influence"),
+    ("topic_assignments.ndjson", "report", "topics"),
+    ("ingest_stats.json", "report", "ingest"),
+    ("graph_stats.json", "report", "graph"),
+    ("community_stats.json", "report", "communities"),
+    ("topic_stats.json", "report", "topics"),
+    ("topic_clusters.csv", "review-sample", "topics"),
+])
+def test_missing_intermediate_names_its_producer(name, consumer, producer, fixture_config,
+                                                 full_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(full_run, out)
+    (out / name).unlink()
+    capsys.readouterr()
+    assert main([consumer, "--config", str(fixture_config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert name in err
+    assert f"run the {producer} stage first" in err
+    assert err.count("missing input") == 1
