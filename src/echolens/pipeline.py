@@ -63,38 +63,41 @@ def _parse_records(path: Path, schema: str) -> list:
     return records
 
 
-# Every intermediate a stage reads: its files, the stage that writes them and
-# its parser. Parsers look their readers up when called, so a wrapper installed
-# later on a module attribute (ingest.parse_corpus, read_edge_csv) sees each parse.
+# Every intermediate a stage reads: its files, the stage that writes them, the
+# stages that read it and its parser. Parsers look their readers up when
+# called, so a wrapper installed later on a module attribute
+# (ingest.parse_corpus, read_edge_csv) sees each parse.
 _INTERMEDIATES = {
     "tweets": (("selected_tweets.ndjson",), "ingest",
+               ("graph", "communities", "demographics", "topics", "report"),
                lambda path: _parse_records(path, "tweets")),
-    "users": (("users.ndjson",), "ingest",
+    "users": (("users.ndjson",), "ingest", ("communities", "demographics", "report"),
               lambda path: {u.user_id: u for u in _parse_records(path, "users")}),
-    "tweet_index": (("tweet_index.csv",), "ingest",
+    "tweet_index": (("tweet_index.csv",), "ingest", ("graph",),
                     lambda path: {row["tweet_id"]: row["author_id"]
                                   for row in artifacts.read_csv(path)}),
-    "ingest_stats": (("ingest_stats.json",), "ingest",
+    "ingest_stats": (("ingest_stats.json",), "ingest", ("report",),
                      lambda path: artifacts.read_json(path)),
     "graph": (("graph_edges.csv", "graph_nodes.txt"), "graph",
+              ("communities", "influence", "report"),
               lambda edges, nodes: read_edge_csv(edges, nodes)),
-    "graph_stats": (("graph_stats.json",), "graph",
+    "graph_stats": (("graph_stats.json",), "graph", ("report",),
                     lambda path: artifacts.read_json(path)),
-    "community_members": (("community_labels.csv",), "communities",
+    "community_members": (("community_labels.csv",), "communities", ("topics",),
                           lambda path: {row["user_id"] for row in artifacts.read_csv(path)}),
-    "community_stats": (("community_stats.json",), "communities",
+    "community_stats": (("community_stats.json",), "communities", ("report",),
                         lambda path: artifacts.read_json(path)),
-    "scaled_influence": (("influence.csv",), "influence",
+    "scaled_influence": (("influence.csv",), "influence", ("report",),
                          lambda path: {row["user_id"]: float(row["scaled"])
                                        for row in artifacts.read_csv(path)}),
-    "annotations": (("annotations.ndjson",), "demographics",
+    "annotations": (("annotations.ndjson",), "demographics", ("topics", "report"),
                     lambda path: demographics.read_annotations(path)),
-    "assignments": (("topic_assignments.ndjson",), "topics",
+    "assignments": (("topic_assignments.ndjson",), "topics", ("report",),
                     lambda path: topics.read_assignments(path)),
-    "clusters": (("topic_clusters.csv",), "topics",
+    "clusters": (("topic_clusters.csv",), "topics", (),
                  lambda path: [(int(row["cluster_id"]), int(row["size"]), row["top_terms"])
                                for row in artifacts.read_csv(path)]),
-    "topic_stats": (("topic_stats.json",), "topics",
+    "topic_stats": (("topic_stats.json",), "topics", ("report",),
                     lambda path: artifacts.read_json(path)),
 }
 
@@ -111,10 +114,13 @@ class _Intermediates:
 
     def __getitem__(self, name: str):
         if name not in self._parsed:
-            files, producer, parse = _INTERMEDIATES[name]
+            files, producer, _, parse = _INTERMEDIATES[name]
             self._parsed[name] = parse(*(_require(self._out / f, producer)
                                          for f in files))
         return self._parsed[name]
+
+    def forget(self, name: str) -> None:
+        self._parsed.pop(name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +350,17 @@ _STAGE_FUNCS = {
 
 def _run(cfg: RunConfig, stages: tuple[str, ...]) -> None:
     inputs = _Intermediates(_out(cfg))
-    for stage in stages:
+    for i, stage in enumerate(stages):
         try:
             _STAGE_FUNCS[stage](cfg, inputs)
         except MissingInputError:
             raise
         except Exception as exc:
             raise StageError(stage, exc) from exc
+        # Let go of each intermediate after the last stage that reads it.
+        for name, (_, _, readers, _) in _INTERMEDIATES.items():
+            if stage in readers and not set(readers) & set(stages[i + 1:]):
+                inputs.forget(name)
 
 
 def run_stage(cfg: RunConfig, stage: str) -> None:

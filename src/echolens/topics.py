@@ -6,6 +6,11 @@ pre-trained sentence encoder: identical token lists always map to identical
 vectors, and precomputed external vectors can be plugged in through an NDJSON
 file keyed by tweet id. Clustering is k-means with greedy farthest-point
 initialization, which is fully reproducible for a given seed.
+
+Retweets repeat text, so the work is done once per distinct text or row: the
+embedder counts, hashes and folds each distinct token list once, and the
+seeding runs over distinct rows. Lloyd's iterations still cover every row.
+Every output equals that of the per-text, per-row computation bit for bit.
 """
 
 from __future__ import annotations
@@ -124,13 +129,27 @@ def _hash_feature(name: str) -> int:
         hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "big")
 
 
+def _distinct_texts(texts: Sequence[NormalizedText]) -> tuple[np.ndarray, np.ndarray]:
+    """Group texts by token list: the index of each group's first text, in
+    first-occurrence order, and each text's group."""
+    groups: dict[tuple[str, ...], int] = {}
+    firsts: list[int] = []
+    inverse = np.empty(len(texts), dtype=np.intp)
+    for i, text in enumerate(texts):
+        inverse[i] = group = groups.setdefault(tuple(text.tokens), len(groups))
+        if group == len(firsts):
+            firsts.append(i)
+    return np.asarray(firsts, dtype=np.intp), inverse
+
+
 class BuiltinEmbedder:
     """Hashed TF-IDF embedding over a fixed corpus.
 
     tf is the raw in-document count; idf(t) = ln((1 + N) / (1 + df(t))) + 1,
     so terms absent from the corpus still get finite weight. Each feature is
     folded into the vector at hash(name) mod dim with a hash-derived sign,
-    then the vector is L2-normalized.
+    then the vector is L2-normalized. A vector depends only on its text's
+    token list, so repeated texts are counted, hashed and folded once.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
@@ -139,13 +158,16 @@ class BuiltinEmbedder:
         self.dim = dim
         self.n_docs = 0
         self.df: dict[str, int] = {}
+        self._folds: dict[str, tuple[int, float]] = {}
 
     def fit(self, texts: Sequence[NormalizedText]) -> "BuiltinEmbedder":
+        firsts, inverse = _distinct_texts(texts)
         self.n_docs = len(texts)
         self.df = {}
-        for text in texts:
-            for feature in _features(text):
-                self.df[feature] = self.df.get(feature, 0) + 1
+        self._folds = {}
+        for first, count in zip(firsts.tolist(), np.bincount(inverse).tolist()):
+            for feature in _features(texts[first]):
+                self.df[feature] = self.df.get(feature, 0) + count
         return self
 
     def idf(self, feature: str) -> float:
@@ -155,21 +177,30 @@ class BuiltinEmbedder:
         """Pre-hash TF-IDF weights per feature (exposed for verification)."""
         return {f: tf * self.idf(f) for f, tf in _features(text).items()}
 
-    def transform(self, text: NormalizedText) -> np.ndarray:
-        vec = np.zeros(self.dim)
-        for feature, weight in self.weights(text).items():
+    def _fold(self, feature: str) -> tuple[int, float]:
+        """(bucket, signed idf) of a feature, computed once per fit."""
+        fold = self._folds.get(feature)
+        if fold is None:
             h = _hash_feature(feature)
             sign = 1.0 if (h >> 60) & 1 == 0 else -1.0
-            vec[h % self.dim] += sign * weight
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+            fold = self._folds[feature] = (h % self.dim, sign * self.idf(feature))
+        return fold
 
     def transform_many(self, texts: Sequence[NormalizedText]) -> np.ndarray:
+        firsts, inverse = _distinct_texts(texts)
         out = np.zeros((len(texts), self.dim))
-        for i, text in enumerate(texts):
-            out[i] = self.transform(text)
+        for first in firsts.tolist():
+            # tf * (sign * idf) equals sign * (tf * idf): negation is exact.
+            vec = out[first]
+            for feature, tf in _features(texts[first]).items():
+                bucket, signed_idf = self._fold(feature)
+                vec[bucket] += tf * signed_idf
+            norm = np.linalg.norm(vec)
+            if norm > 0:
+                vec /= norm
+        source = firsts[inverse]
+        repeats = np.flatnonzero(source != np.arange(len(texts)))
+        out[repeats] = out[source[repeats]]
         return out
 
 
@@ -215,39 +246,84 @@ class KMeansResult:
     converged: bool
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against float negatives
-    d = (
-        np.sum(points ** 2, axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + np.sum(centroids ** 2, axis=1)[None, :]
-    )
-    return np.maximum(d, 0.0)
+def _sq_dists(points: np.ndarray, centroids: np.ndarray,
+              point_sq_norms: np.ndarray) -> np.ndarray:
+    """||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against float
+    negatives, in one n x k buffer. Scaling the product by -2 and adding is
+    bit-equal to subtracting the doubled product: both steps are exact."""
+    d = points @ centroids.T
+    d *= -2.0
+    d += point_sq_norms[:, None]
+    d += np.sum(centroids ** 2, axis=1)[None, :]
+    return np.maximum(d, 0.0, out=d)
+
+
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct row's first occurrence, in order, and each
+    row's group. Rows are bucketed by a hash of their bytes; a bucket match
+    is confirmed with array_equal, so the bytes are never kept."""
+    buckets: dict[int, list[int]] = {}
+    firsts: list[int] = []
+    inverse = np.empty(points.shape[0], dtype=np.intp)
+    for i, row in enumerate(points):
+        candidates = buckets.setdefault(hash(row.tobytes()), [])
+        for group in candidates:
+            if np.array_equal(row, points[firsts[group]]):
+                break
+        else:
+            group = len(firsts)
+            candidates.append(group)
+            firsts.append(i)
+        inverse[i] = group
+    return np.asarray(firsts, dtype=np.intp), inverse
 
 
 def _farthest_point_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Greedy farthest-point seeding: one random start, then repeatedly the
-    point farthest from its nearest chosen centroid (ties: lowest index)."""
+    point farthest from its nearest chosen centroid (ties: lowest index).
+
+    Repeated rows tie exactly, and the lowest-index row of any tie is a
+    first occurrence, so the loop runs over distinct rows only. Raises
+    ValueError when k exceeds the number of distinct rows."""
     import random as _random
 
-    n = points.shape[0]
-    first = _random.Random(seed).randrange(n)
-    chosen = [first]
-    dist = np.sum((points - points[first]) ** 2, axis=1)
+    n, dim = points.shape
+    firsts, inverse = _distinct_rows(points)
+    m = firsts.size
+    if k > m:
+        raise ValueError(f"k={k} exceeds number of distinct vectors ({m})")
+    # Distinct rows are gathered a block at a time into one 256 KB buffer.
+    block = max(1, min(m, (1 << 15) // max(1, dim)))
+    buf = np.empty((block, dim))
+    dist = np.empty(m)
+    step = np.empty(m)
+
+    def sq_dists_to(p: np.ndarray, out: np.ndarray) -> None:
+        for start in range(0, m, block):
+            rows = buf[:min(block, m - start)]
+            np.take(points, firsts[start:start + block], axis=0, out=rows)
+            rows -= p
+            np.square(rows, out=rows)
+            np.sum(rows, axis=1, out=out[start:start + rows.shape[0]])
+
+    chosen = [int(inverse[_random.Random(seed).randrange(n)])]
+    sq_dists_to(points[firsts[chosen[0]]], dist)
     while len(chosen) < k:
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.sum((points - points[nxt]) ** 2, axis=1))
-    return points[chosen].copy()
+        sq_dists_to(points[firsts[nxt]], step)
+        np.minimum(dist, step, out=dist)
+    return points[firsts[chosen]]
 
 
 def cluster(vectors: np.ndarray, k: int, seed: int = 0,
             max_iter: int = 100) -> KMeansResult:
     """Lloyd's k-means on L2-normalized vectors, deterministic given seed.
 
-    Within-cluster SSE is checked to be non-increasing across iterations; an
-    emptied cluster is re-seeded from the point currently farthest from its
-    own centroid.
+    k must be at most the number of distinct vectors; otherwise ValueError.
+    Within-cluster SSE is checked to be non-increasing across iterations; a
+    cluster that an iteration leaves empty is re-seeded from the point
+    currently farthest from its own centroid.
     """
     points = np.asarray(vectors, dtype=float)
     n = points.shape[0]
@@ -257,12 +333,15 @@ def cluster(vectors: np.ndarray, k: int, seed: int = 0,
         raise ValueError(f"k={k} exceeds number of vectors ({n})")
 
     centroids = _farthest_point_init(points, k, seed)
+    # Distances cover every row, repeats included: a product over distinct
+    # rows only is not bit-equal to those rows of the full product.
+    point_sq_norms = np.sum(points ** 2, axis=1)
     assignments = np.full(n, -1, dtype=int)
     sse_history: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        dists = _sq_dists(points, centroids)
+        dists = _sq_dists(points, centroids, point_sq_norms)
         new_assignments = np.argmin(dists, axis=1)
 
         # Re-seed any emptied cluster from the current worst-fit point.
@@ -275,7 +354,7 @@ def cluster(vectors: np.ndarray, k: int, seed: int = 0,
                 new_assignments[worst] = cid
                 centroids[cid] = points[worst]
                 own[worst] = -1.0
-            dists = _sq_dists(points, centroids)
+            dists = _sq_dists(points, centroids, point_sq_norms)
             new_assignments = np.argmin(dists, axis=1)
 
         sse = float(dists[np.arange(n), new_assignments].sum())
@@ -288,10 +367,13 @@ def cluster(vectors: np.ndarray, k: int, seed: int = 0,
             converged = True
             break
         assignments = new_assignments
-        for cid in range(k):
-            members = points[assignments == cid]
-            if members.size:
-                centroids[cid] = members.mean(axis=0)
+        # Members of each cluster in index order, as contiguous slices of
+        # one stable sort.
+        order = np.argsort(assignments, kind="stable")
+        ends = np.cumsum(np.bincount(assignments, minlength=k)).tolist()
+        for cid, (start, end) in enumerate(zip([0] + ends, ends)):
+            if end > start:
+                centroids[cid] = points[order[start:end]].mean(axis=0)
 
     return KMeansResult(
         assignments=assignments,
@@ -337,7 +419,10 @@ def silhouette(vectors: np.ndarray, assignments: np.ndarray) -> float:
     unique = np.unique(labels)
     if unique.size < 2 or n < 3:
         return 0.0
-    dists = np.sqrt(_sq_dists(points, points))
+    # (2 x) @ x.T is a general product; x @ x.T would take BLAS's symmetric
+    # path, whose last bits differ.
+    sq = np.sum(points ** 2, axis=1)
+    dists = np.sqrt(np.maximum(sq[:, None] - 2.0 * points @ points.T + sq[None, :], 0.0))
     scores = np.zeros(n)
     for i in range(n):
         same = labels == labels[i]

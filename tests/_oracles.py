@@ -3,8 +3,10 @@
 These deliberately re-derive expected values through different code paths
 than the library: dense-matrix power iteration instead of sparse, exact
 brute-force partition enumeration instead of label propagation, a
-dict-of-dicts label propagation instead of the array-based one, and
-per-node scans over every edge instead of array reductions.
+dict-of-dicts label propagation instead of the array-based one,
+per-node scans over every edge instead of array reductions, and a
+per-text embedder and per-row k-means seeding instead of the
+distinct-text ones.
 """
 
 from __future__ import annotations
@@ -189,3 +191,106 @@ def reference_induced_subgraph(kind_edges, keep):
     """The edges of kind_edges with both endpoints in keep."""
     return {(s, d): counts for (s, d), counts in kind_edges.items()
             if s in keep and d in keep}
+
+
+def reference_embed(texts, dim):
+    """The builtin embedder, one text at a time: fit counts df per text, and
+    every text's vector is built, hashed and normalized on its own, with no
+    grouping of repeated texts and no per-feature cache. Returns the n x dim
+    matrix `embed_corpus` must reproduce bit for bit."""
+    import math
+
+    from echolens.topics import _features, _hash_feature
+
+    n_docs = len(texts)
+    df = {}
+    for text in texts:
+        for feature in _features(text):
+            df[feature] = df.get(feature, 0) + 1
+
+    def idf(feature):
+        return math.log((1 + n_docs) / (1 + df.get(feature, 0))) + 1.0
+
+    out = np.zeros((len(texts), dim))
+    for i, text in enumerate(texts):
+        vec = np.zeros(dim)
+        weights = {f: tf * idf(f) for f, tf in _features(text).items()}
+        for feature, weight in weights.items():
+            h = _hash_feature(feature)
+            sign = 1.0 if (h >> 60) & 1 == 0 else -1.0
+            vec[h % dim] += sign * weight
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+        out[i] = vec
+    return out
+
+
+def _reference_sq_dists(points, centroids):
+    d = (
+        np.sum(points ** 2, axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + np.sum(centroids ** 2, axis=1)[None, :]
+    )
+    return np.maximum(d, 0.0)
+
+
+def reference_farthest_point_init(points, k, seed):
+    """Greedy farthest-point seeding over every row, duplicates included."""
+    import random
+
+    n = points.shape[0]
+    first = random.Random(seed).randrange(n)
+    chosen = [first]
+    dist = np.sum((points - points[first]) ** 2, axis=1)
+    while len(chosen) < k:
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.sum((points - points[nxt]) ** 2, axis=1))
+    return points[chosen].copy()
+
+
+def reference_kmeans(vectors, k, seed=0, max_iter=100):
+    """Lloyd's k-means with per-row farthest-point seeding, fresh distance
+    temporaries each iteration and one boolean mask per centroid update.
+    Returns (assignments, centroids, sse_history, iterations, converged);
+    `cluster` must reproduce each bit for bit whenever k is at most the
+    number of distinct rows."""
+    points = np.asarray(vectors, dtype=float)
+    n = points.shape[0]
+    centroids = reference_farthest_point_init(points, k, seed)
+    assignments = np.full(n, -1, dtype=int)
+    sse_history = []
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        dists = _reference_sq_dists(points, centroids)
+        new_assignments = np.argmin(dists, axis=1)
+
+        present = np.bincount(new_assignments, minlength=k)
+        empties = np.flatnonzero(present == 0)
+        if empties.size:
+            own = dists[np.arange(n), new_assignments].copy()
+            for cid in empties:
+                worst = int(np.argmax(own))
+                new_assignments[worst] = cid
+                centroids[cid] = points[worst]
+                own[worst] = -1.0
+            dists = _reference_sq_dists(points, centroids)
+            new_assignments = np.argmin(dists, axis=1)
+
+        sse = float(dists[np.arange(n), new_assignments].sum())
+        if sse_history and sse > sse_history[-1] + 1e-9 * max(1.0, sse_history[-1]):
+            raise AssertionError(
+                f"k-means SSE increased: {sse_history[-1]} -> {sse}")
+        sse_history.append(sse)
+
+        if np.array_equal(new_assignments, assignments):
+            converged = True
+            break
+        assignments = new_assignments
+        for cid in range(k):
+            members = points[assignments == cid]
+            if members.size:
+                centroids[cid] = members.mean(axis=0)
+    return assignments, centroids, sse_history, iterations, converged

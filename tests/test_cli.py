@@ -99,6 +99,17 @@ class TestExitCodes:
         assert code == 4
         assert "topics" in capsys.readouterr().err
 
+    def test_k_above_distinct_texts_exit_4_names_stage(self, fixture_dir, tmp_path,
+                                                       capsys):
+        # The fixture's studied corpus has more than 50 tweets but fewer
+        # than 50 distinct texts.
+        _, config = fixture_dir
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--k", "50"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "stage topics failed: k=50 exceeds number of distinct vectors" in err
+
     def test_stage_without_prerequisite_exit_3_names_stage(self, fixture_dir,
                                                            tmp_path, capsys):
         _, config = fixture_dir

@@ -1,12 +1,15 @@
-"""Degenerate-input contracts of the graph kernels: a graph with nodes but no
-edges, and the empty graph. One test per contract."""
+"""Degenerate-input contracts of the graph kernels (a graph with nodes but no
+edges, and the empty graph) and of k-means (k above the number of distinct
+points). One test per contract."""
 
+import numpy as np
 import pytest
 
 from echolens.community import label_propagation, node_importance
 from echolens.graph import (InteractionGraph, degree_stats, read_edge_csv,
                             write_edge_csv, write_node_list)
 from echolens.influence import pagerank
+from echolens.topics import cluster
 
 NODES = [f"n{i}" for i in range(7)]
 
@@ -57,3 +60,19 @@ class TestEmptyGraph:
 
     def test_node_importance_empty(self):
         assert node_importance(InteractionGraph()) == {}
+
+
+class TestKMeansFewDistinctPoints:
+    """60 rows that are copies of 3 distinct points."""
+
+    POINTS = np.repeat(np.eye(3), 20, axis=0)[np.random.default_rng(0).permutation(60)]
+
+    def test_k_above_distinct_rejected(self):
+        with pytest.raises(ValueError, match=r"^k=50 exceeds number of distinct vectors \(3\)$"):
+            cluster(self.POINTS, k=50, seed=0)
+
+    def test_k_equal_to_distinct_runs(self):
+        result = cluster(self.POINTS, k=3, seed=0)
+        assert result.converged
+        assert np.bincount(result.assignments, minlength=3).tolist() == [20, 20, 20]
+        assert np.array_equal(result.centroids[result.assignments], self.POINTS)

@@ -1,5 +1,5 @@
-"""The graph demos and the full-pipeline demo run end to end against the
-installed package."""
+"""The graph demos, the topics demo and the full-pipeline demo run end to end
+against the installed package, writing only under their temporary directory."""
 
 import os
 import subprocess
@@ -10,11 +10,39 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# demos/06_topics.py prints the same lines whenever its seeds are unchanged.
+TOPICS_DEMO_STDOUT = """\
+['team', 'seas', 'is', 'great']
+embedded 746 tweets into 256-dim vectors
+k-means: 2 iterations, converged=True, final SSE 526.3
+silhouette: 0.214
+  topic 0 ( 260 tweets): food, security, and, for, wildlife
+  topic 1 ( 279 tweets): cleanup, plastic, team, corruption, governance
+  topic 2 (   7 tweets): album, drop, it, tonight, turn
+  topic 3 ( 186 tweets): climate, action, rights, animal, across
+  topic 4 (   7 tweets): coffee, first, later, questions
+  topic 5 (   7 tweets): coast, dump, from, holiday, photo
+"""
+
+
+def run_demo(demo, tmp_path):
+    cwd, tmp = tmp_path / "cwd", tmp_path / "tmp"
+    cwd.mkdir()
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert list(cwd.iterdir()) == []
+    assert [p.name[:14] for p in tmp.iterdir()] == ["echolens_demo_"]
+    return proc.stdout
+
 
 @pytest.mark.parametrize("demo", ["02_interaction_graph.py", "03_communities.py",
                                   "04_influence_ranking.py", "07_full_pipeline.py"])
 def test_graph_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_demo(demo, tmp_path)
+
+
+def test_topics_demo_output(tmp_path):
+    assert run_demo("06_topics.py", tmp_path) == TOPICS_DEMO_STDOUT

@@ -1,5 +1,6 @@
 """The stage runner's intermediates: each is parsed at most once per run,
-never outlives the call that parsed it, and names its producer when missing."""
+is let go after the last stage that reads it, never outlives the call that
+parsed it, and names its producer when missing."""
 
 import shutil
 from collections import Counter
@@ -7,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from echolens import artifacts, ingest
+from echolens import artifacts, ingest, pipeline
 from echolens.cli import main
 from echolens.config import load_config
-from echolens.pipeline import run_pipeline, run_stage
+from echolens.pipeline import STAGES, run_pipeline, run_stage
 from echolens.synth import write_fixture
 
 
@@ -54,6 +55,44 @@ def test_full_run_parses_each_intermediate_once(fixture_config, tmp_path, monkey
     assert {"selected_tweets.ndjson", "users.ndjson", "graph_edges.csv",
             "annotations.ndjson"} <= set(under_out)
     assert {name: n for name, n in under_out.items() if n > 1} == {}
+
+
+def test_declared_readers_match_reads_and_bound_lifetimes(fixture_config, tmp_path,
+                                                         monkeypatch):
+    current = []
+    readers = {}
+    held_at_start = {}
+
+    def tracking(stage, fn):
+        def wrapper(cfg, inputs):
+            held_at_start[stage] = set(inputs._parsed)
+            current.append(stage)
+            try:
+                return fn(cfg, inputs)
+            finally:
+                current.pop()
+        return wrapper
+
+    for stage in STAGES:
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage,
+                            tracking(stage, pipeline._STAGE_FUNCS[stage]))
+    getitem = pipeline._Intermediates.__getitem__
+
+    def recording(self, name):
+        readers.setdefault(name, set()).add(current[-1])
+        return getitem(self, name)
+
+    monkeypatch.setattr(pipeline._Intermediates, "__getitem__", recording)
+    run_pipeline(_config(fixture_config, tmp_path / "run"))
+
+    declared = {name: set(entry[2]) for name, entry in pipeline._INTERMEDIATES.items()
+                if entry[2]}
+    assert readers == declared
+    # Nothing is held into a stage after its last reader has run.
+    for stage, held in held_at_start.items():
+        later = set(STAGES[STAGES.index(stage):])
+        assert {name for name in held if not declared[name] & later} == set(), stage
+    assert "tweet_index" not in held_at_start["communities"]
 
 
 def test_in_process_knob_iteration_equals_fresh_run(fixture_config, tmp_path):

@@ -1,12 +1,17 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echolens.synth import make_corpus
+from _oracles import (_reference_sq_dists, reference_embed,
+                      reference_farthest_point_init, reference_kmeans)
+from echolens import pipeline, topics
+from echolens.config import load_config
+from echolens.synth import make_corpus, write_fixture
 from echolens.topics import (DEFAULT_K, BuiltinEmbedder, cluster, embed_corpus,
                              load_external_vectors, normalize_text, silhouette,
                              top_terms, word_idf)
@@ -219,3 +224,132 @@ def test_clustering_deterministic_property(seed):
     a = cluster(points, k=3, seed=seed)
     b = cluster(points, k=3, seed=seed)
     assert np.array_equal(a.assignments, b.assignments)
+
+
+# ---------------------------------------------------------------------------
+# Distinct-text kernels against the per-text, per-row oracles
+
+
+def repetitive_corpus(seed, n=240, repeat_share=0.4):
+    """Raw tweet texts where repeat_share of the texts copy an earlier one
+    (as retweets do), a few are empty after normalization, and some are
+    two-letter word pairs in both orders, which embed to the same vector."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}x{rng.choice('abcdefgh')}" for i in range(40)] + ["ok", "go", "up"]
+    raws = []
+    for _ in range(n):
+        if raws and rng.random() < repeat_share:
+            raws.append(rng.choice(raws))
+        else:
+            roll = rng.random()
+            if roll < 0.05:
+                raws.append(rng.choice(["", "@someone", "https://t.co/x !!"]))
+            elif roll < 0.15:
+                a, b = rng.sample(["ok", "go", "up"], 2)
+                raws.append(f"{a} {b}")
+            else:
+                words = rng.choices(vocab, k=rng.randint(1, 9))
+                raws.append(" ".join(w.upper() if rng.random() < 0.1 else w
+                                     for w in words) + rng.choice(["", " #ClimateNow"]))
+    return [normalize_text(r) for r in raws]
+
+
+def assert_same_kmeans(vectors, k, seed, max_iter=100):
+    result = cluster(vectors, k, seed=seed, max_iter=max_iter)
+    assignments, centroids, sse_history, iterations, converged = reference_kmeans(
+        vectors, k, seed=seed, max_iter=max_iter)
+    assert result.assignments.tobytes() == assignments.tobytes()
+    assert result.centroids.tobytes() == centroids.tobytes()
+    assert result.sse_history == sse_history
+    assert (result.iterations, result.converged) == (iterations, converged)
+
+
+def distinct_rows(vectors):
+    return len({row.tobytes() for row in vectors})
+
+
+class TestDistinctTextOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [8, 64, 512])
+    def test_embedding_bit_equal(self, seed, dim):
+        texts = repetitive_corpus(seed)
+        distinct = len({tuple(t.tokens) for t in texts})
+        assert distinct <= 0.7 * len(texts)
+        assert any(not t.tokens for t in texts)
+        vectors, _ = embed_corpus(texts, dim)
+        assert vectors.tobytes() == reference_embed(texts, dim).tobytes()
+        if dim == 8:
+            assert distinct_rows(vectors) < distinct  # distinct texts collide
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim, k", [(8, 5), (8, 12), (64, 20), (512, 40)])
+    def test_kmeans_bit_equal_on_embedded_corpus(self, seed, dim, k):
+        vectors, _ = embed_corpus(repetitive_corpus(seed), dim)
+        assert k <= distinct_rows(vectors)
+        assert_same_kmeans(vectors, k, seed)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_kmeans_single_iteration(self, seed):
+        vectors, _ = embed_corpus(repetitive_corpus(seed), 64)
+        assert_same_kmeans(vectors, 15, seed, max_iter=1)
+
+    def test_kmeans_raw_vectors_with_repeated_rows(self):
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(90, 24))
+        base /= np.linalg.norm(base, axis=1)[:, None]
+        rows = np.concatenate([np.arange(90), rng.integers(0, 90, size=60)])
+        rng.shuffle(rows)
+        vectors = base[rows]
+        for k, seed in ((7, 0), (30, 5), (90, 9)):
+            assert_same_kmeans(vectors, k, seed)
+
+    def test_kmeans_empty_cluster_reseed(self):
+        # Twins a 1e-12 step apart are distinct rows, but the expanded
+        # distance formula rounds both of their distances to 0, so the first
+        # assignment leaves the higher-indexed twin's cluster empty.
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(30, 16))
+        base /= np.linalg.norm(base, axis=1)[:, None]
+        twins = base[:6].copy()
+        twins[:, 0] += 1e-12
+        vectors = np.vstack([base, twins, base[10:20]])
+        k, seed = 36, 3
+        centroids = reference_farthest_point_init(vectors, k, seed)
+        first = np.argmin(_reference_sq_dists(vectors, centroids), axis=1)
+        assert (np.bincount(first, minlength=k) == 0).any()
+        assert_same_kmeans(vectors, k, seed, max_iter=20)
+
+
+# ---------------------------------------------------------------------------
+# The benchmark wraps BuiltinEmbedder.fit, BuiltinEmbedder.transform_many (as
+# found in the class's own namespace) and topics.cluster by name, and reads
+# the texts as the second positional argument of transform_many and k as the
+# second positional argument of cluster. A rename, an inherited method or a
+# keyword-only call would silently zero its per-layer timings.
+
+
+def test_topics_stage_calls_span_targets_positionally(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for meth in ("fit", "transform_many"):
+        assert meth in vars(BuiltinEmbedder)
+        monkeypatch.setattr(BuiltinEmbedder, meth,
+                            recording(meth, getattr(BuiltinEmbedder, meth)))
+    monkeypatch.setattr(topics, "cluster", recording("cluster", topics.cluster))
+
+    cfg = load_config(write_fixture(tmp_path / "fixture", seed=7, n_tweets=600))
+    cfg.out_dir = str(tmp_path / "run")
+    pipeline.run_pipeline(cfg)
+
+    assert [name for name, _ in calls] == ["fit", "transform_many", "cluster"]
+    (_, fit_args), (_, transform_args), (_, cluster_args) = calls
+    texts = transform_args[1]
+    assert texts is fit_args[1] and len(texts) > 0
+    assert all(isinstance(t.tokens, list) for t in texts)
+    assert int(cluster_args[1]) == cfg.k
