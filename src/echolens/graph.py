@@ -227,12 +227,6 @@ class InteractionGraph:
         mask[[index[node] for node in nodes]] = True
         return mask
 
-    def transposed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR of the reversed graph: (indptr, sources, edge positions), with
-        each node's in-edges in source order."""
-        order = np.argsort(self.indices, kind="stable")
-        return _indptr(self.indices[order], len(self)), self.sources()[order], order
-
     def undirected(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR (indptr, indices, weights) of the symmetrised graph, where the
         weight of {u, v} is w(u, v) + w(v, u); neighbours sorted by index."""

@@ -5,6 +5,12 @@ transition probabilities are proportional to edge weights; the walk teleports
 uniformly with probability 1 - damping, and a dangling node redistributes its
 whole mass uniformly (retweet graphs are full of sinks, so this matters).
 Raw scores are then mapped linearly onto the 0..10 presentation scale.
+
+The matvec is numpy only: each edge's term x[src] * p(src -> dst) is summed
+into its destination with np.bincount. Edges are stored in (src, dst) order,
+so every destination adds its terms in ascending source order starting from
+0.0, the same sequence of float operations as a CSR matvec over the
+transposed transition matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .graph import InteractionGraph, weighted_in_degrees
 from .ingest import TweetRecord, UserRecord
@@ -60,15 +65,10 @@ def pagerank(g: InteractionGraph, damping: float = 0.85, tol: float = 1e-9,
     if g.num_edges() == 0:
         return PageRankResult(scores=dict.fromkeys(g.ids, 1.0 / n),
                               iterations=0, converged=True)
-    src, w = g.sources(), g.weights()
+    src, dst, w = g.sources(), g.indices, g.weights()
     out_weight = np.bincount(src, weights=w, minlength=n)
     dangling = out_weight == 0.0
-    safe_out = np.where(dangling, 1.0, out_weight)
-    # P[dst, src] = w / out_weight[src], laid out as the transpose's CSR so
-    # each row sums its terms in source order, as canonical CSR does.
-    indptr, t_src, order = g.transposed()
-    transition = sparse.csr_matrix((w[order] / safe_out[t_src], t_src, indptr),
-                                   shape=(n, n))
+    probs = w / np.where(dangling, 1.0, out_weight)[src]
 
     x = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n
@@ -76,7 +76,8 @@ def pagerank(g: InteractionGraph, damping: float = 0.85, tol: float = 1e-9,
     iterations = 0
     for iterations in range(1, max_iter + 1):
         sink_mass = x[dangling].sum()
-        x_next = damping * (transition.dot(x) + sink_mass / n) + teleport
+        spread = np.bincount(dst, weights=x[src] * probs, minlength=n)
+        x_next = damping * (spread + sink_mass / n) + teleport
         delta = np.abs(x_next - x).sum()
         x = x_next
         if delta < tol:

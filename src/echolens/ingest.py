@@ -361,8 +361,8 @@ def apply_stream(records: Sequence[TweetRecord], spec: StreamSpec,
         needles = [match_text(k) for k in spec.keywords if k.strip()]
         if not needles:
             raise ValueError("keyword stream needs at least one non-empty keyword")
-        return [t for t in records
-                if any(n in match_text(t.text) for n in needles)]
+        texts = map(match_text, (t.text for t in records))
+        return [t for t, text in zip(records, texts) if any(n in text for n in needles)]
 
     if spec.kind == "account":
         ids = _resolve_accounts(spec.accounts, users)

@@ -244,7 +244,9 @@ def stage_topics(cfg: RunConfig, inputs: _Intermediates) -> None:
                if uid in annotations and annotations[uid].eligible_youth}
     corpus = [t for t in tweets if t.author_id in studied]
     tweet_ids = [t.tweet_id for t in corpus]
-    texts = [topics.normalize_text(t.text) for t in corpus]
+    # Retweets copy text; copies share one NormalizedText, which nothing mutates.
+    normalized = {raw: topics.normalize_text(raw) for raw in dict.fromkeys(t.text for t in corpus)}
+    texts = [normalized[t.text] for t in corpus]
 
     if cfg.embedding_source == "external":
         vectors = topics.load_external_vectors(

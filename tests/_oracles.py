@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 These deliberately re-derive expected values through different code paths
-than the library: dense-matrix power iteration instead of sparse, exact
+than the library: dense-matrix power iteration instead of sparse, a
+per-destination Python-float PageRank instead of the bincount matvec, exact
 brute-force partition enumeration instead of label propagation, a
 dict-of-dicts label propagation instead of the array-based one,
 per-node scans over every edge instead of array reductions, and a
@@ -39,6 +40,48 @@ def dense_pagerank(nodes, weighted_edges, damping=0.85, iters=1000):
             break
         x = x_next
     return {u: float(x[idx[u]]) for u in nodes}
+
+
+def reference_pagerank(nodes, weighted_edges, damping=0.85, tol=1e-9, max_iter=100):
+    """PageRank's power iteration with one Python float per operation.
+
+    nodes: the graph's sorted ids; weighted_edges: mapping (src, dst) ->
+    summed weight. Each destination starts at acc = 0.0 and adds p * x[src]
+    over its in-edges in ascending source order, which is the order a CSR
+    matvec over the transposed transition matrix uses; Python floats are
+    IEEE doubles, so the scores match bit for bit. The two whole-vector sums
+    (dangling mass, L1 change) go through np.sum as the library's do: numpy
+    sums pairwise, and redoing its blocking here would pin a numpy internal
+    rather than the matvec. Returns (scores, iterations, converged).
+    """
+    nodes = list(nodes)
+    n = len(nodes)
+    idx = {u: i for i, u in enumerate(nodes)}
+    out = [0.0] * n
+    for (src, _), w in weighted_edges.items():
+        out[idx[src]] += w
+    in_edges = [[] for _ in range(n)]
+    for (src, dst), w in sorted(weighted_edges.items(), key=lambda kv: idx[kv[0][0]]):
+        in_edges[idx[dst]].append((idx[src], w / out[idx[src]]))
+    dangling = [i for i in range(n) if out[i] == 0.0]
+    x = [1.0 / n] * n
+    teleport = (1.0 - damping) / n
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        sink_mass = float(np.sum(np.array([x[i] for i in dangling], dtype=float)))
+        x_next = []
+        for edges in in_edges:
+            acc = 0.0
+            for src, p in edges:
+                acc += p * x[src]
+            x_next.append(damping * (acc + sink_mass / n) + teleport)
+        delta = float(np.sum(np.array([abs(a - b) for a, b in zip(x_next, x)])))
+        x = x_next
+        if delta < tol:
+            converged = True
+            break
+    return dict(zip(nodes, x)), iterations, converged
 
 
 def set_partitions(items):

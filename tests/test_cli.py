@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from echolens import artifacts
 from echolens.cli import main
 from echolens.config import ConfigError, derive_seed, load_config, parse_config_text
 from echolens.pipeline import STAGES
@@ -11,6 +15,16 @@ from echolens.synth import write_fixture
 REPORT_FILES = ("rank_table.csv", "continent_distribution.csv",
                 "ethnicity_distribution.csv", "disproportionality.csv",
                 "manifest.json")
+
+# sha256 of the `synth --seed 7` + `run --formats csv,json` outputs that no
+# BLAS call touches and that do not depend on the absolute input path. The
+# topic files are left out: their bytes go through BLAS gemm.
+SEED7_SHA256 = {
+    "influence.csv": "fcd274b08193542cfbcc46a9a81e9b432845763ab2202948cdd866fe7c1e352e",
+    "influence_stats.json": "cc62f499ac26582e2204b96d93331e2641b146ff81e1c507c4e8381936d563d4",
+    "rank_table.csv": "5d1ead04ded07fbe39cca8d31e3d2f57d95fef3d3b9cb2d61bdb04e55e627613",
+    "rank_table.json": "617e27dfcca0808301b3dceb36f700978aae4c1aa6e23e51a16eb3844d1a25f8",
+}
 
 
 class TestConfig:
@@ -189,3 +203,23 @@ def test_synth_subcommand(tmp_path):
     cfg = load_config(out / "config.cfg")
     assert Path(cfg.tweets).exists()
     assert cfg.k == 6
+
+
+def test_seed7_blas_free_outputs_pinned(tmp_path):
+    fixture, out = tmp_path / "fixture", tmp_path / "out"
+    assert main(["synth", "--out", str(fixture), "--seed", "7"]) == 0
+    assert main(["run", "--config", str(fixture / "config.cfg"), "--out", str(out),
+                 "--formats", "csv,json"]) == 0
+    assert {name: artifacts.sha256(out / name) for name in SEED7_SHA256} == SEED7_SHA256
+
+
+@pytest.mark.parametrize("module", ["echolens", "echolens.cli"])
+def test_import_loads_no_scipy(module):
+    """Start-up cost guard: importing the package pulls in numpy only."""
+    src = str(Path(artifacts.__file__).resolve().parents[1])
+    code = (f"import sys, {module}; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from echolens.graph import InteractionGraph
 from echolens.influence import pagerank, rank_tables, scale_scores
 
-from _oracles import dense_pagerank
+from _oracles import dense_pagerank, reference_pagerank
 from conftest import make_tweet, make_user
 
 
@@ -42,6 +43,46 @@ def random_graph(seed: int):
         g.add_interaction(src, dst, rng.choice(("retweet", "reply")), w)
         edges[(src, dst)] = edges.get((src, dst), 0) + w
     return g, edges
+
+
+def hub_graph(seed: int, n: int):
+    """Hub-heavy graph: most records point at a few hubs, a quarter of the
+    nodes never send (dangling), and (src, dst) pairs repeat across kinds.
+    Ids are random so sorted order differs from insertion order."""
+    rng = random.Random(seed)
+    nodes = [f"u{i}" for i in rng.sample(range(10**6), n)]
+    hubs = nodes[:max(1, n // 20)]
+    senders = nodes[n // 4:]
+    g = InteractionGraph()
+    for node in nodes:
+        g.add_node(node)
+    edges = {}
+    records = 0
+    for _ in range(4 * n):
+        src = rng.choice(senders)
+        dst = rng.choice(hubs) if rng.random() < 0.7 else rng.choice(nodes)
+        if src == dst:
+            continue
+        w = rng.randint(1, 3)
+        g.add_interaction(src, dst, rng.choice(("retweet", "reply")), w)
+        edges[(src, dst)] = edges.get((src, dst), 0) + w
+        records += 1
+    return g, edges, records
+
+
+class TestPageRankBits:
+    @pytest.mark.parametrize("max_iter", [1, 3, 100])
+    @pytest.mark.parametrize("seed, n", [(0, 5), (1, 12), (2, 60), (3, 60), (4, 400)])
+    def test_scores_bit_equal_to_reference(self, seed, n, max_iter):
+        g, edges, records = hub_graph(seed, n)
+        assert len(edges) < records  # some (src, dst) pairs repeat
+        nodes = g.sorted_nodes()
+        expected, iterations, converged = reference_pagerank(nodes, edges,
+                                                             max_iter=max_iter)
+        result = pagerank(g, max_iter=max_iter)
+        got = np.array([result.scores[u] for u in nodes])
+        assert got.tobytes() == np.array([expected[u] for u in nodes]).tobytes()
+        assert (result.iterations, result.converged) == (iterations, converged)
 
 
 class TestPageRank:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echolens import ingest
 from echolens.ingest import (CorpusStats, StreamSpec, apply_stream,
                              engagement_filter, match_text, parse_corpus,
                              parse_tweet, select_streams, serialize_tweet,
@@ -161,6 +162,29 @@ class TestApplyStream:
             apply_stream([make_tweet("t1")], StreamSpec(kind="keyword", keywords=[]))
         with pytest.raises(ValueError):
             apply_stream([make_tweet("t1")], StreamSpec(kind="geo_window"))
+
+    def test_keyword_stream_normalizes_each_record_once(self, monkeypatch):
+        keywords = ["YOUNGO", "UK Youth Climate Coalition", "#FridaysForFuture",
+                    "COP26", "café", "  "]
+        texts = ["proud of youngo today", "Joined the UK  youth climate\ncoalition",
+                 "nothing to see", "#fridaysforfuture strike", "cafe\u0301 meetup",
+                 "CAFÉ", "cop26 day one", "cop 26", "", "youth climate"]
+        records = [make_tweet(f"t{i}", text=text) for i, text in enumerate(texts)]
+        needles = [match_text(k) for k in keywords if k.strip()]
+        expected = [t.tweet_id for t in records
+                    if any(n in match_text(t.text) for n in needles)]
+
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return match_text(text)
+
+        monkeypatch.setattr(ingest, "match_text", counting)
+        kept = apply_stream(records, StreamSpec(kind="keyword", keywords=keywords))
+        assert [t.tweet_id for t in kept] == expected
+        assert expected == ["t0", "t1", "t3", "t4", "t5", "t6"]
+        assert calls[len(needles):] == texts
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(tweet_records(), max_size=25, unique_by=lambda t: t.tweet_id),

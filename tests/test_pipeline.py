@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from echolens import artifacts, ingest, pipeline
+from echolens import artifacts, ingest, pipeline, topics
 from echolens.cli import main
 from echolens.config import load_config
 from echolens.pipeline import STAGES, run_pipeline, run_stage
@@ -108,6 +108,31 @@ def test_in_process_knob_iteration_equals_fresh_run(fixture_config, tmp_path):
     assert names == sorted(p.name for p in staged.iterdir())
     for name in names:
         assert (staged / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_topics_normalizes_each_distinct_text_once(fixture_config, full_run, tmp_path,
+                                                   monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(full_run, out)
+    calls = Counter()
+
+    def counting(raw):
+        calls[raw] += 1
+        return normalize(raw)
+
+    normalize = topics.normalize_text
+    monkeypatch.setattr(topics, "normalize_text", counting)
+    run_stage(_config(fixture_config, out), "topics")
+
+    tweets, _ = ingest.parse_corpus(out / "selected_tweets.ndjson")
+    text_of = {t.tweet_id: t.text for t in tweets}
+    studied = topics.read_assignments(out / "topic_assignments.ndjson")
+    distinct = {text_of[tweet_id] for tweet_id in studied}
+    assert len(distinct) < len(studied)
+    assert set(calls) == distinct
+    assert sum(calls.values()) == len(distinct)
+    for name in ("topic_assignments.ndjson", "topic_clusters.csv", "topic_stats.json"):
+        assert (out / name).read_bytes() == (full_run / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name, consumer, producer", [
