@@ -243,6 +243,11 @@ def stage_topics(cfg: RunConfig, inputs: _Intermediates) -> None:
     studied = {uid for uid in community_members
                if uid in annotations and annotations[uid].eligible_youth}
     corpus = [t for t in tweets if t.author_id in studied]
+    if not corpus:
+        raise ValueError(
+            f"no tweets were studied: communities past the gate have "
+            f"{len(community_members)} members, {len(studied)} of them eligible "
+            f"youth, and none of those wrote a tweet in the corpus")
     tweet_ids = [t.tweet_id for t in corpus]
     # Retweets copy text; copies share one NormalizedText, which nothing mutates.
     normalized = {raw: topics.normalize_text(raw) for raw in dict.fromkeys(t.text for t in corpus)}

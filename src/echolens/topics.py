@@ -10,13 +10,18 @@ initialization, which is fully reproducible for a given seed.
 Retweets repeat text, so the work is done once per distinct text or row: the
 embedder counts, hashes and folds each distinct token list once, and the
 seeding runs over distinct rows. Lloyd's iterations still cover every row.
-Every output equals that of the per-text, per-row computation bit for bit.
+Each seeding step screens the distinct rows with one matvec against the new
+centre, a distance that is within a derived bound of the exact one, and
+computes exact distances only for the rows whose screened distances come
+within that bound of the farthest. Every output equals that of the per-text,
+per-row computation bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import random
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -278,42 +283,63 @@ def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(firsts, dtype=np.intp), inverse
 
 
-def _farthest_point_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+def _farthest_point_init(points: np.ndarray, sq_norms: np.ndarray, k: int,
+                         seed: int) -> np.ndarray:
     """Greedy farthest-point seeding: one random start, then repeatedly the
-    point farthest from its nearest chosen centroid (ties: lowest index).
+    point farthest from its nearest chosen centroid (ties: lowest index),
+    with distances as np.sum((row - centre) ** 2, axis=1) gives them.
 
     Repeated rows tie exactly, and the lowest-index row of any tie is a
-    first occurrence, so the loop runs over distinct rows only. Raises
-    ValueError when k exceeds the number of distinct rows."""
-    import random as _random
+    first occurrence, so the search runs over distinct rows only. Each step
+    screens them with one matvec against the new centre: the screening
+    distance ||x||^2 + ||c||^2 - 2 x.c, kept as a running minimum, is within
+    `tol` of the exact one. The farthest row is therefore among the rows
+    within 2 tol of the screened maximum. When that is one row it is the
+    next centre; otherwise those rows are ranked by their exact distances,
+    which each row computes at most once per chosen centre.
 
+    sq_norms are the squared norms of all rows of points. Raises ValueError
+    when k exceeds the number of distinct rows."""
     n, dim = points.shape
     firsts, inverse = _distinct_rows(points)
     m = firsts.size
     if k > m:
         raise ValueError(f"k={k} exceeds number of distinct vectors ({m})")
-    # Distinct rows are gathered a block at a time into one 256 KB buffer.
-    block = max(1, min(m, (1 << 15) // max(1, dim)))
-    buf = np.empty((block, dim))
-    dist = np.empty(m)
-    step = np.empty(m)
-
-    def sq_dists_to(p: np.ndarray, out: np.ndarray) -> None:
-        for start in range(0, m, block):
-            rows = buf[:min(block, m - start)]
-            np.take(points, firsts[start:start + block], axis=0, out=rows)
-            rows -= p
-            np.square(rows, out=rows)
-            np.sum(rows, axis=1, out=out[start:start + rows.shape[0]])
-
-    chosen = [int(inverse[_random.Random(seed).randrange(n)])]
-    sq_dists_to(points[firsts[chosen[0]]], dist)
-    while len(chosen) < k:
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        sq_dists_to(points[firsts[nxt]], step)
-        np.minimum(dist, step, out=dist)
-    return points[firsts[chosen]]
+    sq = sq_norms[firsts]
+    # tol bounds |screening - exact| for any row x and centre c. Let u =
+    # eps / 2, a = ||x||^2, b = ||c||^2 and D = ||x - c||^2 <= 2(a + b).
+    # Exact: each term takes three roundings and the sum of d nonnegative
+    # terms, in any order, d - 1 more, so it errs by at most (d + 2) u D.
+    # Screening: the two norms err by d u a and d u b, the dot (BLAS, any
+    # order, FMA or not) by d u sqrt(ab) <= d u (a + b) / 2, the addition and
+    # the subtraction by u (a + b) and 2 u (a + b). In all, to first order,
+    # (4d + 7) u (a + b) <= (4d + 7) eps max(sq); 8 (d + 2) eps max(sq) is
+    # twice that, and the slack also covers rounding the threshold below. A
+    # product that underflows errs by at most eps * tiny / 2 absolutely, at
+    # most 4d of them, which the floor at tiny covers. The running minimum
+    # keeps the bound.
+    finfo = np.finfo(float)
+    tol = 8.0 * (dim + 2) * finfo.eps * max(float(sq.max()), finfo.tiny)
+    centres = np.empty((k, dim))
+    screen = np.full(m, np.inf)
+    exact = np.full(m, np.inf)  # exact distance to centres[:seen[i]]
+    seen = np.zeros(m, dtype=np.intp)
+    nxt = int(inverse[random.Random(seed).randrange(n)])
+    centres[0] = points[firsts[nxt]]
+    for t in range(1, k):
+        dots = (points @ centres[t - 1])[firsts]
+        np.minimum(screen, sq + sq[nxt] - 2.0 * dots, out=screen)
+        near = np.flatnonzero(screen >= screen.max() - 2.0 * tol)
+        if near.size > 1:
+            for i in near.tolist():
+                d = np.sum((points[firsts[i]] - centres[seen[i]:t]) ** 2, axis=1)
+                exact[i] = min(exact[i], d.min())
+                seen[i] = t
+            nxt = int(near[np.argmax(exact[near])])
+        else:
+            nxt = int(near[0])
+        centres[t] = points[firsts[nxt]]
+    return centres
 
 
 def cluster(vectors: np.ndarray, k: int, seed: int = 0,
@@ -331,11 +357,19 @@ def cluster(vectors: np.ndarray, k: int, seed: int = 0,
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of vectors ({n})")
-
-    centroids = _farthest_point_init(points, k, seed)
     # Distances cover every row, repeats included: a product over distinct
     # rows only is not bit-equal to those rows of the full product.
-    point_sq_norms = np.sum(points ** 2, axis=1)
+    with np.errstate(over="ignore"):  # rows that overflow are refused below
+        point_sq_norms = np.sum(points ** 2, axis=1)
+    # Squared distances reach 4x the largest squared norm; the seeding's
+    # error bound and Lloyd's expanded distances both need them finite.
+    limit = np.finfo(float).max / 8
+    bad = np.flatnonzero(~(point_sq_norms <= limit))
+    if bad.size:
+        raise ValueError(f"non-finite vectors: {bad.size} row(s), first at row {bad[0]}, "
+                         f"have a NaN or infinite entry or a squared norm above {limit:.3g}")
+
+    centroids = _farthest_point_init(points, point_sq_norms, k, seed)
     assignments = np.full(n, -1, dtype=int)
     sse_history: list[float] = []
     converged = False

@@ -124,6 +124,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "stage topics failed: k=50 exceeds number of distinct vectors" in err
 
+    def test_empty_studied_corpus_exit_4_names_stage(self, fixture_dir, tmp_path,
+                                                     capsys):
+        # A gate above every community's size leaves no tweet to study.
+        _, config = fixture_dir
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--min-community-size", "100000"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "stage topics failed: no tweets were studied: " in err
+        assert "communities past the gate have 0 members" in err
+
     def test_stage_without_prerequisite_exit_3_names_stage(self, fixture_dir,
                                                            tmp_path, capsys):
         _, config = fixture_dir

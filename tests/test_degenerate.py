@@ -1,6 +1,6 @@
 """Degenerate-input contracts of the graph kernels (a graph with nodes but no
 edges, and the empty graph) and of k-means (k above the number of distinct
-points). One test per contract."""
+points, non-finite vectors). One test per contract."""
 
 import numpy as np
 import pytest
@@ -76,3 +76,15 @@ class TestKMeansFewDistinctPoints:
         assert result.converged
         assert np.bincount(result.assignments, minlength=3).tolist() == [20, 20, 20]
         assert np.array_equal(result.centroids[result.assignments], self.POINTS)
+
+
+class TestKMeansNonFinite:
+    """The seeding's screening bound and Lloyd's expanded distances assume
+    finite squared norms, so cluster refuses other input before seeding."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_rejected_naming_rows(self, bad):
+        points = np.eye(4)[[0, 1, 2, 3, 0, 1]]
+        points[4, 2] = bad
+        with pytest.raises(ValueError, match=r"^non-finite vectors: 1 row\(s\), first at row 4, "):
+            cluster(points, k=2, seed=0)

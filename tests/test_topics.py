@@ -320,6 +320,82 @@ class TestDistinctTextOracle:
         assert_same_kmeans(vectors, k, seed, max_iter=20)
 
 
+def ulp_twins(seed, rows=40, dim=12):
+    """Unit rows, each next to a twin one ulp away in one coordinate, so every
+    distance to a centre has a near-equal partner that the matvec screen
+    cannot rank."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(rows, dim))
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    twins = base.copy()
+    cols = rng.integers(0, dim, size=rows)
+    towards = rng.choice([-np.inf, np.inf], size=rows)
+    twins[np.arange(rows), cols] = np.nextafter(base[np.arange(rows), cols], towards)
+    return np.vstack([base, twins])[rng.permutation(2 * rows)]
+
+
+class TestSeedingTieOracle:
+    """Farthest-point seeding screens with a matvec and ranks near-ties by
+    their exact distances; the centres must equal the per-row oracle's."""
+
+    def assert_same_init(self, points, k, seed):
+        got = topics._farthest_point_init(points, np.sum(points ** 2, axis=1), k, seed)
+        assert got.tobytes() == reference_farthest_point_init(points, k, seed).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_lattice(self, seed):
+        # Small integers make both distance formulas exact, so ties are exact.
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-2, 3, size=(80, 5)).astype(float)
+        for k in (2, 9, 40, distinct_rows(points)):
+            self.assert_same_init(points, k, seed)
+        assert_same_kmeans(points, 12, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_ulp_twins(self, seed):
+        points = ulp_twins(seed)
+        for k in (5, 30, 60, 80):
+            self.assert_same_init(points, k, seed)
+        assert_same_kmeans(points, 30, seed)
+
+    def test_repeated_and_zero_rows(self):
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=(15, 7))
+        base[:3] = 0.0
+        points = base[rng.integers(0, 15, size=70)]
+        m = distinct_rows(points)
+        for seed in range(4):
+            for k in (1, 5, m):
+                self.assert_same_init(points, k, seed)
+            assert_same_kmeans(points, m, seed)
+
+    def test_all_rows_zero(self):
+        points = np.zeros((9, 4))
+        for seed in range(3):
+            self.assert_same_init(points, 1, seed)
+            assert_same_kmeans(points, 1, seed)
+
+    def test_k_equal_to_distinct_rows(self):
+        points = ulp_twins(7, rows=25, dim=6)
+        for seed in range(3):
+            self.assert_same_init(points, 50, seed)
+
+    def test_single_row(self):
+        points = np.array([[0.5, -1.0, 2.0]])
+        self.assert_same_init(points, 1, 0)
+        assert_same_kmeans(points, 1, 0)
+
+    def test_subnormal_scale(self):
+        # Squares of these entries are subnormal, so rounding errors are
+        # absolute rather than relative.
+        rng = np.random.default_rng(8)
+        points = rng.integers(-3, 4, size=(60, 6)) * 2.0 ** -530
+        points += rng.normal(size=points.shape) * 2.0 ** -545
+        for seed in range(4):
+            for k in (10, 40):
+                self.assert_same_init(points, k, seed)
+
+
 # ---------------------------------------------------------------------------
 # The benchmark wraps BuiltinEmbedder.fit, BuiltinEmbedder.transform_many (as
 # found in the class's own namespace) and topics.cluster by name, and reads
