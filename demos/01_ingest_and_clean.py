@@ -39,4 +39,4 @@ print("per-stream hits:", stats.records_kept_per_stream)
 print(f"selected {len(selected)}, kept {len(cleaned)} after engagement cleaning")
 print(f"accounting: read = kept + rejected + filtered -> "
       f"{stats.records_read} = {stats.records_kept} + {stats.records_rejected}"
-      f" + {stats.records_filtered} ({stats.reconciles()})")
+      f" + {stats.records_filtered}")

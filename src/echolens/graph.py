@@ -16,6 +16,7 @@ kernel. Every graph kernel reads these arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -60,6 +61,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_NO_EDGES = _frozen(np.zeros(0, np.int64))
+
+
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     """CSR row pointer for row indices that are already sorted."""
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -90,108 +94,38 @@ class InteractionGraph:
     """Aggregated multigraph: one edge per ordered user pair, with its weight
     split into retweet and reply counts. Self-loops are rejected.
 
-    Build it with `from_weighted_edges`, `build_interaction_graph` or
-    `read_edge_csv`. `add_node` and `add_interaction` only queue columns; the
-    queue is folded into the arrays by the same build on the next read.
+    An immutable value: build it with `from_weighted_edges`,
+    `build_interaction_graph`, `read_edge_csv` or `induced_subgraph`.
+    `InteractionGraph()` is the empty graph. Its arrays are read-only, so
+    every kernel can share them.
     """
 
-    def __init__(self):
-        self._pending: tuple[list, list, list, list, list] = ([], [], [], [], [])
-        self._set((), np.zeros(0, np.int64), np.zeros(0, np.int64),
-                  np.zeros(0, np.int64), np.zeros(0, np.int64))
-
-    # -- construction -----------------------------------------------------
-
-    def _set(self, ids: tuple[str, ...], src: np.ndarray, dst: np.ndarray,
-             retweets: np.ndarray, replies: np.ndarray) -> None:
+    def __init__(self, ids: tuple[str, ...] = (), src: np.ndarray = _NO_EDGES,
+                 dst: np.ndarray = _NO_EDGES, retweets: np.ndarray = _NO_EDGES,
+                 replies: np.ndarray = _NO_EDGES):
         """The one build pass: node i is ids[i] (ids sorted); (src, dst) are
         int64 node indices of any order, repeated pairs are summed."""
         n = len(ids)
         if np.any(src == dst):
             raise ValueError("self-interactions are not representable")
         src, dst, retweets, replies = _sum_duplicates(src, dst, n, retweets, replies)
-        self._ids = ids
-        self._index: dict[str, int] | None = None
-        self._indptr = _frozen(_indptr(src, n))
-        self._indices = _frozen(dst)
-        self._retweets = _frozen(retweets)
-        self._replies = _frozen(replies)
-
-    def _build(self, nodes: Iterable[str], src: Sequence[str], dst: Sequence[str],
-               retweets, replies) -> "InteractionGraph":
-        """Intern string columns to sorted integer ids, then build."""
-        ids = tuple(sorted(map(str, set(nodes).union(src, dst))))
-        index = {node: i for i, node in enumerate(ids)}
-        m = len(src)
-        self._set(ids,
-                  np.fromiter(map(index.__getitem__, src), np.int64, m),
-                  np.fromiter(map(index.__getitem__, dst), np.int64, m),
-                  np.asarray(retweets, dtype=np.int64).reshape(m),
-                  np.asarray(replies, dtype=np.int64).reshape(m))
-        return self
-
-    def add_node(self, node: str) -> None:
-        self._pending[0].append(node)
-
-    def add_interaction(self, src: str, dst: str, kind: str, count: int = 1) -> None:
-        if src == dst:
-            raise ValueError("self-interactions are not representable")
-        if kind not in ("retweet", "reply"):
-            raise ValueError(f"unknown interaction kind {kind!r}")
-        _, srcs, dsts, rts, rps = self._pending
-        srcs.append(src)
-        dsts.append(dst)
-        rts.append(count if kind == "retweet" else 0)
-        rps.append(count if kind == "reply" else 0)
-
-    def _settled(self) -> "InteractionGraph":
-        nodes, srcs, dsts, rts, rps = self._pending
-        if nodes or srcs:
-            self._pending = ([], [], [], [], [])
-            ids = self._ids
-            self._build(ids + tuple(nodes),
-                        [ids[i] for i in self.sources().tolist()] + srcs,
-                        [ids[i] for i in self._indices.tolist()] + dsts,
-                        np.concatenate([self._retweets, np.asarray(rts, np.int64)]),
-                        np.concatenate([self._replies, np.asarray(rps, np.int64)]))
-        return self
+        self.ids = ids
+        self.indptr = _frozen(_indptr(src, n))
+        self.indices = _frozen(dst)
+        self.retweets = _frozen(retweets)
+        self.replies = _frozen(replies)
 
     @classmethod
     def from_weighted_edges(cls, edges: Iterable[tuple[str, str, int, int]],
                             nodes: Iterable[str] = ()) -> "InteractionGraph":
         """Bulk constructor from (src, dst, retweets, replies) tuples."""
         columns = tuple(zip(*edges)) or ((), (), (), ())
-        return cls()._build(nodes, *columns)
+        return _interned(nodes, *columns)
 
-    # -- arrays -------------------------------------------------------------
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        """Sorted node ids; node i of every array is ids[i]."""
-        return self._settled()._ids
-
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
         """Node id -> integer index."""
-        if self._settled()._index is None:
-            self._index = {node: i for i, node in enumerate(self._ids)}
-        return self._index
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._settled()._indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._settled()._indices
-
-    @property
-    def retweets(self) -> np.ndarray:
-        return self._settled()._retweets
-
-    @property
-    def replies(self) -> np.ndarray:
-        return self._settled()._replies
+        return {node: i for i, node in enumerate(self.ids)}
 
     def sources(self) -> np.ndarray:
         """Source node of every edge, aligned with `indices`."""
@@ -288,6 +222,19 @@ class InteractionGraph:
              (self.retweets, other.retweets), (self.replies, other.replies)))
 
 
+def _interned(nodes: Iterable[str], src: Sequence[str], dst: Sequence[str],
+              retweets, replies) -> InteractionGraph:
+    """Intern string columns to sorted integer ids, then build."""
+    ids = tuple(sorted(map(str, set(nodes).union(src, dst))))
+    index = {node: i for i, node in enumerate(ids)}
+    m = len(src)
+    return InteractionGraph(ids,
+                            np.fromiter(map(index.__getitem__, src), np.int64, m),
+                            np.fromiter(map(index.__getitem__, dst), np.int64, m),
+                            np.asarray(retweets, dtype=np.int64).reshape(m),
+                            np.asarray(replies, dtype=np.int64).reshape(m))
+
+
 def build_interaction_graph(tweets: Sequence[TweetRecord],
                             tweet_index: Mapping[str, str]):
     """Build the interaction graph from cleaned tweets.
@@ -316,8 +263,7 @@ def build_interaction_graph(tweets: Sequence[TweetRecord],
     stats.resolved_retweets = sum(retweets)
     stats.resolved_replies = len(retweets) - stats.resolved_retweets
     retweets = np.asarray(retweets, dtype=np.int64)
-    g = InteractionGraph()._build((t.author_id for t in tweets), src, dst,
-                                  retweets, 1 - retweets)
+    g = _interned((t.author_id for t in tweets), src, dst, retweets, 1 - retweets)
     return g, stats
 
 
@@ -344,11 +290,10 @@ def induced_subgraph(g: InteractionGraph, nodes: Iterable[str]) -> InteractionGr
     src, dst = g.sources(), g.indices
     edge_mask = inside[src] & inside[dst]
     renumber = np.cumsum(inside) - 1
-    sub = InteractionGraph()
-    sub._set(tuple(node for node, kept in zip(g.ids, inside.tolist()) if kept),
-             renumber[src[edge_mask]], renumber[dst[edge_mask]],
-             g.retweets[edge_mask], g.replies[edge_mask])
-    return sub
+    return InteractionGraph(
+        tuple(node for node, kept in zip(g.ids, inside.tolist()) if kept),
+        renumber[src[edge_mask]], renumber[dst[edge_mask]],
+        g.retweets[edge_mask], g.replies[edge_mask])
 
 
 def write_edge_csv(g: InteractionGraph, path: str | Path) -> None:
@@ -368,7 +313,7 @@ def read_edge_csv(edge_path: str | Path, node_path: str | Path | None = None) ->
     needed to recover isolated nodes)."""
     nodes = artifacts.read_lines(node_path) if node_path is not None else ()
     columns = artifacts.read_csv_columns(edge_path)
-    return InteractionGraph()._build(
+    return _interned(
         nodes, columns["src"], columns["dst"],
         np.array(columns["retweets"], dtype=np.int64),
         np.array(columns["replies"], dtype=np.int64))

@@ -100,7 +100,7 @@ class RecordError:
     line: int
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - convenience only
+    def __str__(self) -> str:
         return f"line {self.line}: {self.message}"
 
 

@@ -141,6 +141,10 @@ def stage_ingest(cfg: RunConfig, inputs: _Intermediates) -> None:
     selected = ingest.select_streams(tweets, cfg.streams, user_index, stats)
     cleaned = ingest.engagement_filter(selected)
     stats.records_kept = len(cleaned)
+    if not cleaned:
+        raise ValueError(f"no records kept: {stats.records_read} read, "
+                         f"{stats.records_rejected} rejected, "
+                         f"{stats.records_filtered} filtered")
 
     artifacts.write_csv(out / "tweet_index.csv", ["tweet_id", "author_id"],
                         ([t.tweet_id, t.author_id] for t in tweets))

@@ -23,16 +23,13 @@ def make_user(user_id, handle=None, display_name="Amina Diallo", **kwargs):
 
 def clique_graph(*cliques, bridges=()):
     """Directed graph with every ordered pair inside each clique at weight 1,
-    plus explicit bridge edges (src, dst)."""
-    g = InteractionGraph()
-    for members in cliques:
-        for src in members:
-            for dst in members:
-                if src != dst:
-                    g.add_interaction(src, dst, "retweet")
-    for src, dst in bridges:
-        g.add_interaction(src, dst, "retweet")
-    return g
+    plus explicit bridge edges (src, dst). Every clique member is a node, so
+    a one-member clique is an isolated node."""
+    edges = [(src, dst, 1, 0) for members in cliques
+             for src in members for dst in members if src != dst]
+    edges += [(src, dst, 1, 0) for src, dst in bridges]
+    return InteractionGraph.from_weighted_edges(
+        edges, nodes=[node for members in cliques for node in members])
 
 
 @pytest.fixture

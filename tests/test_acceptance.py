@@ -36,18 +36,15 @@ def random_small_graph(seed: int):
     rng = random.Random(seed)
     n = rng.randint(1, 10)
     nodes = [f"n{i}" for i in range(n)]
-    g = InteractionGraph()
-    for node in nodes:
-        g.add_node(node)
-    edges = {}
+    rows, edges = [], {}
     for _ in range(rng.randint(0, 3 * n)):
         if n < 2:
             break
         src, dst = rng.sample(nodes, 2)
         w = rng.randint(1, 5)
-        g.add_interaction(src, dst, rng.choice(("retweet", "reply")), w)
+        rows.append(rng.choice(((src, dst, w, 0), (src, dst, 0, w))))  # retweet or reply
         edges[(src, dst)] = edges.get((src, dst), 0) + w
-    return g, edges
+    return InteractionGraph.from_weighted_edges(rows, nodes=nodes), edges
 
 
 def test_criterion_1_pagerank_oracle_equivalence():
@@ -66,15 +63,13 @@ def test_criterion_1_pagerank_oracle_equivalence():
 
 
 def test_criterion_2_pagerank_symmetry():
-    g = InteractionGraph()
-    for i in range(3):
-        g.add_interaction(f"n{i}", f"n{(i + 1) % 3}", "retweet")
+    g = InteractionGraph.from_weighted_edges(
+        [(f"n{i}", f"n{(i + 1) % 3}", 1, 0) for i in range(3)])
     scores = pagerank(g).scores
     for score in scores.values():
         assert abs(score - 1.0 / 3.0) < 1e-9
 
-    single = InteractionGraph()
-    single.add_node("only")
+    single = InteractionGraph.from_weighted_edges([], nodes=["only"])
     assert pagerank(single).scores["only"] == 1.0
     _passed(2, "3-cycle scores are 1/3 +/- 1e-9; single node is exactly 1.0")
 

@@ -135,6 +135,15 @@ class TestExitCodes:
         assert "stage topics failed: no tweets were studied: " in err
         assert "communities past the gate have 0 members" in err
 
+    def test_all_records_rejected_exit_4_names_stage(self, tmp_path, capsys):
+        config = write_fixture(tmp_path / "fixture", seed=7, n_tweets=600)
+        tweets = tmp_path / "fixture" / "tweets.ndjson"
+        tweets.write_text("{not json\n" * 600, encoding="utf-8")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "stage ingest failed: no records kept: 600 read, 600 rejected, 0 filtered" in err
+
     def test_stage_without_prerequisite_exit_3_names_stage(self, fixture_dir,
                                                            tmp_path, capsys):
         _, config = fixture_dir
@@ -145,6 +154,19 @@ class TestExitCodes:
 
 
 class TestPipelineRuns:
+    def test_ingest_stats_list_parse_errors_by_line(self, tmp_path):
+        config = write_fixture(tmp_path / "fixture", seed=7, n_tweets=600)
+        tweets = tmp_path / "fixture" / "tweets.ndjson"
+        lines = tweets.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "[1, 2]\n"
+        tweets.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["ingest", "--config", str(config), "--out", str(out)]) == 0
+        stats = json.loads((out / "ingest_stats.json").read_text(encoding="utf-8"))
+        assert stats["tweet_parse_errors"] == ["line 3: line is not a JSON object"]
+        assert stats["user_parse_errors"] == []
+        assert stats["records_rejected"] == 1
+
     def test_full_run_writes_reports(self, fixture_dir, tmp_path):
         _, config = fixture_dir
         out = tmp_path / "run"

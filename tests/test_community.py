@@ -31,8 +31,7 @@ def member_sets(assignment):
 
 class TestNodeImportance:
     def test_weighted_in_degree_read_off(self):
-        g = InteractionGraph()
-        g.add_interaction("B", "A", "retweet", 3)
+        g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)])
         imp = node_importance(g, mode="weighted_in_degree")
         assert imp == {"A": 3, "B": 0}
 
@@ -40,27 +39,23 @@ class TestNodeImportance:
         assert node_importance(InteractionGraph()) == {}
 
     def test_isolated_node_gets_floor(self):
-        g = InteractionGraph()
-        g.add_node("solo")
+        g = InteractionGraph.from_weighted_edges([], nodes=["solo"])
         assert node_importance(g, floor=0.5) == {"solo": 0.5}
 
     def test_floor_below_in_weight_is_not_added(self):
-        g = InteractionGraph()
-        g.add_interaction("B", "A", "retweet", 3)
+        g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)])
         assert node_importance(g, floor=0.5) == {"A": 3.0, "B": 0.5}
 
     def test_floor_applies_in_both_modes(self):
-        g = InteractionGraph()
-        g.add_interaction("B", "A", "retweet", 3)
+        g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)])
         scores = pagerank(g).scores
         assert scores["B"] < 0.5 < scores["A"]
         imp = node_importance(g, mode="pagerank", floor=0.5)
         assert imp == {"A": scores["A"], "B": 0.5}
 
     def test_pagerank_mode_cycle_symmetric(self):
-        g = InteractionGraph()
-        for i in range(3):
-            g.add_interaction(f"n{i}", f"n{(i + 1) % 3}", "reply")
+        g = InteractionGraph.from_weighted_edges(
+            [(f"n{i}", f"n{(i + 1) % 3}", 0, 1) for i in range(3)])
         imp = node_importance(g, mode="pagerank")
         values = list(imp.values())
         assert max(values) - min(values) < 1e-12
@@ -101,14 +96,12 @@ class TestLabelPropagation:
             assert member_sets(run_lp(g, seed=seed)) == expected
 
     def test_isolated_node_keeps_own_singleton(self):
-        g = clique_graph(tuple("pqr"))
-        g.add_node("loner")
+        g = clique_graph(tuple("pqr"), ("loner",))
         assignment = run_lp(g)
         assert frozenset(["loner"]) in member_sets(assignment)
 
     def test_labels_total_and_partition(self):
-        g = two_cliques_bridged()
-        g.add_node("loner")
+        g = clique_graph(CLIQUE_A, CLIQUE_B, ("loner",), bridges=[("a4", "b0")])
         assignment = run_lp(g, seed=5)
         assert set(assignment.labels) == g.nodes
         seen = set()
@@ -179,24 +172,18 @@ class TestGateCommunities:
 
 class TestAnchorUser:
     def test_unique_maximum(self):
-        g = InteractionGraph()
-        g.add_interaction("B", "A", "retweet", 2)
+        g = InteractionGraph.from_weighted_edges([("B", "A", 2, 0)])
         assert anchor_user(g, {"A", "B"}) == "A"
 
     def test_all_isolated_lexicographic(self):
-        g = InteractionGraph()
-        for node in ("zeta", "alpha", "mid"):
-            g.add_node(node)
+        g = InteractionGraph.from_weighted_edges([], nodes=("zeta", "alpha", "mid"))
         assert anchor_user(g, {"zeta", "alpha", "mid"}) == "alpha"
 
     def test_four_member_fixture_hand_computed(self):
         # Induced weighted in-degrees: p=3 (2 from q, 1 from r), q=2, r=0, s=0.
         # Out-of-community edges must not count.
-        g = InteractionGraph()
-        g.add_interaction("q", "p", "retweet", 2)
-        g.add_interaction("r", "p", "reply", 1)
-        g.add_interaction("s", "q", "retweet", 2)
-        g.add_interaction("outsider", "s", "retweet", 9)
+        g = InteractionGraph.from_weighted_edges([
+            ("q", "p", 2, 0), ("r", "p", 0, 1), ("s", "q", 2, 0), ("outsider", "s", 9, 0)])
         assert anchor_user(g, {"p", "q", "r", "s"}) == "p"
 
     def test_empty_set_rejected(self):

@@ -81,8 +81,7 @@ class TestBuildGraph:
 
 class TestDegreeStats:
     def test_single_edge(self):
-        g = InteractionGraph()
-        g.add_interaction("B", "A", "retweet", 2)
+        g = InteractionGraph.from_weighted_edges([("B", "A", 2, 0)])
         stats = degree_stats(g)
         assert stats["A"].weighted_in == 2 and stats["A"].weighted_out == 0
         assert stats["B"].weighted_out == 2 and stats["B"].weighted_in == 0
@@ -117,23 +116,19 @@ class TestInducedSubgraph:
         assert induced_subgraph(g, g.nodes) == g
 
     def test_single_endpoint_drops_edge(self):
-        g = InteractionGraph()
-        g.add_interaction("B", "A", "retweet")
+        g = InteractionGraph.from_weighted_edges([("B", "A", 1, 0)])
         sub = induced_subgraph(g, {"B"})
         assert sub.num_edges() == 0 and len(sub) == 1
 
     def test_two_node_community_hand_count(self):
-        g = InteractionGraph()
-        g.add_interaction("B", "A", "retweet", 2)
-        g.add_interaction("C", "A", "reply", 1)
-        g.add_interaction("D", "C", "retweet", 1)
+        g = InteractionGraph.from_weighted_edges(
+            [("B", "A", 2, 0), ("C", "A", 0, 1), ("D", "C", 1, 0)])
         sub = induced_subgraph(g, {"A", "B"})
         assert sub.num_edges() == 1
         assert sub.weight("B", "A") == 2
 
     def test_unknown_node_is_error(self):
-        g = InteractionGraph()
-        g.add_node("A")
+        g = InteractionGraph.from_weighted_edges([], nodes=["A"])
         with pytest.raises(ValueError):
             induced_subgraph(g, {"A", "Z"})
 
@@ -145,6 +140,23 @@ def test_edge_csv_round_trip(tmp_path):
     write_node_list(g, tmp_path / "nodes.txt")
     back = read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
     assert back == g
+
+
+def test_arrays_read_only_after_every_builder(tmp_path):
+    # Every kernel shares these arrays, so no caller may write into them.
+    tweets, index = interaction_fixture()
+    built, _ = build_interaction_graph(tweets, index)
+    write_edge_csv(built, tmp_path / "edges.csv")
+    write_node_list(built, tmp_path / "nodes.txt")
+    graphs = [InteractionGraph(),
+              InteractionGraph.from_weighted_edges([("B", "A", 2, 0)], nodes=["C"]),
+              built,
+              read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt"),
+              induced_subgraph(built, {"A", "B"})]
+    for g in graphs:
+        for name in ("indptr", "indices", "retweets", "replies"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[...] = 0
 
 
 @st.composite

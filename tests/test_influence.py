@@ -13,36 +13,29 @@ from conftest import make_tweet, make_user
 
 
 def cycle_graph(n=3):
-    g = InteractionGraph()
-    for i in range(n):
-        g.add_interaction(f"n{i}", f"n{(i + 1) % n}", "retweet")
-    return g
+    return InteractionGraph.from_weighted_edges(
+        [(f"n{i}", f"n{(i + 1) % n}", 1, 0) for i in range(n)])
 
 
 def star_graph():
     """Three leaves each pointing at the hub."""
-    g = InteractionGraph()
-    for leaf in ("l1", "l2", "l3"):
-        g.add_interaction(leaf, "hub", "retweet")
-    return g
+    return InteractionGraph.from_weighted_edges(
+        [(leaf, "hub", 1, 0) for leaf in ("l1", "l2", "l3")])
 
 
 def random_graph(seed: int):
     rng = random.Random(seed)
     n = rng.randint(1, 10)
     nodes = [f"n{i}" for i in range(n)]
-    g = InteractionGraph()
-    for node in nodes:
-        g.add_node(node)
-    edges = {}
+    rows, edges = [], {}
     for _ in range(rng.randint(0, 3 * n)):
         src, dst = rng.sample(nodes, 2) if n > 1 else (None, None)
         if src is None:
             break
         w = rng.randint(1, 5)
-        g.add_interaction(src, dst, rng.choice(("retweet", "reply")), w)
+        rows.append(rng.choice(((src, dst, w, 0), (src, dst, 0, w))))  # retweet or reply
         edges[(src, dst)] = edges.get((src, dst), 0) + w
-    return g, edges
+    return InteractionGraph.from_weighted_edges(rows, nodes=nodes), edges
 
 
 def hub_graph(seed: int, n: int):
@@ -53,10 +46,7 @@ def hub_graph(seed: int, n: int):
     nodes = [f"u{i}" for i in rng.sample(range(10**6), n)]
     hubs = nodes[:max(1, n // 20)]
     senders = nodes[n // 4:]
-    g = InteractionGraph()
-    for node in nodes:
-        g.add_node(node)
-    edges = {}
+    rows, edges = [], {}
     records = 0
     for _ in range(4 * n):
         src = rng.choice(senders)
@@ -64,10 +54,10 @@ def hub_graph(seed: int, n: int):
         if src == dst:
             continue
         w = rng.randint(1, 3)
-        g.add_interaction(src, dst, rng.choice(("retweet", "reply")), w)
+        rows.append(rng.choice(((src, dst, w, 0), (src, dst, 0, w))))  # retweet or reply
         edges[(src, dst)] = edges.get((src, dst), 0) + w
         records += 1
-    return g, edges, records
+    return InteractionGraph.from_weighted_edges(rows, nodes=nodes), edges, records
 
 
 class TestPageRankBits:
@@ -93,8 +83,7 @@ class TestPageRank:
         assert result.converged
 
     def test_single_node_exact_unit_mass(self):
-        g = InteractionGraph()
-        g.add_node("only")
+        g = InteractionGraph.from_weighted_edges([], nodes=["only"])
         result = pagerank(g)
         assert result.scores["only"] == 1.0
 
