@@ -6,6 +6,8 @@ Parse an NDJSON tweet archive, select records with the four stream kinds
 (keyword, account, mention, geo window), and drop zero-engagement records.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from echolens.ingest import (CorpusStats, StreamSpec, engagement_filter,
 from echolens.synth import write_fixture
 
 workdir = Path(tempfile.mkdtemp(prefix="echolens_demo_"))
+atexit.register(shutil.rmtree, workdir)
 write_fixture(workdir, seed=7, n_tweets=800)
 
 # Parsing never aborts: malformed lines come back as line-numbered errors.

@@ -6,6 +6,8 @@ Retweets and replies become directed weighted edges pointing from the
 engaging user at the author who received the engagement.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from echolens.ingest import engagement_filter, parse_corpus
 from echolens.synth import write_fixture
 
 workdir = Path(tempfile.mkdtemp(prefix="echolens_demo_"))
+atexit.register(shutil.rmtree, workdir)
 write_fixture(workdir, seed=7, n_tweets=800)
 tweets, _ = parse_corpus(workdir / "tweets.ndjson", schema="tweets")
 cleaned = engagement_filter(tweets)

@@ -8,6 +8,8 @@ The size gate then keeps only communities with more than min_size members,
 and communities with no on-topic signal are flagged for manual review.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from echolens.ingest import engagement_filter, parse_corpus
 from echolens.synth import FIXTURE_KEYWORDS, write_fixture
 
 workdir = Path(tempfile.mkdtemp(prefix="echolens_demo_"))
+atexit.register(shutil.rmtree, workdir)
 write_fixture(workdir, seed=7, n_tweets=800)
 tweets, _ = parse_corpus(workdir / "tweets.ndjson", schema="tweets")
 users, _ = parse_corpus(workdir / "users.ndjson", schema="users")

@@ -8,6 +8,8 @@ The ranked table gets one column each for times-retweeted, PageRank, and
 authored tweet volume, with individuals hidden behind a privacy label.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from echolens.ingest import engagement_filter, parse_corpus
 from echolens.synth import write_fixture
 
 workdir = Path(tempfile.mkdtemp(prefix="echolens_demo_"))
+atexit.register(shutil.rmtree, workdir)
 write_fixture(workdir, seed=7, n_tweets=800)
 tweets, _ = parse_corpus(workdir / "tweets.ndjson", schema="tweets")
 users = {u.user_id: u for u in parse_corpus(workdir / "users.ndjson", schema="users")[0]}

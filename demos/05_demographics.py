@@ -8,6 +8,8 @@ the youth eligibility rules exclude over-25 accounts and names without a
 proper noun. All bundled data files are small synthetic fixtures.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -36,6 +38,7 @@ for probe in ("Emma Garcia", "Kofi Okafor", "Jisoo Tanaka", "Quirky Zzyzx"):
           f"(classifier alone: {best} at {posterior[best]:.2f})")
 
 workdir = Path(tempfile.mkdtemp(prefix="echolens_demo_"))
+atexit.register(shutil.rmtree, workdir)
 write_fixture(workdir, seed=7, n_tweets=800)
 tweets, _ = parse_corpus(workdir / "tweets.ndjson", schema="tweets")
 users, _ = parse_corpus(workdir / "users.ndjson", schema="users")

@@ -8,6 +8,8 @@ and character trigrams, and clustered with seeded k-means. Identical input
 and seed always reproduce the same topics.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from echolens.topics import (cluster, embed_corpus, normalize_text, silhouette,
 print(normalize_text("#TeamSeas is GREAT http://t.co/x").tokens)
 
 workdir = Path(tempfile.mkdtemp(prefix="echolens_demo_"))
+atexit.register(shutil.rmtree, workdir)
 write_fixture(workdir, seed=7, n_tweets=800)
 tweets, _ = parse_corpus(workdir / "tweets.ndjson", schema="tweets")
 cleaned = engagement_filter(tweets)

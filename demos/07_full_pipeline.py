@@ -7,8 +7,10 @@ the reports back. The corpus is engineered so that women over-engage the
 climate topic; the disproportionality report flags exactly that.
 """
 
+import atexit
 import csv
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from echolens.pipeline import run_pipeline, review_sample
 from echolens.synth import write_fixture
 
 workdir = Path(tempfile.mkdtemp(prefix="echolens_demo_"))
+atexit.register(shutil.rmtree, workdir)
 config_path = write_fixture(workdir / "fixture", seed=7, n_tweets=2000)
 
 cfg = load_config(config_path)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, parse_list
 from .pipeline import (STAGES, MissingInputError, StageError, review_sample,
                        run_pipeline, run_stage)
 from .synth import write_fixture
@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="run config file (flat key = value)")
-        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="global seed (overrides config)")
         p.add_argument("--k", type=int, help="number of topic clusters")
         p.add_argument("--min-community-size", type=int, dest="min_community_size",
@@ -56,18 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "k", None) is not None:
-        cfg.k = args.k
-    if getattr(args, "min_community_size", None) is not None:
-        cfg.min_community_size = args.min_community_size
-    if getattr(args, "damping", None) is not None:
-        cfg.damping = args.damping
-    if getattr(args, "formats", None):
-        cfg.formats = {f.strip() for f in args.formats.split(",") if f.strip()}
+    for key in ("out_dir", "seed", "k", "min_community_size", "damping"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
+    if args.formats is not None:
+        cfg.formats = set(parse_list(args.formats))
     errors = cfg.validate()
     if errors:
         raise ConfigError(errors)

@@ -1,10 +1,10 @@
 """Run configuration: flat key-value config files, validation, and hashing.
 
-A config file is plain text, one `key = value` per line, `#` comments. An
-empty file yields exactly the documented defaults. Stream specs use grouped
-keys (stream.1.kind, stream.1.keywords, ...). The config hash covers every
-semantic setting but not the output directory, so the same inputs written to
-two locations still produce identical manifests.
+A config file is plain text, one `key = value` per line; a line starting with
+`#` is a comment. An empty file yields exactly the documented defaults. Stream
+specs use grouped keys (stream.1.kind, stream.1.keywords, ...). The config hash
+covers every semantic setting but not the output directory, so the same inputs
+written to two locations still produce identical manifests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 from .demographics import default_data_path
 from .ingest import StreamSpec
 
-__all__ = ["RunConfig", "ConfigError", "parse_config_text", "derive_seed"]
+__all__ = ["RunConfig", "ConfigError", "parse_config_text", "parse_list", "derive_seed"]
 
 
 class ConfigError(Exception):
@@ -70,20 +70,22 @@ class RunConfig:
 
     # -- data-file resolution ----------------------------------------------
 
+    # Each demographic data-file key and the bundled fixture used when it is unset.
+    DATA_FILES = {
+        "gazetteer": "gazetteer.csv",
+        "name_lists": "name_lists.csv",
+        "classifier_names": "classifier_names.csv",
+        "given_names": "given_names.csv",
+        "stopwords": "stopwords.txt",
+    }
+
     def data_file(self, name: str) -> Path:
         """Configured path for one demographic data file, or the bundled
         synthetic fixture when unset."""
         configured = getattr(self, name)
         if configured:
             return Path(configured)
-        bundled = {
-            "gazetteer": "gazetteer.csv",
-            "name_lists": "name_lists.csv",
-            "classifier_names": "classifier_names.csv",
-            "given_names": "given_names.csv",
-            "stopwords": "stopwords.txt",
-        }
-        return default_data_path(bundled[name])
+        return default_data_path(self.DATA_FILES[name])
 
     def effective_flag_keywords(self) -> list[str]:
         if self.flag_keywords:
@@ -180,15 +182,23 @@ def derive_seed(global_seed: int, stage: str) -> int:
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
 
-_INT_KEYS = {"seed", "min_community_size", "lp_max_rounds",
-             "pagerank_max_iter", "table_rows", "k", "dim", "kmeans_max_iter",
-             "review_sample_size"}
-_FLOAT_KEYS = {"damping", "pagerank_tol", "tau", "tau_hi", "tau_lo"}
-_BOOL_KEYS = {"privacy", "retweet_weighted"}
-_STR_KEYS = {"tweets", "users", "out_dir", "importance_mode",
-             "embedding_source", "vectors", "gazetteer", "name_lists",
-             "classifier_names", "given_names", "stopwords"}
-_LIST_KEYS = {"flag_keywords"}
+
+def parse_list(raw: str) -> list[str]:
+    """Comma-separated values, stripped, blanks dropped."""
+    return [v.strip() for v in raw.split(",") if v.strip()]
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.casefold() not in _BOOL_VALUES:
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return _BOOL_VALUES[raw.casefold()]
+
+
+# A key's value is parsed by the type of its RunConfig default; a key whose
+# default is None is a path or a name. `streams` is set by stream.N.* keys.
+_PARSERS = {int: int, float: float, bool: _parse_bool, str: str, type(None): str,
+            list: parse_list, set: lambda raw: set(parse_list(raw))}
+_KEYS = {f.name for f in fields(RunConfig)} - {"streams"}
 
 
 def _parse_timestamp(raw: str) -> int:
@@ -204,8 +214,8 @@ def _parse_timestamp(raw: str) -> int:
 
 def _build_stream(index: str, group: dict[str, str], errors: list[str]) -> StreamSpec | None:
     kind = group.get("kind", "")
-    keywords = [k.strip() for k in group.get("keywords", "").split(",") if k.strip()]
-    accounts = [a.strip() for a in group.get("accounts", "").split(",") if a.strip()]
+    keywords = parse_list(group.get("keywords", ""))
+    accounts = parse_list(group.get("accounts", ""))
     bbox = None
     window = None
     try:
@@ -249,32 +259,21 @@ def parse_config_text(text: str) -> RunConfig:
             if len(parts) != 3:
                 errors.append(f"line {line_no}: stream keys look like stream.N.field")
                 continue
-            stream_groups.setdefault(parts[1], {})[parts[2]] = value
+            group, name = stream_groups.setdefault(parts[1], {}), parts[2]
         else:
-            if key in values:
-                errors.append(f"line {line_no}: duplicate key {key!r}")
-                continue
-            values[key] = value
+            group, name = values, key
+        if name in group:
+            errors.append(f"line {line_no}: duplicate key {key!r}")
+            continue
+        group[name] = value
 
     cfg = RunConfig()
     for key, raw in values.items():
         try:
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(raw))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(raw))
-            elif key in _BOOL_KEYS:
-                if raw.casefold() not in _BOOL_VALUES:
-                    raise ValueError(f"expected a boolean, got {raw!r}")
-                setattr(cfg, key, _BOOL_VALUES[raw.casefold()])
-            elif key in _STR_KEYS:
-                setattr(cfg, key, raw)
-            elif key in _LIST_KEYS:
-                setattr(cfg, key, [v.strip() for v in raw.split(",") if v.strip()])
-            elif key == "formats":
-                cfg.formats = {v.strip() for v in raw.split(",") if v.strip()}
-            else:
+            if key not in _KEYS:
                 raise ValueError("unknown key")
+            # Each key is set at most once, so cfg still holds its default.
+            setattr(cfg, key, _PARSERS[type(getattr(cfg, key))](raw))
         except ValueError as exc:
             errors.append(f"{key}: {exc}")
 

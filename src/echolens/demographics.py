@@ -444,20 +444,14 @@ def demographic_distribution(annotations: Mapping[str, DemographicAnnotation] | 
     return DistributionResult(buckets=buckets, missing=missing)
 
 
-ANNOTATION_FIELDS = ("user_id", "country", "continent", "race", "age", "gender",
-                     "eligible_youth")
-
-
 def write_annotations(path: str | Path,
                       annotations: Mapping[str, DemographicAnnotation]) -> None:
     """Annotation NDJSON with exactly the documented fields, one user per line."""
-    artifacts.write_ndjson(path, ({name: getattr(annotations[user_id], name)
-                                   for name in ANNOTATION_FIELDS}
-                                  for user_id in sorted(annotations)))
+    artifacts.write_ndjson(path, (vars(annotations[uid]) for uid in sorted(annotations)))
 
 
 def read_annotations(path: str | Path) -> dict[str, DemographicAnnotation]:
-    return {obj["user_id"]: DemographicAnnotation(**{k: obj.get(k) for k in ANNOTATION_FIELDS})
+    return {obj["user_id"]: DemographicAnnotation(**obj)
             for obj in artifacts.read_ndjson(path)}
 
 

@@ -32,16 +32,6 @@ __all__ = [
     "match_text",
 ]
 
-TWEET_FIELDS = (
-    "tweet_id", "author_id", "text", "created_at", "likes", "retweets",
-    "replies", "mentions", "reply_to", "retweet_of", "lat", "lon",
-    "place_name",
-)
-USER_FIELDS = (
-    "user_id", "handle", "display_name", "followers", "has_profile_photo",
-    "face_count", "age_estimate", "gender_estimate", "account_kind",
-)
-
 GENDER_VALUES = ("female", "male", "unknown")
 ACCOUNT_KINDS = ("individual", "organization", "unknown")
 STREAM_KINDS = ("keyword", "account", "mention", "geo_window")
@@ -278,18 +268,16 @@ def parse_user(obj: Mapping) -> UserRecord:
 
 def serialize_tweet(t: TweetRecord) -> dict:
     """Inverse of parse_tweet; emits every schema field, null for absent ones."""
-    return {name: getattr(t, name) for name in TWEET_FIELDS}
+    return dict(vars(t))
 
 
 def serialize_user(u: UserRecord) -> dict:
-    return {name: getattr(u, name) for name in USER_FIELDS}
+    return dict(vars(u))
 
 
 def write_ndjson(path: str | Path, records: Iterable[TweetRecord | UserRecord]) -> int:
     """Serialize records one JSON object per line; returns the line count."""
-    return artifacts.write_ndjson(
-        path, (serialize_tweet(rec) if isinstance(rec, TweetRecord) else serialize_user(rec)
-               for rec in records))
+    return artifacts.write_ndjson(path, map(vars, records))
 
 
 def parse_corpus(path: str | Path, schema: str = "tweets"):
@@ -317,7 +305,10 @@ def parse_corpus(path: str | Path, schema: str = "tweets"):
                 if not isinstance(obj, dict):
                     raise ValueError("line is not a JSON object")
                 rec = parse_one(obj)
-            except (json.JSONDecodeError, ValueError) as exc:
+            except json.JSONDecodeError as exc:
+                errors.append(RecordError(line_no, f"{exc.msg} (column {exc.colno})"))
+                continue
+            except ValueError as exc:
                 errors.append(RecordError(line_no, str(exc)))
                 continue
             rec_id = getattr(rec, id_field)

@@ -330,8 +330,7 @@ def stage_report(cfg: RunConfig, inputs: _Intermediates) -> None:
     ) for key in keys}
 
     fixtures = {}
-    for name in ("gazetteer", "name_lists", "classifier_names", "given_names",
-                 "stopwords"):
+    for name in cfg.DATA_FILES:
         path = cfg.data_file(name)
         fixtures[path.name] = artifacts.sha256(path)
 

@@ -51,7 +51,6 @@ DEFAULT_K = 250
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
-_HASHTAG_RE = re.compile(r"#(\w+)")
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 _TRIM_RE = re.compile(r"^\W+|\W+$", re.UNICODE)
 

@@ -47,6 +47,8 @@ class TestParseCorpus:
         records, errors = parse_corpus(path, schema="tweets")
         assert len(records) == 8
         assert sorted(e.line for e in errors) == [4, 8]
+        assert str(errors[0]) == (
+            "line 4: Expecting property name enclosed in double quotes (column 2)")
 
     def test_duplicate_id_later_record_errors(self, tmp_corpus):
         first = dict(FULL_TWEET, text="first wins", retweet_of=None)
