@@ -7,6 +7,16 @@ importance. Edges are treated as undirected for propagation: an interaction
 carries influence in both directions. Ties keep the current label when it is
 among the leaders, otherwise the lowest label wins, which makes the whole
 procedure deterministic for a given (graph, importance, seed).
+
+A round runs in wavefronts over the symmetrised CSR arrays rather than one
+node at a time. Pointing every edge from the endpoint earlier in the
+round's order to the later one gives a DAG; its Kahn fronts hold no two
+neighbours, and every earlier neighbour of a node lies in an earlier front,
+every later one in a later front. A front's nodes, evaluated together, thus
+read the labels and pending flags the one-by-one visit reads, so the result
+is the sequential one bit for bit. That vote rule needs every vote finite
+and >= 0, so importance must be finite and >= 0 and no symmetrised
+interaction weight may be negative; anything else is rejected.
 """
 
 from __future__ import annotations
@@ -71,10 +81,12 @@ def node_importance(g: InteractionGraph, mode: str = "weighted_in_degree",
     weighted_in_degree reads the weight straight off the graph; pagerank
     delegates to the influence module and returns raw probability mass.
     Either way a node gets max(weight, floor), so isolated nodes get the
-    floor.
+    floor. floor must be >= 0, as label_propagation requires of importance.
     """
     if mode not in IMPORTANCE_MODES:
         raise ValueError(f"unknown importance mode {mode!r}")
+    if not floor >= 0:
+        raise ValueError(f"floor must be >= 0, got {floor!r}")
     if len(g) == 0:
         return {}
     if mode == "weighted_in_degree":
@@ -103,66 +115,64 @@ def label_propagation(g: InteractionGraph, importance: Mapping[str, float],
     if missing:
         raise ValueError(f"importance missing for nodes: {missing[:5]}")
 
+    # The vote rule below needs every vote finite and >= 0.
+    imp = np.fromiter((float(importance[node]) for node in nodes), np.float64, n)
+    bad = np.flatnonzero(~((imp >= 0) & (imp < np.inf)))
+    if bad.size:
+        raise ValueError("importance negative or not finite for nodes: "
+                         f"{[nodes[i] for i in bad[:5].tolist()]}")
+    indptr, cols, und = g.undirected()
+    owners = np.repeat(np.arange(n), np.diff(indptr))
+    bad = np.unique(owners[und < 0])
+    if bad.size:
+        raise ValueError("negative interaction weight at nodes: "
+                         f"{[nodes[i] for i in bad[:5].tolist()]}")
+
     # Static vote weights: und_weight(u, v) * importance(v), each node's
     # neighbours in index order so float summation order is reproducible.
-    imp = np.fromiter((float(importance[node]) for node in nodes), np.float64, n)
-    indptr, cols, und = g.undirected()
-    bounds = indptr.tolist()
-    cols_l = cols.tolist()
-    votes_l = (und * imp[cols]).tolist()
-    nbr_ids = [cols_l[bounds[i]:bounds[i + 1]] for i in range(n)]
-    nbr_votes = [votes_l[bounds[i]:bounds[i + 1]] for i in range(n)]
+    votes = und * imp[cols]
 
-    labels = list(range(n))
+    labels = np.arange(n)
     rng = random.Random(seed)
     order = list(range(n))
+    rank = np.empty(n, dtype=np.int64)
     # A node only needs re-evaluation after a neighbor's label changed; the
     # skip is result-identical to evaluating everyone but makes late rounds
     # nearly free on large graphs.
-    pending = bytearray(b"\x01") * n
+    pending = np.ones(n, dtype=bool)
     converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         rng.shuffle(order)
+        rank[order] = np.arange(n)
+        # Peel the edges, each pointing from its endpoint earlier in `order`,
+        # into Kahn fronts: a node joins once all its earlier neighbours have.
+        forward = rank[cols] > rank[owners]
+        waiting = np.bincount(cols[forward], minlength=n)
+        front = np.flatnonzero(waiting == 0)
         changed = False
-        for u in order:
-            if not pending[u]:
-                continue
-            pending[u] = 0
-            nbrs = nbr_ids[u]
-            if not nbrs:
-                continue
-            votes: dict[int, float] = {}
-            get = votes.get
-            best_val = -1.0
-            best_lbl = -1
-            for j, vote in zip(nbrs, nbr_votes[u]):
-                lbl = labels[j]
-                v = get(lbl, 0.0) + vote
-                votes[lbl] = v
-                if v > best_val:
-                    best_val = v
-                    best_lbl = lbl
-                elif v == best_val and lbl < best_lbl:
-                    best_lbl = lbl
-            if get(labels[u]) == best_val:
-                continue
-            labels[u] = best_lbl
-            changed = True
-            for j in nbrs:
-                pending[j] = 1
+        while front.size:
+            entries = _row_entries(indptr, front)
+            due = entries[pending[owners[entries]]]
+            pending[front] = False
+            if due.size:
+                moved = _relabel(due, owners, cols, votes, labels)
+                pending[cols[_row_entries(indptr, moved)]] = True
+                changed = changed or moved.size > 0
+            after = cols[entries[forward[entries]]]
+            np.subtract.at(waiting, after, 1)
+            front = np.unique(after[waiting[after] == 0])
         if not changed:
             converged = True
             break
 
     # Group nodes by label (members stay in id order), then read every
     # community's anchor off one within-community in-weight pass.
-    lab = np.asarray(labels)
-    by_label = np.argsort(lab, kind="stable")
-    starts = np.flatnonzero(np.diff(lab[by_label], prepend=-1))
+    by_label = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[by_label], prepend=-1))
     groups = np.split(by_label, starts[1:])
     groups.sort(key=lambda members: (-len(members), members[0]))
-    win_within = g.in_weights(edge_mask=lab[g.sources()] == lab[g.indices])
+    win_within = g.in_weights(edge_mask=labels[g.sources()] == labels[g.indices])
 
     communities = []
     final_labels: dict[str, int] = {}
@@ -181,6 +191,38 @@ def label_propagation(g: InteractionGraph, importance: Mapping[str, float],
         iterations_run=rounds,
         converged=converged,
     )
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """CSR entry positions of the given rows, row after row."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(lo - ends + counts, counts)
+
+
+def _relabel(entries: np.ndarray, owners: np.ndarray, cols: np.ndarray,
+             votes: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Move the owners of the CSR entries, pairwise non-adjacent nodes, to
+    their leading labels; return the nodes that moved.
+
+    bincount sums each (node, label) group from 0.0 in neighbour order, the
+    order of a one-neighbour-at-a-time running sum, so the totals are bit-equal
+    to it. With votes >= 0 every running total only grows, so a running
+    maximum with ties to the lowest label ends on the lowest leading label.
+    """
+    n = len(labels)
+    keys, group = np.unique(owners[entries] * n + labels[cols[entries]],
+                            return_inverse=True)
+    totals = np.bincount(group, weights=votes[entries])
+    node, label = np.divmod(keys, n)
+    first = np.diff(node, prepend=-1) != 0
+    starts = np.flatnonzero(first)
+    leads = totals == np.maximum.reduceat(totals, starts)[np.cumsum(first) - 1]
+    holds = np.logical_or.reduceat(leads & (label == labels[node]), starts)
+    moved = node[starts][~holds]
+    labels[moved] = np.minimum.reduceat(np.where(leads, label, n), starts)[~holds]
+    return moved
 
 
 def gate_communities(assignment: CommunityAssignment, min_size: int) -> CommunityAssignment:

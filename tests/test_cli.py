@@ -401,6 +401,20 @@ class TestExitCodes:
         assert "graph" in capsys.readouterr().err
 
 
+def assert_staged_equals_full(args, tmp_path):
+    """`run` and every stage run one by one, with the same args, write the
+    same files byte for byte; returns the file names."""
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    assert main(["run", *args, "--out", str(full)]) == 0
+    for stage in STAGES:
+        assert main([stage, *args, "--out", str(staged)]) == 0, stage
+    names = sorted(p.name for p in full.iterdir())
+    assert names == sorted(p.name for p in staged.iterdir())
+    for name in names:
+        assert (full / name).read_bytes() == (staged / name).read_bytes(), name
+    return names
+
+
 class TestPipelineRuns:
     def test_ingest_stats_list_parse_errors_by_line(self, tmp_path):
         config = write_fixture(tmp_path / "fixture", seed=7, n_tweets=600)
@@ -433,15 +447,8 @@ class TestPipelineRuns:
 
     def test_staged_equals_full_pipeline(self, fixture_dir, tmp_path):
         _, config = fixture_dir
-        full, staged = tmp_path / "full", tmp_path / "staged"
-        assert main(["run", "--config", str(config), "--out", str(full)]) == 0
-        for stage in STAGES:
-            assert main([stage, "--config", str(config), "--out", str(staged)]) == 0, stage
-        names = sorted(p.name for p in full.iterdir())
-        assert names == sorted(p.name for p in staged.iterdir())
+        names = assert_staged_equals_full(["--config", str(config)], tmp_path)
         assert set(REPORT_FILES) < set(names)
-        for name in names:
-            assert (full / name).read_bytes() == (staged / name).read_bytes(), name
 
     def test_formats_override_adds_json(self, fixture_dir, tmp_path):
         _, config = fixture_dir
@@ -492,6 +499,20 @@ def test_seed7_blas_free_outputs_pinned(tmp_path):
     assert main(["run", "--config", str(fixture / "config.cfg"), "--out", str(out),
                  "--formats", "csv,json"]) == 0
     assert {name: artifacts.sha256(out / name) for name in SEED7_SHA256} == SEED7_SHA256
+
+
+def test_seed7_single_community_contract(tmp_path):
+    # A gate that only the largest community passes: the run still completes,
+    # the one survivor keeps id 0, and staged stages agree with the full run.
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--out", str(fixture), "--seed", "7"]) == 0
+    assert_staged_equals_full(["--config", str(fixture / "config.cfg"),
+                               "--min-community-size", "120"], tmp_path)
+    full = tmp_path / "full"
+    manifest = json.loads((full / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stage_counts"]["communities_post_gate"] == 1
+    assert (full / "communities.csv").read_text(encoding="utf-8") == (
+        "community_id,size,anchor\n0,140,h01\n")
 
 
 @pytest.mark.parametrize("module", ["echolens", "echolens.cli"])

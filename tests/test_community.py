@@ -65,6 +65,12 @@ class TestNodeImportance:
         with pytest.raises(ValueError):
             node_importance(InteractionGraph(), mode="degree")
 
+    @pytest.mark.parametrize("floor", [-0.5, float("nan")])
+    def test_negative_or_nan_floor_rejected(self, floor):
+        g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)])
+        with pytest.raises(ValueError, match="floor must be >= 0"):
+            node_importance(g, floor=floor)
+
 
 class TestLabelPropagation:
     def test_single_clique_single_community(self):
@@ -129,6 +135,44 @@ class TestLabelPropagation:
         g = clique_graph(("m", "n"))
         with pytest.raises(ValueError):
             label_propagation(g, {"m": 1.0}, seed=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
+    def test_nan_negative_or_infinite_importance_rejected(self, value):
+        # Unchecked, NaN or -1.0 merges the 4-cycle and the separate edge
+        # into one community without converging in 100 rounds.
+        g = InteractionGraph.from_weighted_edges(
+            [("a", "b", 1, 0), ("b", "c", 1, 0), ("c", "d", 1, 0), ("d", "a", 1, 0),
+             ("e", "f", 1, 0)])
+        importance = dict.fromkeys(g.ids, value)
+        with pytest.raises(ValueError, match=r"negative or not finite for nodes: "
+                                             r"\['a', 'b', 'c', 'd', 'e'\]"):
+            label_propagation(g, importance, seed=0)
+
+    def test_one_negative_importance_named(self):
+        g = clique_graph(("m", "n", "o"))
+        with pytest.raises(ValueError, match=r"\['n'\]"):
+            label_propagation(g, {"m": 1.0, "n": -0.0001, "o": 0.0}, seed=0)
+
+    def test_negative_interaction_weight_rejected(self):
+        # A pair's weights are summed over both directions first, so only a
+        # negative sum (p-q here, not r-s) breaks the non-negative votes.
+        g = InteractionGraph.from_weighted_edges(
+            [("p", "q", -1, 0), ("r", "s", -1, 0), ("s", "r", 0, 2)])
+        with pytest.raises(ValueError, match=r"weight at nodes: \['p', 'q'\]$"):
+            label_propagation(g, dict.fromkeys(g.ids, 1.0), seed=0)
+
+    def test_connected_star_is_one_community_anchored_at_hub(self):
+        # Single-community contract: id 0, every node a member, the hub
+        # (the only node retweeted) as anchor.
+        leaves = [f"leaf{i:02d}" for i in range(12)]
+        g = InteractionGraph.from_weighted_edges(
+            [(leaf, "hub", 1, 0) for leaf in leaves])
+        for seed in range(5):
+            assignment = run_lp(g, seed=seed)
+            assert assignment.converged
+            assert [(c.community_id, c.size, c.anchor)
+                    for c in assignment.communities] == [(0, 13, "hub")]
+            assert assignment.labels == dict.fromkeys(g.ids, 0)
 
 
 def synthetic_assignment(sizes):
@@ -265,22 +309,115 @@ def random_lp_graph(seed):
     return g, edges
 
 
+def assert_matches_reference(edges, importance, seed, max_rounds, nodes=()):
+    """label_propagation on the graph of edges ((src, dst) -> weight) equals
+    the dict-of-dicts reference exactly, float-order-sensitive ties included."""
+    g = InteractionGraph.from_weighted_edges(
+        ((s, d, w, 0) for (s, d), w in edges.items()), nodes=nodes)
+    importance = importance(g) if callable(importance) else importance
+    got = label_propagation(g, importance, seed=seed, max_rounds=max_rounds)
+    want = reference_label_propagation(g.sorted_nodes(), edges, importance,
+                                       seed, max_rounds)
+    assert got.labels == want["labels"], seed
+    assert got.iterations_run == want["iterations_run"], seed
+    assert got.converged == want["converged"], seed
+    assert [(c.members, c.anchor) for c in got.communities] == want["communities"], seed
+    assert [c.community_id for c in got.communities] == list(range(len(got.communities)))
+
+
+def tenths(seed):
+    """Importance of 0.1, 0.2 or 0.3 per node, drawn from seed."""
+    def draw(g):
+        rng = random.Random(seed)
+        return {node: rng.choice((0.1, 0.2, 0.3)) for node in g.ids}
+    return draw
+
+
 def test_label_propagation_matches_reference_on_random_graphs():
     # Integer importances make vote ties common; tenths make float sums
     # depend on summation order ((0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1).
     for seed in range(60):
         g, edges = random_lp_graph(seed)
-        if seed % 2:
-            rng = random.Random(seed)
-            importance = {node: rng.choice((0.1, 0.2, 0.3)) for node in g.nodes}
-        else:
-            importance = node_importance(g)
-        max_rounds = (1, 2, 100)[seed % 3]
-        got = label_propagation(g, importance, seed=seed, max_rounds=max_rounds)
-        want = reference_label_propagation(g.sorted_nodes(), edges, importance,
-                                           seed, max_rounds)
-        assert got.labels == want["labels"], seed
-        assert got.iterations_run == want["iterations_run"], seed
-        assert got.converged == want["converged"], seed
-        assert [(c.members, c.anchor) for c in got.communities] == want["communities"], seed
-        assert [c.community_id for c in got.communities] == list(range(len(got.communities)))
+        importance = tenths(seed) if seed % 2 else node_importance
+        assert_matches_reference(edges, importance, seed, (1, 2, 100)[seed % 3],
+                                 nodes=g.ids)
+
+
+def test_label_propagation_sums_votes_in_neighbour_order():
+    # x hears 0.1, 0.2 and 0.3 from the a-b-c-h group and 2 * 0.3 from d.
+    # In neighbour order (0.1 + 0.2) + 0.3 = 0.6000000000000001 beats 0.6,
+    # so x joins the group; summed the other way round the two would tie.
+    edges = {("a", "h"): 1, ("b", "h"): 1, ("c", "h"): 1, ("a", "x"): 1,
+             ("b", "x"): 1, ("c", "x"): 1, ("d", "x"): 2, ("d", "g"): 1}
+    importance = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.3, "g": 5.0, "h": 5.0,
+                  "x": 0.0}
+    g = InteractionGraph.from_weighted_edges((s, d, w, 0) for (s, d), w in edges.items())
+    for seed in range(5):
+        assignment = label_propagation(g, importance, seed=seed)
+        assert [c.members for c in assignment.communities] == [
+            ("a", "b", "c", "h", "x"), ("d", "g")]
+        assert_matches_reference(edges, importance, seed, 100)
+
+
+@pytest.mark.parametrize("size", range(20, 41, 5))
+def test_label_propagation_matches_reference_on_cliques(size):
+    # Every node of a clique neighbours every other, so each wavefront
+    # holds a single node and the schedule is the plain sequential visit.
+    rng = random.Random(size)
+    members = [f"k{i:02d}" for i in range(size)]
+    edges = {(s, d): rng.randint(1, 3) for s in members for d in members if s != d}
+    for seed in range(3):
+        assert_matches_reference(edges, tenths(seed), seed, 100)
+        assert_matches_reference(edges, node_importance, seed, 100)
+
+
+def test_label_propagation_matches_reference_on_star_with_cross_edges():
+    # One hub in every leaf's row and a sprinkle of leaf-leaf edges: deep
+    # wavefronts next to a hub that waits for most of the graph.
+    rng = random.Random(300)
+    leaves = [f"leaf{i:03d}" for i in range(300)]
+    edges = {(leaf, "hub"): rng.randint(1, 3) for leaf in leaves}
+    for _ in range(400):
+        s, d = rng.sample(leaves, 2)
+        edges[(s, d)] = edges.get((s, d), 0) + 1
+    for seed in range(3):
+        assert_matches_reference(edges, tenths(seed), seed, 100)
+        assert_matches_reference(edges, node_importance, seed, 100)
+
+
+def test_label_propagation_matches_reference_with_zero_importance():
+    # Every vote is 0.0, so every label a node sees ties.
+    for seed in range(20):
+        g, edges = random_lp_graph(seed)
+        assert_matches_reference(edges, dict.fromkeys(g.ids, 0.0), seed, 100,
+                                 nodes=g.ids)
+
+
+def test_label_propagation_matches_reference_with_isolated_nodes():
+    edges = {("a", "b"): 2, ("b", "c"): 1, ("c", "a"): 1, ("d", "e"): 1}
+    nodes = ["a", "b", "c", "d", "e", "iso1", "iso2", "iso3"]
+    for seed in range(5):
+        assert_matches_reference(edges, node_importance, seed, 100, nodes=nodes)
+    assert_matches_reference({}, node_importance, 0, 100, nodes=["iso1", "iso2"])
+
+
+def test_label_propagation_matches_reference_after_one_round():
+    for seed in range(20):
+        g, edges = random_lp_graph(seed + 100)
+        assert_matches_reference(edges, tenths(seed), seed, 1, nodes=g.ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda e: e[0] != e[1]),
+                           st.integers(1, 3), max_size=3 * n),
+           st.lists(st.sampled_from((0.0, 0.1, 0.2, 0.3)), min_size=n, max_size=n))),
+       st.integers(min_value=0, max_value=1_000), st.sampled_from((1, 2, 100)))
+def test_label_propagation_matches_reference_property(graph, seed, max_rounds):
+    n, pairs, values = graph
+    nodes = [f"v{i:02d}" for i in range(n)]
+    edges = {(nodes[s], nodes[d]): w for (s, d), w in pairs.items()}
+    assert_matches_reference(edges, dict(zip(nodes, values)), seed, max_rounds,
+                             nodes=nodes)

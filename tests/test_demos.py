@@ -1,6 +1,6 @@
 """Every script in demos/ runs end to end against the package, writing only
 under a temporary directory that it removes before it exits; the topics demo's
-printed output is checked."""
+printed output is checked. The README's library example runs too."""
 
 import os
 import subprocess
@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from echolens.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +48,18 @@ def test_graph_demo_runs(demo, tmp_path):
 
 def test_topics_demo_output(tmp_path):
     assert run_demo("06_topics.py", tmp_path) == TOPICS_DEMO_STDOUT
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    example = section.split("```python", 1)[1].split("```", 1)[0]
+    assert main(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(example, "README.md", "exec"), scope)
+    graph, communities = scope["graph"], scope["communities"]
+    members = [m for c in communities.communities for m in c.members]
+    assert len(graph.ids) > 0
+    assert sorted(members) == sorted(graph.ids)
+    assert set(communities.labels) == set(graph.ids)
