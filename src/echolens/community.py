@@ -15,8 +15,8 @@ neighbours, and every earlier neighbour of a node lies in an earlier front,
 every later one in a later front. A front's nodes, evaluated together, thus
 read the labels and pending flags the one-by-one visit reads, so the result
 is the sequential one bit for bit. That vote rule needs every vote finite
-and >= 0, so importance must be finite and >= 0 and no symmetrised
-interaction weight may be negative; anything else is rejected.
+and >= 0. Interaction counts are >= 0 in every graph, so importance must
+be finite and >= 0; anything else is rejected.
 """
 
 from __future__ import annotations
@@ -115,7 +115,8 @@ def label_propagation(g: InteractionGraph, importance: Mapping[str, float],
     if missing:
         raise ValueError(f"importance missing for nodes: {missing[:5]}")
 
-    # The vote rule below needs every vote finite and >= 0.
+    # The vote rule below needs every vote finite and >= 0; the graph's
+    # counts are >= 0 by construction.
     imp = np.fromiter((float(importance[node]) for node in nodes), np.float64, n)
     bad = np.flatnonzero(~((imp >= 0) & (imp < np.inf)))
     if bad.size:
@@ -123,10 +124,6 @@ def label_propagation(g: InteractionGraph, importance: Mapping[str, float],
                          f"{[nodes[i] for i in bad[:5].tolist()]}")
     indptr, cols, und = g.undirected()
     owners = np.repeat(np.arange(n), np.diff(indptr))
-    bad = np.unique(owners[und < 0])
-    if bad.size:
-        raise ValueError("negative interaction weight at nodes: "
-                         f"{[nodes[i] for i in bad[:5].tolist()]}")
 
     # Static vote weights: und_weight(u, v) * importance(v), each node's
     # neighbours in index order so float summation order is reproducible.

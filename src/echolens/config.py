@@ -195,8 +195,10 @@ def _parse_bool(raw: str) -> bool:
 
 
 # A key's value is parsed by the type of its RunConfig default; a key whose
-# default is None is a path or a name. `streams` is set by stream.N.* keys.
-_PARSERS = {int: int, float: float, bool: _parse_bool, str: str, type(None): str,
+# default is None is a path or a name, and a blank one stays unset, so it
+# hashes as if absent. `streams` is set by stream.N.* keys.
+_PARSERS = {int: int, float: float, bool: _parse_bool, str: str,
+            type(None): lambda raw: raw or None,
             list: parse_list, set: lambda raw: set(parse_list(raw))}
 _KEYS = {f.name for f in fields(RunConfig)} - {"streams"}
 

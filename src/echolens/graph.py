@@ -104,10 +104,16 @@ class InteractionGraph:
                  dst: np.ndarray = _NO_EDGES, retweets: np.ndarray = _NO_EDGES,
                  replies: np.ndarray = _NO_EDGES):
         """The one build pass: node i is ids[i] (ids sorted); (src, dst) are
-        int64 node indices of any order, repeated pairs are summed."""
+        int64 node indices of any order, repeated pairs are summed. Counts
+        must be >= 0; the first negative one is named by its pair."""
         n = len(ids)
         if np.any(src == dst):
             raise ValueError("self-interactions are not representable")
+        negative = np.flatnonzero((retweets < 0) | (replies < 0))
+        if negative.size:
+            i = int(negative[0])
+            raise ValueError(f"negative interaction count on ({ids[src[i]]}, {ids[dst[i]]}): "
+                             f"retweets={retweets[i]}, replies={replies[i]}")
         src, dst, retweets, replies = _sum_duplicates(src, dst, n, retweets, replies)
         self.ids = ids
         self.indptr = _frozen(_indptr(src, n))

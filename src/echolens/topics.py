@@ -15,6 +15,10 @@ centre, a distance that is within a derived bound of the exact one, and
 computes exact distances only for the rows whose screened distances come
 within that bound of the farthest. Every output equals that of the per-text,
 per-row computation bit for bit.
+
+Besides its input, each kernel holds at most one matrix of the input's size:
+the embedding, one n x k distance buffer, or the n x n silhouette distances.
+Row-wise work runs in blocks of `_BLOCK_ROWS` rows, which changes no bit.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
 
 DEFAULT_DIM = 512
 DEFAULT_K = 250
+_BLOCK_ROWS = 256
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
@@ -177,10 +182,6 @@ class BuiltinEmbedder:
     def idf(self, feature: str) -> float:
         return math.log((1 + self.n_docs) / (1 + self.df.get(feature, 0))) + 1.0
 
-    def weights(self, text: NormalizedText) -> dict[str, float]:
-        """Pre-hash TF-IDF weights per feature (exposed for verification)."""
-        return {f: tf * self.idf(f) for f, tf in _features(text).items()}
-
     def _fold(self, feature: str) -> tuple[int, float]:
         """(bucket, signed idf) of a feature, computed once per fit."""
         fold = self._folds.get(feature)
@@ -204,7 +205,11 @@ class BuiltinEmbedder:
                 vec /= norm
         source = firsts[inverse]
         repeats = np.flatnonzero(source != np.arange(len(texts)))
-        out[repeats] = out[source[repeats]]
+        # Sources are first occurrences, never repeats, so no block reads a
+        # row that another block writes.
+        for start in range(0, repeats.size, _BLOCK_ROWS):
+            rows = repeats[start:start + _BLOCK_ROWS]
+            out[rows] = out[source[rows]]
         return out
 
 
@@ -250,16 +255,34 @@ class KMeansResult:
     converged: bool
 
 
+def _row_sq_norms(points: np.ndarray) -> np.ndarray:
+    """np.sum(points ** 2, axis=1), squaring one block of rows at a time."""
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _BLOCK_ROWS):
+        np.sum(points[start:start + _BLOCK_ROWS] ** 2, axis=1,
+               out=out[start:start + _BLOCK_ROWS])
+    return out
+
+
 def _sq_dists(points: np.ndarray, centroids: np.ndarray,
-              point_sq_norms: np.ndarray) -> np.ndarray:
+              point_sq_norms: np.ndarray, out: np.ndarray) -> None:
     """||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped against float
-    negatives, in one n x k buffer. Scaling the product by -2 and adding is
-    bit-equal to subtracting the doubled product: both steps are exact."""
-    d = points @ centroids.T
-    d *= -2.0
-    d += point_sq_norms[:, None]
-    d += np.sum(centroids ** 2, axis=1)[None, :]
-    return np.maximum(d, 0.0, out=d)
+    negatives, written into the n x k buffer out. Scaling the product by -2
+    and adding is bit-equal to subtracting the doubled product: both steps
+    are exact."""
+    np.matmul(points, centroids.T, out=out)
+    out *= -2.0
+    out += point_sq_norms[:, None]
+    out += np.sum(centroids ** 2, axis=1)[None, :]
+    np.maximum(out, 0.0, out=out)
+
+
+def _members(labels: np.ndarray, k: int) -> list[np.ndarray]:
+    """Each of clusters 0..k-1's members in index order, as contiguous
+    slices of one stable sort."""
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    return [order[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +382,7 @@ def cluster(vectors: np.ndarray, k: int, seed: int = 0,
     # Distances cover every row, repeats included: a product over distinct
     # rows only is not bit-equal to those rows of the full product.
     with np.errstate(over="ignore"):  # rows that overflow are refused below
-        point_sq_norms = np.sum(points ** 2, axis=1)
+        point_sq_norms = _row_sq_norms(points)
     # Squared distances reach 4x the largest squared norm; the seeding's
     # error bound and Lloyd's expanded distances both need them finite.
     limit = np.finfo(float).max / 8
@@ -373,8 +396,9 @@ def cluster(vectors: np.ndarray, k: int, seed: int = 0,
     sse_history: list[float] = []
     converged = False
     iterations = 0
+    dists = np.empty((n, k))
     for iterations in range(1, max_iter + 1):
-        dists = _sq_dists(points, centroids, point_sq_norms)
+        _sq_dists(points, centroids, point_sq_norms, dists)
         new_assignments = np.argmin(dists, axis=1)
 
         # Re-seed any emptied cluster from the current worst-fit point.
@@ -387,7 +411,7 @@ def cluster(vectors: np.ndarray, k: int, seed: int = 0,
                 new_assignments[worst] = cid
                 centroids[cid] = points[worst]
                 own[worst] = -1.0
-            dists = _sq_dists(points, centroids, point_sq_norms)
+            _sq_dists(points, centroids, point_sq_norms, dists)
             new_assignments = np.argmin(dists, axis=1)
 
         sse = float(dists[np.arange(n), new_assignments].sum())
@@ -400,13 +424,9 @@ def cluster(vectors: np.ndarray, k: int, seed: int = 0,
             converged = True
             break
         assignments = new_assignments
-        # Members of each cluster in index order, as contiguous slices of
-        # one stable sort.
-        order = np.argsort(assignments, kind="stable")
-        ends = np.cumsum(np.bincount(assignments, minlength=k)).tolist()
-        for cid, (start, end) in enumerate(zip([0] + ends, ends)):
-            if end > start:
-                centroids[cid] = points[order[start:end]].mean(axis=0)
+        for cid, members in enumerate(_members(assignments, k)):
+            if members.size:
+                centroids[cid] = points[members].mean(axis=0)
 
     return KMeansResult(
         assignments=assignments,
@@ -445,30 +465,46 @@ def top_terms(cluster_texts: Sequence[NormalizedText], idf: Mapping[str, float],
 
 
 def silhouette(vectors: np.ndarray, assignments: np.ndarray) -> float:
-    """Mean silhouette coefficient, O(n^2); intended for desk-scale runs."""
+    """Mean silhouette coefficient (Rousseeuw 1987) over Euclidean distances.
+
+    a(i) is the mean distance from point i to the other members of its
+    cluster (0 for a singleton), b(i) the smallest mean distance to another
+    cluster's members, and the score (b - a) / max(a, b), or 0 where that
+    maximum is 0. O(n^2) time and one n x n matrix; intended for desk-scale
+    runs. Returns 0.0 for fewer than two clusters or three points."""
     points = np.asarray(vectors, dtype=float)
-    labels = np.asarray(assignments)
     n = points.shape[0]
-    unique = np.unique(labels)
+    unique, labels = np.unique(assignments, return_inverse=True)
     if unique.size < 2 or n < 3:
         return 0.0
     # (2 x) @ x.T is a general product; x @ x.T would take BLAS's symmetric
-    # path, whose last bits differ.
-    sq = np.sum(points ** 2, axis=1)
-    dists = np.sqrt(np.maximum(sq[:, None] - 2.0 * points @ points.T + sq[None, :], 0.0))
-    scores = np.zeros(n)
-    for i in range(n):
-        same = labels == labels[i]
-        n_same = same.sum()
-        a = dists[i, same].sum() / (n_same - 1) if n_same > 1 else 0.0
-        b = math.inf
-        for lbl in unique:
-            if lbl == labels[i]:
-                continue
-            mask = labels == lbl
-            b = min(b, dists[i, mask].mean())
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    # path, whose last bits differ. The rest runs in the product's buffer.
+    d = np.matmul(2.0 * points, points.T)
+    sq = _row_sq_norms(points)
+    np.subtract(sq[:, None], d, out=d)
+    d += sq[None, :]
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
+
+    # Each cluster's distance sums come from a C-contiguous np.take block,
+    # whose rows numpy sums pairwise, as it sums one point's distances alone;
+    # a strided d[:, members] would add them sequentially. The block is
+    # capped at about _BLOCK_ROWS x _BLOCK_ROWS entries.
+    a = np.zeros(n)
+    b = np.full(n, np.inf)
+    sums = np.empty(n)
+    for members in _members(labels, unique.size):
+        step = max(1, _BLOCK_ROWS * _BLOCK_ROWS // members.size)
+        for row in range(0, n, step):
+            np.take(d[row:row + step], members, axis=1).sum(
+                axis=1, out=sums[row:row + step])
+        if members.size > 1:
+            a[members] = sums[members] / (members.size - 1)
+        sums /= members.size
+        sums[members] = np.inf
+        np.minimum(b, sums, out=b)
+    denom = np.maximum(a, b)
+    scores = np.divide(b - a, denom, out=np.zeros(n), where=denom != 0)
     return float(scores.mean())
 
 

@@ -5,9 +5,10 @@ than the library: dense-matrix power iteration instead of sparse, a
 per-destination Python-float PageRank instead of the bincount matvec, exact
 brute-force partition enumeration instead of label propagation, a
 dict-of-dicts label propagation instead of the array-based one,
-per-node scans over every edge instead of array reductions, and a
+per-node scans over every edge instead of array reductions, a
 per-text embedder and per-row k-means seeding instead of the
-distinct-text ones.
+distinct-text ones, a per-point silhouette loop instead of per-cluster
+column sums, and term ranking by repeated selection instead of a sort.
 """
 
 from __future__ import annotations
@@ -337,3 +338,78 @@ def reference_kmeans(vectors, k, seed=0, max_iter=100):
             if members.size:
                 centroids[cid] = members.mean(axis=0)
     return assignments, centroids, sse_history, iterations, converged
+
+
+def reference_weights(embedder, text):
+    """Pre-hash TF-IDF weights per feature of one text under a fitted
+    embedder: raw count times idf."""
+    from echolens.topics import _features
+
+    return {f: tf * embedder.idf(f) for f, tf in _features(text).items()}
+
+
+def reference_silhouette(vectors, assignments):
+    """Mean silhouette coefficient, one point at a time: a boolean mask per
+    point and per other cluster over the whole distance matrix."""
+    import math
+
+    points = np.asarray(vectors, dtype=float)
+    labels = np.asarray(assignments)
+    n = points.shape[0]
+    unique = np.unique(labels)
+    if unique.size < 2 or n < 3:
+        return 0.0
+    # (2 x) @ x.T is a general product; x @ x.T would take BLAS's symmetric
+    # path, whose last bits differ.
+    sq = np.sum(points ** 2, axis=1)
+    dists = np.sqrt(np.maximum(sq[:, None] - 2.0 * points @ points.T + sq[None, :], 0.0))
+    scores = np.zeros(n)
+    for i in range(n):
+        same = labels == labels[i]
+        n_same = same.sum()
+        a = dists[i, same].sum() / (n_same - 1) if n_same > 1 else 0.0
+        b = math.inf
+        for lbl in unique:
+            if lbl == labels[i]:
+                continue
+            mask = labels == lbl
+            b = min(b, dists[i, mask].mean())
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
+
+
+def reference_word_idf(texts):
+    """idf(t) = ln((1 + N) / (1 + df(t))) + 1 over word tokens, with df(t)
+    counted by scanning every text for every token."""
+    import math
+
+    n = len(texts)
+    vocab = {token for text in texts for token in text.tokens}
+    return {token: math.log((1 + n) / (1 + sum(token in text.tokens for text in texts)))
+            + 1.0 for token in vocab}
+
+
+def reference_top_terms(cluster_texts, idf, n=10):
+    """The n terms of largest within-cluster TF-IDF mass, picked one at a
+    time: the largest mass, ties to the lexicographically smallest term. A
+    term's mass adds its idf (1.0 when absent) once per occurrence."""
+    counts = {}
+    for text in cluster_texts:
+        for token in text.tokens:
+            counts[token] = counts.get(token, 0) + 1
+    mass = {}
+    for token, count in counts.items():
+        total = 0.0
+        for _ in range(count):
+            total += idf.get(token, 1.0)
+        mass[token] = total
+    picked = []
+    while mass and len(picked) < n:
+        best = None
+        for token, value in mass.items():
+            if best is None or value > mass[best] or (value == mass[best] and token < best):
+                best = token
+        picked.append(best)
+        del mass[best]
+    return picked

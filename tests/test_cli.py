@@ -167,35 +167,35 @@ PARSED_CASES = {
         "stream.4=geo_window|||(-5.0, 30.0, 5.0, 45.0)|(1625097600, 1625184000)\n"),
         "89f0b58cf7e8dadcfb1b8bd34300e078ba6c51f93a3a085a44e42a6e68a2cf89"),
     "blank_paths": (BLANK_PATHS_TEXT, (
-        "classifier_names=\n"
+        "classifier_names=None\n"
         "damping=0.85\n"
         "dim=512\n"
         "embedding_source=builtin\n"
         "flag_keywords=\n"
         "formats=csv\n"
-        "gazetteer=\n"
-        "given_names=\n"
+        "gazetteer=None\n"
+        "given_names=None\n"
         "importance_mode=weighted_in_degree\n"
         "k=250\n"
         "kmeans_max_iter=100\n"
         "lp_max_rounds=100\n"
         "min_community_size=120\n"
-        "name_lists=\n"
+        "name_lists=None\n"
         "pagerank_max_iter=100\n"
         "pagerank_tol=1e-09\n"
         "privacy=True\n"
         "retweet_weighted=True\n"
         "review_sample_size=30\n"
         "seed=0\n"
-        "stopwords=\n"
+        "stopwords=None\n"
         "table_rows=10\n"
         "tau=0.6\n"
         "tau_hi=1.25\n"
         "tau_lo=0.8\n"
-        "tweets=\n"
-        "users=\n"
-        "vectors=\n"),
-        "2322b11a5d740a485ec68f13cd91dfc5a59be269aa1899e4b916fae0a46e2965"),
+        "tweets=None\n"
+        "users=None\n"
+        "vectors=None\n"),
+        "96ce5ad8ed947930b53709fecfabdc8432dea86a15f0986d59cbd0b2eaa9c691"),
 }
 
 REJECTED_CASES = {
@@ -298,9 +298,7 @@ class TestConfig:
                                       if f.name != "streams")
         cfg, defaults = parse_config_text(block), RunConfig()
         for key in keys:
-            value = getattr(cfg, key)
-            # A blank value stands for an unset path.
-            assert (None if value == "" else value) == getattr(defaults, key), key
+            assert getattr(cfg, key) == getattr(defaults, key), key
 
     def test_validation_collects_field_messages(self):
         cfg = parse_config_text("damping = 1.5\ntau_hi = 0.5\n")
@@ -314,6 +312,8 @@ class TestConfig:
         c = parse_config_text("seed = 4\nout_dir = x\n")
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+        # A blank path key is an unset one.
+        assert parse_config_text("gazetteer =\n").config_hash() == parse_config_text("").config_hash()
 
     def test_seed_fanout_fixed_and_stage_specific(self):
         assert derive_seed(7, "topics") == derive_seed(7, "topics")

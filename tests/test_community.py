@@ -154,12 +154,11 @@ class TestLabelPropagation:
             label_propagation(g, {"m": 1.0, "n": -0.0001, "o": 0.0}, seed=0)
 
     def test_negative_interaction_weight_rejected(self):
-        # A pair's weights are summed over both directions first, so only a
-        # negative sum (p-q here, not r-s) breaks the non-negative votes.
-        g = InteractionGraph.from_weighted_edges(
-            [("p", "q", -1, 0), ("r", "s", -1, 0), ("s", "r", 0, 2)])
-        with pytest.raises(ValueError, match=r"weight at nodes: \['p', 'q'\]$"):
-            label_propagation(g, dict.fromkeys(g.ids, 1.0), seed=0)
+        # The vote rule needs non-negative votes; the graph refuses a
+        # negative count when it is built, even where the pair's symmetrised
+        # sum (-1 + 2 here) would be positive.
+        with pytest.raises(ValueError, match=r"negative interaction count on \(r, s\)"):
+            InteractionGraph.from_weighted_edges([("s", "r", 0, 2), ("r", "s", -1, 0)])
 
     def test_connected_star_is_one_community_anchored_at_hub(self):
         # Single-community contract: id 0, every node a member, the hub

@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +158,32 @@ def test_arrays_read_only_after_every_builder(tmp_path):
         for name in ("indptr", "indices", "retweets", "replies"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(g, name)[...] = 0
+
+
+@pytest.mark.parametrize("builder", ["constructor", "from_weighted_edges", "read_edge_csv"])
+def test_negative_count_rejected_by_every_builder(builder, tmp_path):
+    # Unchecked, a->b (-1), b->c (1), c->a (1) gave every node PageRank 1/3,
+    # reported as converged. build_interaction_graph counts interactions and
+    # induced_subgraph keeps a built graph's counts, so neither can go
+    # negative.
+    rows = [("b", "c", 1, 0), ("a", "b", -1, 0), ("c", "a", 1, 0)]
+    if builder == "constructor":
+        ids = ("a", "b", "c")
+        src, dst, retweets, replies = zip(*rows)
+        build = lambda: InteractionGraph(ids, np.array([ids.index(s) for s in src]),
+                                         np.array([ids.index(d) for d in dst]),
+                                         np.array(retweets), np.array(replies))
+    elif builder == "from_weighted_edges":
+        build = lambda: InteractionGraph.from_weighted_edges(rows)
+    else:
+        # A hand-edited edge file: the weight column still reads 1.
+        (tmp_path / "edges.csv").write_text(
+            "src,dst,weight,retweets,replies\n"
+            + "".join(f"{s},{d},1,{rt},{rp}\n" for s, d, rt, rp in rows))
+        build = lambda: read_edge_csv(tmp_path / "edges.csv")
+    with pytest.raises(ValueError, match=r"negative interaction count on \(a, b\): "
+                                         r"retweets=-1, replies=0$"):
+        build()
 
 
 @st.composite

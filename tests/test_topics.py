@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (_reference_sq_dists, reference_embed,
-                      reference_farthest_point_init, reference_kmeans)
+                      reference_farthest_point_init, reference_kmeans,
+                      reference_silhouette, reference_top_terms, reference_weights,
+                      reference_word_idf)
 from echolens import pipeline, topics
 from echolens.config import load_config
 from echolens.synth import make_corpus, write_fixture
@@ -77,7 +80,7 @@ class TestBuiltinEmbedder:
             "c:ban": idf_one, "c:nan": idf_one,
             "c:ana": 2 * idf_one,  # "banana" contains 'ana' twice
         }
-        weights = embedder.weights(d1)
+        weights = reference_weights(embedder, d1)
         assert set(weights) == set(expected)
         for feature, value in expected.items():
             assert abs(weights[feature] - value) < 1e-9, feature
@@ -217,6 +220,23 @@ class TestTopTerms:
             top_terms([], {})
 
 
+# Small alphabets make equal masses, and so lexicographic tie-breaks, common.
+token_lists = st.lists(st.lists(st.sampled_from(["a", "b", "ab", "ba", "c", "zz"]),
+                                max_size=6), min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(token_lists, token_lists, st.integers(min_value=0, max_value=8))
+def test_top_terms_and_word_idf_equal_reference(cluster_tokens, corpus_tokens, n):
+    cluster_texts = [topics.NormalizedText(tokens=t) for t in cluster_tokens]
+    # The idf comes from a corpus that may lack some cluster terms, which
+    # then weigh 1.0.
+    corpus = [topics.NormalizedText(tokens=t) for t in corpus_tokens]
+    idf = word_idf(corpus)
+    assert idf == reference_word_idf(corpus)
+    assert top_terms(cluster_texts, idf, n) == reference_top_terms(cluster_texts, idf, n)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_clustering_deterministic_property(seed):
@@ -318,6 +338,78 @@ class TestDistinctTextOracle:
         first = np.argmin(_reference_sq_dists(vectors, centroids), axis=1)
         assert (np.bincount(first, minlength=k) == 0).any()
         assert_same_kmeans(vectors, k, seed, max_iter=20)
+
+
+def block_edge_corpus(seed):
+    """A repetitive corpus whose size is not a multiple of the block size,
+    with more repeats than one block and a repeat straddling the first
+    block edge."""
+    edge = topics._BLOCK_ROWS
+    n = 2 * edge + 189
+    texts = repetitive_corpus(seed, n=n, repeat_share=0.45)
+    texts[edge] = texts[edge - 1]
+    assert n % edge and n - len({tuple(t.tokens) for t in texts}) > edge
+    return texts
+
+
+class TestBlockEdges:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_embedding_and_kmeans_bit_equal(self, seed):
+        texts = block_edge_corpus(seed)
+        vectors, _ = embed_corpus(texts, 64)
+        assert vectors.tobytes() == reference_embed(texts, 64).tobytes()
+        assert_same_kmeans(vectors, 20, seed)
+
+    @pytest.mark.parametrize("k", [2, 20])
+    def test_silhouette_repr_equal(self, k):
+        # At k=2 each cluster's column sums take several row blocks.
+        vectors, _ = embed_corpus(block_edge_corpus(2), 64)
+        assignments = cluster(vectors, k, seed=1).assignments
+        got = silhouette(vectors, assignments)
+        assert repr(got) == repr(reference_silhouette(vectors, assignments))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=12))
+def test_silhouette_repr_equals_reference(seed, n, dim, labels):
+    # Integer lattice points tie in distance, repeat, and sit at distance 0;
+    # labels are arbitrary integers, and with many labels per point most
+    # clusters are singletons.
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    assignments = rng.choice(rng.integers(-50, 50, size=labels), size=n)
+    got = silhouette(points, assignments)
+    assert repr(got) == repr(reference_silhouette(points, assignments))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, bytes by which the traced peak rose above the allocations
+    live before the call)."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn(*args, **kwargs)
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+def test_topics_kernels_hold_one_matrix_of_their_input_size():
+    """embed_corpus holds its n x dim output, cluster one n x k distance
+    buffer and the largest cluster's rows, and silhouette one n x n matrix
+    (plus the doubled points its product reads), each within 2 MB."""
+    texts = repetitive_corpus(4, n=2400, repeat_share=0.4)
+    n, dim, k, slack = len(texts), 512, 40, 2 << 20
+    assert n - len({tuple(t.tokens) for t in texts}) >= 0.3 * n
+    tracemalloc.start()
+    try:
+        (vectors, _), embed_peak = traced_peak(embed_corpus, texts, dim)
+        result, cluster_peak = traced_peak(cluster, vectors, k, seed=0)
+        _, silhouette_peak = traced_peak(silhouette, vectors, result.assignments)
+    finally:
+        tracemalloc.stop()
+    largest = int(np.bincount(result.assignments).max())
+    assert embed_peak <= n * dim * 8 + slack
+    assert cluster_peak <= (n * k + largest * dim) * 8 + slack
+    assert silhouette_peak <= (n * n + n * dim) * 8 + slack
 
 
 def ulp_twins(seed, rows=40, dim=12):
