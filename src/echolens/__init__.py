@@ -11,9 +11,8 @@ drives the same stages from a flat config file.
 from .analysis import (RepresentationReport, RepresentationRow, TopicEngagement,
                        disproportionality_report, emit_reports,
                        representation_ratio, topic_engagement)
-from .community import (Community, CommunityAssignment, anchor_user,
-                        flag_offtopic, gate_communities, label_propagation,
-                        node_importance)
+from .community import (Community, CommunityAssignment, flag_offtopic,
+                        gate_communities, label_propagation, node_importance)
 from .config import ConfigError, RunConfig, derive_seed, load_config
 from .demographics import (DemographicAnnotation, Gazetteer, NameModel,
                            NgramNameClassifier, ProperNounLexicon,

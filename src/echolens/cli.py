@@ -61,6 +61,8 @@ def _load(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, getattr(args, key))
     if args.formats is not None:
         cfg.formats = set(parse_list(args.formats))
+    if getattr(args, "n", None) is not None:
+        cfg.review_sample_size = args.n
     errors = cfg.validate()
     if errors:
         raise ConfigError(errors)
@@ -90,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             manifest = run_pipeline(cfg)
             print(f"pipeline complete; manifest at {manifest}")
         elif args.command == "review-sample":
-            path = review_sample(cfg, n=args.n, seed=args.seed)
+            path = review_sample(cfg, seed=args.seed)
             print(f"review sample at {path}")
         else:
             run_stage(cfg, args.command)

@@ -39,7 +39,6 @@ __all__ = [
     "node_importance",
     "label_propagation",
     "gate_communities",
-    "anchor_user",
     "flag_offtopic",
     "write_review_flags",
 ]
@@ -69,9 +68,6 @@ class CommunityAssignment:
     iterations_run: int = 0
     converged: bool = True
     dropped_members: int = 0
-
-    def community_map(self) -> dict[int, Community]:
-        return {c.community_id: c for c in self.communities}
 
 
 def node_importance(g: InteractionGraph, mode: str = "weighted_in_degree",
@@ -242,20 +238,6 @@ def gate_communities(assignment: CommunityAssignment, min_size: int) -> Communit
     )
 
 
-def anchor_user(g: InteractionGraph, members: Sequence[str]) -> str:
-    """The most retweeted or replied-to member, judged inside the community.
-
-    Maximal weighted in-degree on the induced subgraph; ties (including the
-    all-isolated case) break to the lexicographically smallest user id.
-    """
-    members = list(members)
-    if not members:
-        raise ValueError("anchor_user needs a nonempty member set")
-    inside = g.node_mask(members)
-    win = g.in_weights(edge_mask=inside[g.sources()] & inside[g.indices])
-    return _anchor(g.ids, np.flatnonzero(inside), win)
-
-
 def _anchor(ids: Sequence[str], members: np.ndarray, win_within: np.ndarray) -> str:
     """The member (sorted node indices) with the largest within-community
     weighted in-degree; argmax takes the first, so ties go to the smallest id."""
@@ -310,7 +292,7 @@ def flag_offtopic(assignment: CommunityAssignment, tweets: Sequence[TweetRecord]
 def write_review_flags(path: str | Path, assignment: CommunityAssignment,
                        flags: Sequence[tuple[int, str]]) -> None:
     """Persist review flags as `community_id,size,anchor,reason`."""
-    by_id = assignment.community_map()
+    by_id = {c.community_id: c for c in assignment.communities}
     artifacts.write_csv(path, ["community_id", "size", "anchor", "reason"],
                         ([cid, by_id[cid].size, by_id[cid].anchor, reason]
                          for cid, reason in sorted(flags)))

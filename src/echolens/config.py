@@ -17,7 +17,8 @@ from pathlib import Path
 from .demographics import default_data_path
 from .ingest import StreamSpec
 
-__all__ = ["RunConfig", "ConfigError", "parse_config_text", "parse_list", "derive_seed"]
+__all__ = ["RunConfig", "ConfigError", "load_config", "parse_config_text", "parse_list",
+           "derive_seed"]
 
 
 class ConfigError(Exception):

@@ -208,6 +208,8 @@ class NgramNameClassifier:
                 counts[gram] = counts.get(gram, 0) + 1
                 self._total_grams[category] += 1
                 self._vocab.add(gram)
+        if not self._vocab:
+            raise ValueError("training names have no letters")
         return self
 
     def posterior(self, name: str) -> dict[str, float]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -157,16 +157,6 @@ class InteractionGraph:
             dst, w = dst[edge_mask], w[edge_mask]
         return np.bincount(dst, weights=w, minlength=len(self)).astype(np.int64)
 
-    def node_mask(self, nodes: Collection[str]) -> np.ndarray:
-        """Boolean mask over node indices marking nodes; unknown nodes raise."""
-        index = self.index
-        unknown = [node for node in nodes if node not in index]
-        if unknown:
-            raise ValueError(f"nodes not in graph: {sorted(unknown)[:5]}")
-        mask = np.zeros(len(self), dtype=bool)
-        mask[[index[node] for node in nodes]] = True
-        return mask
-
     def undirected(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR (indptr, indices, weights) of the symmetrised graph, where the
         weight of {u, v} is w(u, v) + w(v, u); neighbours sorted by index."""
@@ -176,56 +166,14 @@ class InteractionGraph:
                                          np.concatenate([w, w]))
         return _indptr(rows, len(self)), cols, sym
 
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def nodes(self) -> set[str]:
-        return set(self.ids)
-
-    def sorted_nodes(self) -> list[str]:
-        """Canonical node ordering used by every array-based kernel."""
-        return list(self.ids)
-
-    def __contains__(self, node: str) -> bool:
-        return node in self.index
-
     def __len__(self) -> int:
         return len(self.ids)
 
     def num_edges(self) -> int:
         return len(self.indices)
 
-    def edges(self):
-        """Yield (src, dst, weight, retweets, replies) in (src, dst) order."""
-        ids = self.ids
-        for s, d, rt, rp in zip(self.sources().tolist(), self.indices.tolist(),
-                                self.retweets.tolist(), self.replies.tolist()):
-            yield ids[s], ids[d], rt + rp, rt, rp
-
-    def edge_kind_counts(self, src: str, dst: str) -> tuple[int, int]:
-        index = self.index
-        if src not in index or dst not in index:
-            return (0, 0)
-        i, j = index[src], index[dst]
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        pos = lo + np.searchsorted(self.indices[lo:hi], j)
-        if pos == hi or self.indices[pos] != j:
-            return (0, 0)
-        return (int(self.retweets[pos]), int(self.replies[pos]))
-
-    def weight(self, src: str, dst: str) -> int:
-        return sum(self.edge_kind_counts(src, dst))
-
     def total_weight(self) -> int:
         return int(self.retweets.sum() + self.replies.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InteractionGraph):
-            return NotImplemented
-        return self.ids == other.ids and all(
-            np.array_equal(a, b) for a, b in
-            ((self.indptr, other.indptr), (self.indices, other.indices),
-             (self.retweets, other.retweets), (self.replies, other.replies)))
 
 
 def _interned(nodes: Iterable[str], src: Sequence[str], dst: Sequence[str],
@@ -292,7 +240,12 @@ def weighted_in_degrees(g: InteractionGraph, kind: str | None = None) -> dict[st
 def induced_subgraph(g: InteractionGraph, nodes: Iterable[str]) -> InteractionGraph:
     """Subgraph on the given nodes, keeping exactly the edges with both
     endpoints inside the set. Unknown nodes raise."""
-    inside = g.node_mask(set(nodes))
+    nodes, index = set(nodes), g.index
+    unknown = nodes - index.keys()
+    if unknown:
+        raise ValueError(f"nodes not in graph: {sorted(unknown)[:5]}")
+    inside = np.zeros(len(g), dtype=bool)
+    inside[[index[node] for node in nodes]] = True
     src, dst = g.sources(), g.indices
     edge_mask = inside[src] & inside[dst]
     renumber = np.cumsum(inside) - 1

@@ -24,8 +24,6 @@ __all__ = [
     "parse_corpus",
     "parse_tweet",
     "parse_user",
-    "serialize_tweet",
-    "serialize_user",
     "write_ndjson",
     "apply_stream",
     "engagement_filter",
@@ -264,15 +262,6 @@ def parse_user(obj: Mapping) -> UserRecord:
         gender_estimate=gender,
         account_kind=kind,
     )
-
-
-def serialize_tweet(t: TweetRecord) -> dict:
-    """Inverse of parse_tweet; emits every schema field, null for absent ones."""
-    return dict(vars(t))
-
-
-def serialize_user(u: UserRecord) -> dict:
-    return dict(vars(u))
 
 
 def write_ndjson(path: str | Path, records: Iterable[TweetRecord | UserRecord]) -> int:

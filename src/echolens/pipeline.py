@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import analysis, artifacts, community, demographics, influence, ingest, topics
@@ -268,14 +269,12 @@ def stage_topics(cfg: RunConfig, inputs: _Intermediates) -> None:
 
     idf = topics.word_idf(texts)
     cluster_ids = result.assignments.tolist()
-    grouped = [([], []) for _ in range(cfg.k)]
-    for tweet_id, text, cid in zip(tweet_ids, texts, cluster_ids):
-        grouped[cid][0].append(tweet_id)
-        grouped[cid][1].append(text)
+    grouped = [[] for _ in range(cfg.k)]
+    for text, cid in zip(texts, cluster_ids):
+        grouped[cid].append(text)
     clusters = [topics.TopicCluster(
-        cluster_id=cid, centroid=result.centroids[cid], member_tweet_ids=member_ids,
-        top_terms=topics.top_terms(member_texts, idf) if member_texts else [],
-        size=len(member_ids)) for cid, (member_ids, member_texts) in enumerate(grouped)]
+        cluster_id=cid, top_terms=topics.top_terms(members, idf) if members else [],
+        size=len(members)) for cid, members in enumerate(grouped)]
 
     topics.write_assignments(out / "topic_assignments.ndjson",
                              dict(zip(tweet_ids, cluster_ids)))
@@ -358,15 +357,22 @@ _STAGE_FUNCS = {
 }
 
 
+@contextmanager
+def _failures_of(stage: str):
+    """Raise any failure but a missing input as the stage's StageError."""
+    try:
+        yield
+    except MissingInputError:
+        raise
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
+
+
 def _run(cfg: RunConfig, stages: tuple[str, ...]) -> None:
     inputs = _Intermediates(_out(cfg))
     for i, stage in enumerate(stages):
-        try:
+        with _failures_of(stage):
             _STAGE_FUNCS[stage](cfg, inputs)
-        except MissingInputError:
-            raise
-        except Exception as exc:
-            raise StageError(stage, exc) from exc
         # Let go of each intermediate after the last stage that reads it.
         for name, (_, _, readers, _) in _INTERMEDIATES.items():
             if stage in readers and not set(readers) & set(stages[i + 1:]):
@@ -391,49 +397,53 @@ def review_sample(cfg: RunConfig, n: int | None = None,
 
     Clusters are split into small/medium/large size terciles and sampled
     proportionally with a seeded RNG; reruns with the same seed pick the
-    same topics. Writes review_sample.csv and returns its path.
+    same topics. n defaults to cfg.review_sample_size and must be >= 1.
+    Writes review_sample.csv and returns its path; a corrupt intermediate
+    raises StageError for the stage `review-sample`.
     """
-    out = _out(cfg)
-    inputs = _Intermediates(out)
-    clusters = [c for c in inputs["clusters"] if c[1] > 0]
-    assignments = inputs["assignments"]
-    tweets = {t.tweet_id: t for t in inputs["tweets"]}
-
     n = n if n is not None else cfg.review_sample_size
+    if n < 1:
+        raise ValueError("review_sample_size: must be >= 1")
     seed = seed if seed is not None else derive_seed(cfg.seed, "review-sample")
-    rng = random.Random(seed)
+    out = _out(cfg)
+    with _failures_of("review-sample"):
+        inputs = _Intermediates(out)
+        clusters = [c for c in inputs["clusters"] if c[1] > 0]
+        assignments = inputs["assignments"]
+        tweets = {t.tweet_id: t for t in inputs["tweets"]}
+        rng = random.Random(seed)
 
-    by_size = sorted(clusters, key=lambda c: (c[1], c[0]))
-    strata: list[list[tuple[int, int, str]]] = [[], [], []]
-    for i, item in enumerate(by_size):
-        strata[min(2, i * 3 // max(1, len(by_size)))].append(item)
-    names = ("small", "medium", "large")
+        by_size = sorted(clusters, key=lambda c: (c[1], c[0]))
+        strata: list[list[tuple[int, int, str]]] = [[], [], []]
+        for i, item in enumerate(by_size):
+            strata[min(2, i * 3 // max(1, len(by_size)))].append(item)
+        names = ("small", "medium", "large")
 
-    total = len(by_size)
-    chosen: list[tuple[str, tuple[int, int, str]]] = []
-    for name, stratum in zip(names, strata):
-        if not stratum:
-            continue
-        quota = min(len(stratum), max(1, round(n * len(stratum) / total)))
-        picks = rng.sample(stratum, quota)
-        chosen.extend((name, pick) for pick in picks)
-    chosen = chosen[:n]
-    chosen.sort(key=lambda item: item[1][0])
+        total = len(by_size)
+        chosen: list[tuple[str, tuple[int, int, str]]] = []
+        for name, stratum in zip(names, strata):
+            if not stratum:
+                continue
+            quota = min(len(stratum), max(1, round(n * len(stratum) / total)))
+            picks = rng.sample(stratum, quota)
+            chosen.extend((name, pick) for pick in picks)
+        chosen = chosen[:n]
+        chosen.sort(key=lambda item: item[1][0])
 
-    examples: dict[int, list[str]] = {}
-    for tid in sorted(assignments):
-        cid = assignments[tid]
-        bucket = examples.setdefault(cid, [])
-        if len(bucket) < 3:
-            bucket.append(tid)
+        examples: dict[int, list[str]] = {}
+        for tid in sorted(assignments):
+            cid = assignments[tid]
+            bucket = examples.setdefault(cid, [])
+            if len(bucket) < 3:
+                bucket.append(tid)
 
-    def rows():
-        for stratum_name, (cid, size, terms) in chosen:
-            snippets = [tweets[tid].text.replace("\n", " ")
-                        for tid in examples.get(cid, []) if tid in tweets]
-            yield [cid, size, stratum_name, terms, " | ".join(snippets)]
+        def rows():
+            for stratum_name, (cid, size, terms) in chosen:
+                snippets = [tweets[tid].text.replace("\n", " ")
+                            for tid in examples.get(cid, []) if tid in tweets]
+                yield [cid, size, stratum_name, terms, " | ".join(snippets)]
 
-    path = out / "review_sample.csv"
-    artifacts.write_csv(path, ["cluster_id", "size", "stratum", "top_terms",
-                               "example_texts"], rows())
-    return path
+        path = out / "review_sample.csv"
+        artifacts.write_csv(path, ["cluster_id", "size", "stratum", "top_terms",
+                                   "example_texts"], rows())
+        return path

@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_DIM = 512
-DEFAULT_K = 250
 _BLOCK_ROWS = 256
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
@@ -113,8 +112,6 @@ def normalize_text(raw: str) -> NormalizedText:
 @dataclass
 class TopicCluster:
     cluster_id: int
-    centroid: np.ndarray
-    member_tweet_ids: list[str]
     top_terms: list[str]
     size: int
 
@@ -223,22 +220,35 @@ def load_external_vectors(path: str | Path, tweet_ids: Sequence[str],
                           dim: int = DEFAULT_DIM) -> np.ndarray:
     """Read precomputed vectors (NDJSON: tweet_id, vector) and L2-normalize.
 
-    Every requested tweet id must be present; missing ids raise with the ids
-    named so the caller can fix the vector file.
+    The file streams into the output rows; lines of ids not asked for are
+    skipped, and a repeated id's last line wins. Missing ids raise first,
+    naming up to ten in tweet_ids order; then the first vector, in
+    tweet_ids order, of the wrong length or with non-finite entries.
     """
-    table = {obj["tweet_id"]: obj["vector"] for obj in artifacts.read_ndjson(path)}
-    missing = [tid for tid in tweet_ids if tid not in table]
+    rows_of: dict[str, list[int]] = {}
+    for i, tid in enumerate(tweet_ids):
+        rows_of.setdefault(tid, []).append(i)
+    out = np.zeros((len(tweet_ids), dim))
+    problems: dict[str, str | None] = {}  # id -> its last line's problem, or None
+    for obj in artifacts.read_ndjson(path):
+        tid = obj["tweet_id"]
+        if tid not in rows_of:
+            continue
+        vec = np.asarray(obj["vector"], dtype=float)
+        if vec.shape != (dim,):
+            problems[tid] = f"length {vec.shape[0]}, expected {dim}"
+        elif not np.all(np.isfinite(vec)):
+            problems[tid] = "non-finite entries"
+        else:
+            problems[tid] = None
+            norm = np.linalg.norm(vec)
+            out[rows_of[tid]] = vec / norm if norm > 0 else vec
+    missing = [tid for tid in tweet_ids if tid not in problems]
     if missing:
         raise ValueError(f"external vectors missing for tweet ids: {missing[:10]}")
-    out = np.zeros((len(tweet_ids), dim))
-    for i, tid in enumerate(tweet_ids):
-        vec = np.asarray(table[tid], dtype=float)
-        if vec.shape != (dim,):
-            raise ValueError(f"vector for {tid} has length {vec.shape[0]}, expected {dim}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"vector for {tid} has non-finite entries")
-        norm = np.linalg.norm(vec)
-        out[i] = vec / norm if norm > 0 else vec
+    for tid in tweet_ids:
+        if problems[tid]:
+            raise ValueError(f"vector for {tid} has {problems[tid]}")
     return out
 
 

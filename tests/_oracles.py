@@ -8,7 +8,9 @@ dict-of-dicts label propagation instead of the array-based one,
 per-node scans over every edge instead of array reductions, a
 per-text embedder and per-row k-means seeding instead of the
 distinct-text ones, a per-point silhouette loop instead of per-cluster
-column sums, and term ranking by repeated selection instead of a sort.
+column sums, term ranking by repeated selection instead of a sort, name
+posteriors counted from the training pairs instead of the fitted tables,
+and exact rationals instead of float shares.
 """
 
 from __future__ import annotations
@@ -237,6 +239,23 @@ def reference_induced_subgraph(kind_edges, keep):
             if s in keep and d in keep}
 
 
+def edge_table(g):
+    """{(src, dst): (retweets, replies)} read off a graph's CSR arrays, in
+    CSR order."""
+    ids = g.ids
+    return {(ids[s], ids[d]): (rt, rp) for s, d, rt, rp in zip(
+        g.sources().tolist(), g.indices.tolist(), g.retweets.tolist(),
+        g.replies.tolist())}
+
+
+def graphs_equal(a, b):
+    """Equal ids and equal CSR arrays. InteractionGraph has no __eq__, so
+    `==` between two graphs tests identity."""
+    return a.ids == b.ids and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("indptr", "indices", "retweets", "replies"))
+
+
 def reference_embed(texts, dim):
     """The builtin embedder, one text at a time: fit counts df per text, and
     every text's vector is built, hashed and normalized on its own, with no
@@ -413,3 +432,60 @@ def reference_top_terms(cluster_texts, idf, n=10):
         picked.append(best)
         del mass[best]
     return picked
+
+
+def reference_posterior(names, labels, name, ngram=3):
+    """NgramNameClassifier(ngram).fit(names, labels).posterior(name), from
+    the training pairs: each category's gram counts, gram total and name
+    count come from scanning its training names. The log posterior adds
+    the log prior and then each gram's log Laplace likelihood, in gram
+    order, and is renormalised over the categories that have names, the
+    float operations in the classifier's order, so the result is bit-equal."""
+    import math
+
+    from echolens.demographics import CLASSIFIER_CATEGORIES, fold_label, normalize_name
+
+    def grams(text):
+        out = []
+        for token in normalize_name(text).split():
+            padded = "^" + token + "$"
+            if len(padded) <= ngram:
+                out.append(padded)
+            else:
+                out.extend(padded[i:i + ngram] for i in range(len(padded) - ngram + 1))
+        return out
+
+    folded = [fold_label(label) for label in labels]
+    vocab = {gram for text in names for gram in grams(text)}
+    probe = grams(name)
+    if not probe:
+        return {c: 0.0 for c in CLASSIFIER_CATEGORIES}
+    log_post = {}
+    for category in CLASSIFIER_CATEGORIES:
+        training = [grams(text) for text, c in zip(names, folded) if c == category]
+        if not training:
+            continue
+        score = math.log(len(training) / len(names))
+        denom = sum(len(g) for g in training) + len(vocab)
+        for gram in probe:
+            score += math.log((sum(g.count(gram) for g in training) + 1) / denom)
+        log_post[category] = score
+    peak = max(log_post.values())
+    exp = {c: math.exp(s - peak) for c, s in log_post.items()}
+    z = sum(exp.values())
+    return {c: exp.get(c, 0.0) / z for c in CLASSIFIER_CATEGORIES}
+
+
+def reference_representation_ratio(topic_counts, corpus_counts, bucket):
+    """(topic share) / (corpus share) as an exact Fraction, None when the
+    bucket has no corpus mass and 0 when the topic is empty."""
+    from fractions import Fraction
+
+    corpus = corpus_counts.get(bucket, 0)
+    if corpus == 0:
+        return None
+    topic_total = sum(topic_counts.values())
+    if topic_total == 0:
+        return Fraction(0)
+    return Fraction(topic_counts.get(bucket, 0) * sum(corpus_counts.values()),
+                    topic_total * corpus)

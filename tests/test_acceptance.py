@@ -24,7 +24,7 @@ from echolens.synth import write_fixture
 from echolens.topics import cluster
 from echolens.config import load_config
 
-from _oracles import best_modularity_partition, dense_pagerank
+from _oracles import best_modularity_partition, dense_pagerank, edge_table
 from conftest import clique_graph, make_tweet
 
 
@@ -53,8 +53,8 @@ def test_criterion_1_pagerank_oracle_equivalence():
         g, edges = random_small_graph(seed)
         result = pagerank(g)
         assert abs(sum(result.scores.values()) - 1.0) < 1e-9, seed
-        expected = dense_pagerank(g.sorted_nodes(), edges)
-        for node in g.nodes:
+        expected = dense_pagerank(g.ids, edges)
+        for node in g.ids:
             assert abs(result.scores[node] - expected[node]) < 1e-6, (seed, node)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -98,8 +98,8 @@ def test_criterion_3_community_recovery():
     assert elapsed < 1.0
 
     # Independent check: the expected split is the exact modularity optimum.
-    edges = {(s, d): w for s, d, w, _, _ in bridged.edges()}
-    oracle, _ = best_modularity_partition(bridged.sorted_nodes(), edges)
+    edges = {e: rt + rp for e, (rt, rp) in edge_table(bridged).items()}
+    oracle, _ = best_modularity_partition(bridged.ids, edges)
     assert oracle == expected
     _passed(3, f"bridged 5-cliques (10 seeds) and 3 disjoint cliques recovered "
                f"in {elapsed:.2f}s; split matches brute-force modularity optimum")

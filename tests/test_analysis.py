@@ -15,6 +15,7 @@ from echolens.influence import RankTable
 from echolens.pipeline import run_pipeline
 from echolens.synth import write_fixture
 
+from _oracles import reference_representation_ratio
 from conftest import make_tweet
 
 
@@ -38,6 +39,20 @@ class TestRepresentationRatio:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             representation_ratio({}, {}, "X")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from("XYZ"), st.integers(0, 10 ** 12)),
+           st.dictionaries(st.sampled_from("XYZ"), st.integers(0, 10 ** 12)).filter(
+               lambda counts: sum(counts.values()) > 0))
+    def test_within_four_ulp_of_exact_ratio(self, topic, corpus):
+        got = representation_ratio(topic, corpus, "X")
+        want = reference_representation_ratio(topic, corpus, "X")
+        if want is None:
+            assert got is None
+        elif want == 0:
+            assert got == 0.0 and type(got) is float
+        else:
+            assert abs(got - float(want)) <= 4 * math.ulp(float(want))
 
 
 def engagement(cluster_id, counts):

@@ -392,6 +392,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "stage ingest failed: no records kept: 600 read, 600 rejected, 0 filtered" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1", "-3"])
+    def test_review_sample_n_below_one_exit_2(self, fixture_dir, tmp_path, capsys, n):
+        # Unchecked, --n 0 wrote a header-only sample and --n -1 two rows.
+        _, config = fixture_dir
+        out = tmp_path / "o"
+        code = main(["review-sample", "--config", str(config), "--out", str(out),
+                     "--n", n])
+        assert code == 2
+        assert "config error: review_sample_size: must be >= 1" in capsys.readouterr().err
+        assert not (out / "review_sample.csv").exists()
+
+    def test_review_sample_corrupt_intermediate_exit_4(self, fixture_dir, tmp_path,
+                                                        capsys):
+        _, config = fixture_dir
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "topic_clusters.csv").write_text("a,b\n1,2\n")
+        code = main(["review-sample", "--config", str(config), "--out", str(out)])
+        assert code == 4
+        assert "stage review-sample failed: 'cluster_id'" in capsys.readouterr().err
+
     def test_stage_without_prerequisite_exit_3_names_stage(self, fixture_dir,
                                                            tmp_path, capsys):
         _, config = fixture_dir

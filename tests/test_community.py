@@ -1,16 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echolens.community import (Community, CommunityAssignment, anchor_user,
+from echolens.community import (Community, CommunityAssignment, _anchor,
                                 flag_offtopic, gate_communities,
                                 label_propagation, node_importance)
 from echolens.graph import InteractionGraph
 from echolens.influence import pagerank
 
-from _oracles import best_modularity_partition, reference_label_propagation
+from _oracles import (best_modularity_partition, edge_table,
+                      reference_label_propagation)
 from conftest import clique_graph, make_tweet, make_user
 
 CLIQUE_A = tuple(f"a{i}" for i in range(5))
@@ -87,8 +89,8 @@ class TestLabelPropagation:
 
     def test_bridged_cliques_match_modularity_oracle(self):
         g = two_cliques_bridged()
-        edges = {(s, d): w for s, d, w, _, _ in g.edges()}
-        oracle_partition, _ = best_modularity_partition(g.sorted_nodes(), edges)
+        edges = {e: rt + rp for e, (rt, rp) in edge_table(g).items()}
+        oracle_partition, _ = best_modularity_partition(g.ids, edges)
         assert oracle_partition == {frozenset(CLIQUE_A), frozenset(CLIQUE_B)}
         assert member_sets(run_lp(g, seed=3)) == oracle_partition
 
@@ -109,14 +111,14 @@ class TestLabelPropagation:
     def test_labels_total_and_partition(self):
         g = clique_graph(CLIQUE_A, CLIQUE_B, ("loner",), bridges=[("a4", "b0")])
         assignment = run_lp(g, seed=5)
-        assert set(assignment.labels) == g.nodes
+        assert set(assignment.labels) == set(g.ids)
         seen = set()
         for c in assignment.communities:
             assert c.size == len(c.members)
             assert c.anchor in c.members
             assert not seen.intersection(c.members)
             seen.update(c.members)
-        assert seen == g.nodes
+        assert seen == set(g.ids)
 
     def test_deterministic_for_fixed_inputs(self):
         g = two_cliques_bridged()
@@ -213,25 +215,31 @@ class TestGateCommunities:
             gate_communities(synthetic_assignment([3]), min_size=0)
 
 
+def anchor_of(g, members):
+    """community._anchor over the members' within-community in-weights."""
+    idx = np.sort([g.index[m] for m in members])
+    win = g.in_weights(edge_mask=np.isin(g.sources(), idx) & np.isin(g.indices, idx))
+    return _anchor(g.ids, idx, win)
+
+
 class TestAnchorUser:
+    # The anchor is the member of largest within-community weighted
+    # in-degree; ties go to the smallest id.
     def test_unique_maximum(self):
         g = InteractionGraph.from_weighted_edges([("B", "A", 2, 0)])
-        assert anchor_user(g, {"A", "B"}) == "A"
+        assignment = label_propagation(g, {"A": 1.0, "B": 1.0}, seed=0)
+        assert [(c.members, c.anchor) for c in assignment.communities] == [(("A", "B"), "A")]
 
     def test_all_isolated_lexicographic(self):
         g = InteractionGraph.from_weighted_edges([], nodes=("zeta", "alpha", "mid"))
-        assert anchor_user(g, {"zeta", "alpha", "mid"}) == "alpha"
+        assert anchor_of(g, {"zeta", "alpha", "mid"}) == "alpha"
 
     def test_four_member_fixture_hand_computed(self):
         # Induced weighted in-degrees: p=3 (2 from q, 1 from r), q=2, r=0, s=0.
         # Out-of-community edges must not count.
         g = InteractionGraph.from_weighted_edges([
             ("q", "p", 2, 0), ("r", "p", 0, 1), ("s", "q", 2, 0), ("outsider", "s", 9, 0)])
-        assert anchor_user(g, {"p", "q", "r", "s"}) == "p"
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            anchor_user(InteractionGraph(), set())
+        assert anchor_of(g, {"p", "q", "r", "s"}) == "p"
 
 
 class TestFlagOfftopic:
@@ -315,7 +323,7 @@ def assert_matches_reference(edges, importance, seed, max_rounds, nodes=()):
         ((s, d, w, 0) for (s, d), w in edges.items()), nodes=nodes)
     importance = importance(g) if callable(importance) else importance
     got = label_propagation(g, importance, seed=seed, max_rounds=max_rounds)
-    want = reference_label_propagation(g.sorted_nodes(), edges, importance,
+    want = reference_label_propagation(g.ids, edges, importance,
                                        seed, max_rounds)
     assert got.labels == want["labels"], seed
     assert got.iterations_run == want["iterations_run"], seed

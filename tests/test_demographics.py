@@ -9,9 +9,10 @@ from echolens.demographics import (RACE_CATEGORIES, DemographicAnnotation,
                                    default_data_path, demographic_distribution,
                                    eligibility_filter, geolocate_country,
                                    load_gazetteer, load_name_lists,
-                                   load_training_names, read_annotations,
-                                   write_annotations)
+                                   load_training_names, normalize_name,
+                                   read_annotations, write_annotations)
 
+from _oracles import reference_posterior
 from conftest import make_tweet, make_user
 
 
@@ -87,6 +88,22 @@ class TestNgramClassifier:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             NgramNameClassifier().fit(["kim"], ["martian"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.text(alphabet="abcé -", min_size=1, max_size=12),
+                              st.sampled_from(["asian", "Latino", "african", "white",
+                                               "east_asian"])),
+                    min_size=1, max_size=12),
+           st.text(alphabet="abcdé -", max_size=14), st.integers(2, 4))
+    def test_posterior_equals_reference(self, training, name, ngram):
+        names, labels = zip(*training)
+        if not any(normalize_name(text) for text in names):
+            # No gram to smooth over: every likelihood would divide by zero.
+            with pytest.raises(ValueError, match="training names have no letters"):
+                NgramNameClassifier(ngram=ngram).fit(names, labels)
+            return
+        model = NgramNameClassifier(ngram=ngram).fit(names, labels)
+        assert model.posterior(name) == reference_posterior(names, labels, name, ngram)
 
 
 @pytest.fixture(scope="module")

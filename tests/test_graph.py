@@ -8,8 +8,8 @@ from echolens.graph import (InteractionGraph, build_interaction_graph,
                             degree_stats, induced_subgraph, read_edge_csv,
                             weighted_in_degrees, write_edge_csv, write_node_list)
 
-from _oracles import (reference_degree_stats, reference_induced_subgraph,
-                      reference_weighted_in_degrees)
+from _oracles import (edge_table, graphs_equal, reference_degree_stats,
+                      reference_induced_subgraph, reference_weighted_in_degrees)
 from conftest import make_tweet
 
 
@@ -31,8 +31,7 @@ class TestBuildGraph:
         tweets = [make_tweet("a1", author_id="A"),
                   make_tweet("b1", author_id="B", retweet_of="a1")]
         g, stats = build_interaction_graph(tweets, {t.tweet_id: t.author_id for t in tweets})
-        assert g.weight("B", "A") == 1
-        assert g.edge_kind_counts("B", "A") == (1, 0)
+        assert edge_table(g) == {("B", "A"): (1, 0)}
         assert stats.resolved_retweets == 1
 
     def test_no_interactions_isolated_nodes(self):
@@ -44,11 +43,9 @@ class TestBuildGraph:
     def test_hand_constructed_fixture(self):
         tweets, index = interaction_fixture()
         g, stats = build_interaction_graph(tweets, index)
-        assert g.weight("B", "A") == 2
-        assert g.weight("C", "A") == 1
-        assert g.edge_kind_counts("C", "A") == (0, 1)
+        assert edge_table(g) == {("B", "A"): (2, 0), ("C", "A"): (0, 1)}
         assert g.num_edges() == 2
-        assert "D" in g
+        assert "D" in g.index
         assert stats.resolved_retweets == 2 and stats.resolved_replies == 1
 
     def test_self_interaction_dropped_and_counted(self):
@@ -77,7 +74,7 @@ class TestBuildGraph:
         rng.shuffle(shuffled)
         g1, _ = build_interaction_graph(tweets, index)
         g2, _ = build_interaction_graph(shuffled, index)
-        assert g1 == g2
+        assert graphs_equal(g1, g2)
 
 
 class TestDegreeStats:
@@ -114,7 +111,7 @@ class TestInducedSubgraph:
     def test_identity_on_full_node_set(self):
         tweets, index = interaction_fixture()
         g, _ = build_interaction_graph(tweets, index)
-        assert induced_subgraph(g, g.nodes) == g
+        assert graphs_equal(induced_subgraph(g, g.ids), g)
 
     def test_single_endpoint_drops_edge(self):
         g = InteractionGraph.from_weighted_edges([("B", "A", 1, 0)])
@@ -125,8 +122,7 @@ class TestInducedSubgraph:
         g = InteractionGraph.from_weighted_edges(
             [("B", "A", 2, 0), ("C", "A", 0, 1), ("D", "C", 1, 0)])
         sub = induced_subgraph(g, {"A", "B"})
-        assert sub.num_edges() == 1
-        assert sub.weight("B", "A") == 2
+        assert edge_table(sub) == {("B", "A"): (2, 0)}
 
     def test_unknown_node_is_error(self):
         g = InteractionGraph.from_weighted_edges([], nodes=["A"])
@@ -140,7 +136,7 @@ def test_edge_csv_round_trip(tmp_path):
     write_edge_csv(g, tmp_path / "edges.csv")
     write_node_list(g, tmp_path / "nodes.txt")
     back = read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
-    assert back == g
+    assert graphs_equal(back, g)
 
 
 def test_arrays_read_only_after_every_builder(tmp_path):
@@ -235,17 +231,17 @@ class TestAgainstOracles:
         keep = {node for node in nodes if rng.random() < 0.6}
         sub = induced_subgraph(g, keep)
         want = reference_induced_subgraph(summed(rows), keep)
-        assert sub.sorted_nodes() == sorted(keep)
-        assert {(s, d): (rt, rp) for s, d, _, rt, rp in sub.edges()} == want
-        assert sub == InteractionGraph.from_weighted_edges(
-            ((s, d, rt, rp) for (s, d), (rt, rp) in want.items()), nodes=keep)
+        assert list(sub.ids) == sorted(keep)
+        assert edge_table(sub) == want
+        assert graphs_equal(sub, InteractionGraph.from_weighted_edges(
+            ((s, d, rt, rp) for (s, d), (rt, rp) in want.items()), nodes=keep))
 
     @settings(max_examples=60, deadline=None)
     @given(raw_edge_lists())
     def test_edges_sorted_and_summed(self, graph):
         nodes, rows = graph
         g = InteractionGraph.from_weighted_edges(rows, nodes=nodes)
-        edges = list(g.edges())
-        assert [(s, d) for s, d, *_ in edges] == sorted(summed(rows))
-        assert {(s, d): (rt, rp) for s, d, _, rt, rp in edges} == summed(rows)
-        assert all(w == rt + rp for _, _, w, rt, rp in edges)
+        edges = edge_table(g)
+        assert list(edges) == sorted(summed(rows))
+        assert edges == summed(rows)
+        assert np.array_equal(g.weights(), g.retweets + g.replies)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from echolens.graph import InteractionGraph
 from echolens.influence import pagerank, rank_tables, scale_scores
 
-from _oracles import dense_pagerank, reference_pagerank
+from _oracles import dense_pagerank, edge_table, reference_pagerank
 from conftest import make_tweet, make_user
 
 
@@ -66,7 +66,7 @@ class TestPageRankBits:
     def test_scores_bit_equal_to_reference(self, seed, n, max_iter):
         g, edges, records = hub_graph(seed, n)
         assert len(edges) < records  # some (src, dst) pairs repeat
-        nodes = g.sorted_nodes()
+        nodes = g.ids
         expected, iterations, converged = reference_pagerank(nodes, edges,
                                                              max_iter=max_iter)
         result = pagerank(g, max_iter=max_iter)
@@ -90,9 +90,9 @@ class TestPageRank:
     def test_star_matches_dense_oracle(self):
         g = star_graph()
         edges = {(leaf, "hub"): 1 for leaf in ("l1", "l2", "l3")}
-        expected = dense_pagerank(g.sorted_nodes(), edges, damping=0.85)
+        expected = dense_pagerank(g.ids, edges, damping=0.85)
         result = pagerank(g, damping=0.85)
-        for node in g.nodes:
+        for node in g.ids:
             assert abs(result.scores[node] - expected[node]) < 1e-6
         assert result.scores["hub"] == max(result.scores.values())
 
@@ -100,9 +100,9 @@ class TestPageRank:
         for seed in range(50):
             g, edges = random_graph(seed)
             result = pagerank(g)
-            expected = dense_pagerank(g.sorted_nodes(), edges)
+            expected = dense_pagerank(g.ids, edges)
             assert abs(sum(result.scores.values()) - 1.0) < 1e-9
-            for node in g.nodes:
+            for node in g.ids:
                 assert abs(result.scores[node] - expected[node]) < 1e-6, seed
 
     def test_mass_conserved_every_graph(self):
@@ -114,10 +114,10 @@ class TestPageRank:
 
     def test_relabeling_permutes_scores(self):
         g, edges = random_graph(3)
-        mapping = {n: f"x_{n}" for n in g.nodes}
+        mapping = {n: f"x_{n}" for n in g.ids}
         relabeled = InteractionGraph.from_weighted_edges(
-            ((mapping[s], mapping[d], rt, rp) for s, d, _, rt, rp in g.edges()),
-            nodes=[mapping[n] for n in g.sorted_nodes()])
+            ((mapping[s], mapping[d], rt, rp) for (s, d), (rt, rp) in edge_table(g).items()),
+            nodes=[mapping[n] for n in g.ids])
         base = pagerank(g).scores
         moved = pagerank(relabeled).scores
         for node, score in base.items():

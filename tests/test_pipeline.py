@@ -11,7 +11,7 @@ import pytest
 from echolens import artifacts, ingest, pipeline, topics
 from echolens.cli import main
 from echolens.config import load_config
-from echolens.pipeline import STAGES, run_pipeline, run_stage
+from echolens.pipeline import STAGES, review_sample, run_pipeline, run_stage
 from echolens.synth import write_fixture
 
 
@@ -162,3 +162,12 @@ def test_missing_intermediate_names_its_producer(name, consumer, producer, fixtu
     assert name in err
     assert f"run the {producer} stage first" in err
     assert err.count("missing input") == 1
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_review_sample_rejects_n_below_one(n, fixture_config, full_run):
+    # Checked before any intermediate is read or any file is written.
+    cfg = _config(fixture_config, full_run)
+    with pytest.raises(ValueError, match=r"^review_sample_size: must be >= 1$"):
+        review_sample(cfg, n=n)
+    assert not (full_run / "review_sample.csv").exists()

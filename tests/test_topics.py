@@ -15,7 +15,7 @@ from _oracles import (_reference_sq_dists, reference_embed,
 from echolens import pipeline, topics
 from echolens.config import load_config
 from echolens.synth import make_corpus, write_fixture
-from echolens.topics import (DEFAULT_K, BuiltinEmbedder, cluster, embed_corpus,
+from echolens.topics import (BuiltinEmbedder, cluster, embed_corpus,
                              load_external_vectors, normalize_text, silhouette,
                              top_terms, word_idf)
 
@@ -123,6 +123,56 @@ class TestExternalVectors:
         with pytest.raises(ValueError, match="length"):
             load_external_vectors(path, ["t1"], dim=2)
 
+    @staticmethod
+    def write(path, rows):
+        path.write_text("".join(json.dumps({"tweet_id": tid, "vector": vec}) + "\n"
+                                for tid, vec in rows))
+        return path
+
+    def test_missing_ids_reported_before_bad_vectors(self, tmp_path):
+        path = self.write(tmp_path / "v.ndjson", [("t1", [1.0]), ("t3", [float("nan"), 0.0])])
+        with pytest.raises(ValueError, match=r"missing for tweet ids: \['t2'\]$"):
+            load_external_vectors(path, ["t1", "t2", "t3"], dim=2)
+
+    def test_first_bad_vector_in_tweet_id_order(self, tmp_path):
+        path = self.write(tmp_path / "v.ndjson", [("t3", [float("inf"), 0.0]),
+                                                  ("t1", [1.0, 2.0, 3.0]), ("t2", [1.0, 0.0])])
+        with pytest.raises(ValueError, match=r"^vector for t1 has length 3, expected 2$"):
+            load_external_vectors(path, ["t1", "t2", "t3"], dim=2)
+        with pytest.raises(ValueError, match=r"^vector for t3 has non-finite entries$"):
+            load_external_vectors(path, ["t3", "t2", "t1"], dim=2)
+
+    def test_repeated_id_last_line_wins(self, tmp_path):
+        path = self.write(tmp_path / "v.ndjson", [("t1", [1.0]), ("t2", [1.0, 0.0]),
+                                                  ("t1", [0.0, 2.0])])
+        out = load_external_vectors(path, ["t2", "t1", "t2"], dim=2)
+        assert out.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        path = self.write(tmp_path / "v.ndjson", [("t1", [0.0, 2.0]), ("t1", [1.0])])
+        with pytest.raises(ValueError, match="length 1"):
+            load_external_vectors(path, ["t1"], dim=2)
+
+    def test_holds_only_the_output_matrix(self, tmp_path):
+        # 2,000 requested vectors of dim 512 (a 7.8 MB matrix) among 2,100
+        # lines; parsed into a dict of float lists first, the traced peak
+        # was about five matrices. Small integral entries keep the file quick
+        # to write and parse.
+        n, dim = 2000, 512
+        rng = np.random.default_rng(0)
+        vectors = rng.integers(-9, 10, size=(n + 100, dim)).astype(float)
+        ids = [f"t{i}" for i in range(n + 100)]
+        path = self.write(tmp_path / "v.ndjson", zip(ids, vectors.tolist()))
+        wanted = ids[50:n + 50]
+        tracemalloc.start()
+        try:
+            out = load_external_vectors(path, wanted, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = n * dim * 8
+        assert peak < 1.5 * matrix, (peak, matrix)
+        want = np.array([v / np.linalg.norm(v) for v in vectors[50:n + 50]])
+        assert out.tobytes() == want.tobytes()
+
 
 def make_blobs(seed=0, per_blob=100, spread=1.0):
     rng = np.random.default_rng(seed)
@@ -176,7 +226,6 @@ class TestKMeans:
 
     def test_default_k_is_250(self):
         from echolens.config import RunConfig
-        assert DEFAULT_K == 250
         assert RunConfig().k == 250
 
     def test_silhouette_high_for_separated_blobs(self):
