@@ -27,7 +27,7 @@ tweets, _ = parse_corpus(workdir / "tweets.ndjson", schema="tweets")
 cleaned = engagement_filter(tweets)
 
 texts = [normalize_text(t.text) for t in cleaned]
-vectors, embedder = embed_corpus(texts, dim=256)
+vectors = embed_corpus(texts, dim=256)
 print(f"embedded {len(texts)} tweets into {vectors.shape[1]}-dim vectors")
 
 result = cluster(vectors, k=6, seed=11, max_iter=100)

@@ -38,5 +38,7 @@ for row in flagged[:5]:
     print(f"  topic {row['cluster_id']} {row['axis']}={row['bucket']}: "
           f"ratio {float(row['ratio']):.2f} -> {row['direction']}")
 
-sample = review_sample(cfg, n=4, seed=1)
+# The sample is seeded from the run's own seed, like `echolens review-sample`.
+cfg.review_sample_size = 4
+sample = review_sample(cfg)
 print(f"\nstratified review sample written to {sample}")

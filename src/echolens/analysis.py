@@ -41,7 +41,6 @@ class TopicEngagement:
 
     cluster_id: int
     counts: dict[str, int] = field(default_factory=dict)
-    total: int = 0
     unclassified: int = 0
 
 
@@ -63,7 +62,6 @@ def topic_engagement(assignments: Mapping[str, int], tweets: Sequence[TweetRecor
             continue
         weight = 1 + tweet.retweets if retweet_weighted else 1
         eng = per_topic.setdefault(cluster_id, TopicEngagement(cluster_id=cluster_id))
-        eng.total += weight
         ann = annotations.get(tweet.author_id)
         bucket = getattr(ann, axis, None) if ann is not None else None
         if bucket is None or bucket == "unknown":

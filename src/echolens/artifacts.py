@@ -7,7 +7,8 @@ on-disk format is decided here and nowhere else:
 - CSV: a header row, then one row per record; minimal quoting.
 - JSON: one value, `indent=2`, sorted keys, non-ASCII kept as UTF-8.
 - NDJSON: one object per line, sorted keys, non-ASCII kept as UTF-8.
-- Line lists: one entry per line.
+- Columns: a headerless one-column CSV, one value per row.
+- Line lists (read only): one entry per line.
 
 Writes are atomic: each file is written to a temporary sibling and moved over
 the target with `os.replace`. If the writer raises, the temporary file is
@@ -32,11 +33,12 @@ __all__ = [
     "write_csv",
     "write_json",
     "write_ndjson",
-    "write_lines",
+    "write_column",
     "read_csv",
     "read_csv_columns",
     "read_json",
     "read_ndjson",
+    "read_column",
     "read_lines",
     "sha256",
 ]
@@ -69,21 +71,16 @@ def write_json(path: str | Path, value: Any) -> None:
         fh.write("\n")
 
 
-def write_ndjson(path: str | Path, objects: Iterable[Any]) -> int:
-    """Write one JSON object per line; returns the line count."""
-    n = 0
+def write_ndjson(path: str | Path, objects: Iterable[Any]) -> None:
     with _replace_atomically(path, newline="\n") as fh:
         for obj in objects:
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
             fh.write("\n")
-            n += 1
-    return n
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    with _replace_atomically(path, newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def write_column(path: str | Path, values: Iterable[str]) -> None:
+    with _replace_atomically(path, newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows((value,) for value in values)
 
 
 def read_csv(path: str | Path) -> Iterator[dict[str, str]]:
@@ -112,6 +109,12 @@ def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
         names, rows = rows[0], rows[1:]
         return {name: [row[i] for row in rows] for i, name in enumerate(names)}
     return {name: fields[i::len(names)] for i, name in enumerate(names)}
+
+
+def read_column(path: str | Path) -> Iterator[str]:
+    """Yield the values written by write_column, exactly; blank lines are skipped."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        yield from (row[0] for row in csv.reader(fh) if row)
 
 
 def read_json(path: str | Path) -> Any:

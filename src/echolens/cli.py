@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             manifest = run_pipeline(cfg)
             print(f"pipeline complete; manifest at {manifest}")
         elif args.command == "review-sample":
-            path = review_sample(cfg, seed=args.seed)
+            path = review_sample(cfg)
             print(f"review sample at {path}")
         else:
             run_stage(cfg, args.command)

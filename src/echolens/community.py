@@ -71,25 +71,23 @@ class CommunityAssignment:
 
 
 def node_importance(g: InteractionGraph, mode: str = "weighted_in_degree",
-                    floor: float = 0.0, **pagerank_kwargs) -> dict[str, float]:
+                    **pagerank_kwargs) -> dict[str, float]:
     """Per-node influence weight used to scale propagation votes.
 
-    weighted_in_degree reads the weight straight off the graph; pagerank
-    delegates to the influence module and returns raw probability mass.
-    Either way a node gets max(weight, floor), so isolated nodes get the
-    floor. floor must be >= 0, as label_propagation requires of importance.
+    weighted_in_degree reads the weight straight off the graph, so isolated
+    nodes get 0.0; pagerank delegates to the influence module and returns raw
+    probability mass. Either way every weight is >= 0, as label_propagation
+    requires of importance.
     """
     if mode not in IMPORTANCE_MODES:
         raise ValueError(f"unknown importance mode {mode!r}")
-    if not floor >= 0:
-        raise ValueError(f"floor must be >= 0, got {floor!r}")
     if len(g) == 0:
         return {}
     if mode == "weighted_in_degree":
         raw = weighted_in_degrees(g)
     else:
         raw = _influence.pagerank(g, **pagerank_kwargs).scores
-    return {node: max(float(w), floor) for node, w in raw.items()}
+    return {node: float(w) for node, w in raw.items()}
 
 
 def label_propagation(g: InteractionGraph, importance: Mapping[str, float],

@@ -99,13 +99,12 @@ class RunConfig:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, require_inputs: bool = True) -> list[str]:
+    def validate(self) -> list[str]:
         errors: list[str] = []
-        if require_inputs:
-            if not self.tweets:
-                errors.append("tweets: path to the tweet corpus is required")
-            if not self.users:
-                errors.append("users: path to the user corpus is required")
+        if not self.tweets:
+            errors.append("tweets: path to the tweet corpus is required")
+        if not self.users:
+            errors.append("users: path to the user corpus is required")
         if self.seed < 0:
             errors.append("seed: must be >= 0")
         if self.min_community_size < 1:

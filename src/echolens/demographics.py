@@ -424,18 +424,17 @@ class DistributionResult:
 DISTRIBUTION_AXES = ("continent", "race", "gender")
 
 
-def demographic_distribution(annotations: Mapping[str, DemographicAnnotation] | Sequence[DemographicAnnotation],
+def demographic_distribution(annotations: Mapping[str, DemographicAnnotation],
                              axis: str) -> DistributionResult:
     """Counts and shares per bucket along one axis; shares sum to 1 over the
     non-missing buckets, and missing values are counted separately."""
     if axis not in DISTRIBUTION_AXES:
         raise ValueError(f"unknown axis {axis!r}")
-    items = list(annotations.values()) if isinstance(annotations, Mapping) else list(annotations)
-    if not items:
+    if not annotations:
         raise ValueError("demographic_distribution needs at least one annotation")
     counts: dict[str, int] = {}
     missing = 0
-    for ann in items:
+    for ann in annotations.values():
         value = getattr(ann, axis)
         if value is None or value == "unknown":
             missing += 1

@@ -264,13 +264,13 @@ def write_edge_csv(g: InteractionGraph, path: str | Path) -> None:
 
 
 def write_node_list(g: InteractionGraph, path: str | Path) -> None:
-    artifacts.write_lines(path, g.ids)
+    """Dump every node id, isolated ones included, as a one-column CSV."""
+    artifacts.write_column(path, g.ids)
 
 
-def read_edge_csv(edge_path: str | Path, node_path: str | Path | None = None) -> InteractionGraph:
-    """Rebuild a graph persisted by write_edge_csv (+ optional node list,
-    needed to recover isolated nodes)."""
-    nodes = artifacts.read_lines(node_path) if node_path is not None else ()
+def read_edge_csv(edge_path: str | Path, node_path: str | Path) -> InteractionGraph:
+    """Rebuild a graph persisted by write_edge_csv and write_node_list."""
+    nodes = artifacts.read_column(node_path)
     columns = artifacts.read_csv_columns(edge_path)
     return _interned(
         nodes, columns["src"], columns["dst"],

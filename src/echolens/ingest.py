@@ -264,12 +264,12 @@ def parse_user(obj: Mapping) -> UserRecord:
     )
 
 
-def write_ndjson(path: str | Path, records: Iterable[TweetRecord | UserRecord]) -> int:
-    """Serialize records one JSON object per line; returns the line count."""
-    return artifacts.write_ndjson(path, map(vars, records))
+def write_ndjson(path: str | Path, records: Iterable[TweetRecord | UserRecord]) -> None:
+    """Serialize records one JSON object per line."""
+    artifacts.write_ndjson(path, map(vars, records))
 
 
-def parse_corpus(path: str | Path, schema: str = "tweets"):
+def parse_corpus(path: str | Path, schema: str):
     """Parse an NDJSON corpus file.
 
     schema is "tweets" or "users". Returns (records, errors) where errors are
@@ -366,25 +366,23 @@ def apply_stream(records: Sequence[TweetRecord], spec: StreamSpec,
 
 
 def select_streams(records: Sequence[TweetRecord], specs: Sequence[StreamSpec],
-                   users: Mapping[str, UserRecord] | None = None,
-                   stats: CorpusStats | None = None) -> list[TweetRecord]:
-    """Union of all stream selections, deduplicated, in original corpus order.
+                   users: Mapping[str, UserRecord] | None,
+                   stats: CorpusStats) -> list[TweetRecord]:
+    """Union of all stream selections, deduplicated, in original corpus order,
+    with the kept counts recorded on stats.
 
     With no specs configured the whole corpus is kept (selection disabled).
     """
     if not specs:
-        if stats is not None:
-            stats.records_kept = len(records)
+        stats.records_kept = len(records)
         return list(records)
     kept_ids: set[str] = set()
     for i, spec in enumerate(specs):
         hits = apply_stream(records, spec, users)
-        if stats is not None:
-            stats.records_kept_per_stream[f"stream_{i + 1}_{spec.kind}"] = len(hits)
+        stats.records_kept_per_stream[f"stream_{i + 1}_{spec.kind}"] = len(hits)
         kept_ids.update(t.tweet_id for t in hits)
     selected = [t for t in records if t.tweet_id in kept_ids]
-    if stats is not None:
-        stats.records_kept = len(selected)
+    stats.records_kept = len(selected)
     return selected
 
 

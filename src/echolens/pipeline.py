@@ -262,7 +262,7 @@ def stage_topics(cfg: RunConfig, inputs: _Intermediates) -> None:
         vectors = topics.load_external_vectors(
             _require(Path(cfg.vectors)), tweet_ids, cfg.dim)
     else:
-        vectors, _ = topics.embed_corpus(texts, cfg.dim)
+        vectors = topics.embed_corpus(texts, cfg.dim)
 
     result = topics.cluster(vectors, cfg.k, seed=derive_seed(cfg.seed, "topics"),
                             max_iter=cfg.kmeans_max_iter)
@@ -391,27 +391,26 @@ def run_pipeline(cfg: RunConfig) -> Path:
     return _out(cfg) / "manifest.json"
 
 
-def review_sample(cfg: RunConfig, n: int | None = None,
-                  seed: int | None = None) -> Path:
-    """Stratified random sample of topics for human validation.
+def review_sample(cfg: RunConfig) -> Path:
+    """Stratified random sample of cfg.review_sample_size topics for human
+    validation.
 
     Clusters are split into small/medium/large size terciles and sampled
-    proportionally with a seeded RNG; reruns with the same seed pick the
-    same topics. n defaults to cfg.review_sample_size and must be >= 1.
-    Writes review_sample.csv and returns its path; a corrupt intermediate
-    raises StageError for the stage `review-sample`.
+    proportionally with an RNG seeded from cfg.seed; reruns with the same
+    seed pick the same topics. The sample size must be >= 1. Writes
+    review_sample.csv and returns its path; a corrupt intermediate raises
+    StageError for the stage `review-sample`.
     """
-    n = n if n is not None else cfg.review_sample_size
+    n = cfg.review_sample_size
     if n < 1:
         raise ValueError("review_sample_size: must be >= 1")
-    seed = seed if seed is not None else derive_seed(cfg.seed, "review-sample")
     out = _out(cfg)
     with _failures_of("review-sample"):
         inputs = _Intermediates(out)
         clusters = [c for c in inputs["clusters"] if c[1] > 0]
         assignments = inputs["assignments"]
         tweets = {t.tweet_id: t for t in inputs["tweets"]}
-        rng = random.Random(seed)
+        rng = random.Random(derive_seed(cfg.seed, "review-sample"))
 
         by_size = sorted(clusters, key=lambda c: (c[1], c[0]))
         strata: list[list[tuple[int, int, str]]] = [[], [], []]

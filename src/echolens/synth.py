@@ -90,7 +90,7 @@ _HUB_INFO = [
 ]
 
 
-def make_corpus(seed: int = 7, n_tweets: int = 2000):
+def make_corpus(seed: int, n_tweets: int):
     """Generate (tweets, users); fully determined by the seed."""
     rng = random.Random(seed)
     topics = list(TOPIC_TEMPLATES)
@@ -249,7 +249,7 @@ stream.4.window = {win_start} {win_end}
 """
 
 
-def write_fixture(out_dir: str | Path, seed: int = 7, n_tweets: int = 2000) -> Path:
+def write_fixture(out_dir: str | Path, seed: int, n_tweets: int) -> Path:
     """Write tweets.ndjson, users.ndjson, and a ready-to-run config file.
 
     Returns the config path. Paths inside the config are absolute so the file

@@ -24,11 +24,12 @@ Row-wise work runs in blocks of `_BLOCK_ROWS` rows, which changes no bit.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -50,7 +51,6 @@ __all__ = [
     "silhouette",
 ]
 
-DEFAULT_DIM = 512
 _BLOCK_ROWS = 256
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
@@ -62,13 +62,6 @@ _TRIM_RE = re.compile(r"^\W+|\W+$", re.UNICODE)
 @dataclass
 class NormalizedText:
     tokens: list[str]
-    hashtag_expansions: list[str] = field(default_factory=list)
-    mentions: list[str] = field(default_factory=list)
-    urls: list[str] = field(default_factory=list)
-    original: str = ""
-
-    def joined(self) -> str:
-        return " ".join(self.tokens)
 
 
 def _split_hashtag(word: str) -> list[str]:
@@ -80,33 +73,21 @@ def _split_hashtag(word: str) -> list[str]:
 
 
 def normalize_text(raw: str) -> NormalizedText:
-    """Structural normalization: NFC, lowercase, URLs and mentions stripped
-    (but recorded), hashtags split on case boundaries and retained, tokens
-    trimmed of surrounding punctuation. Idempotent on its own output."""
+    """Structural normalization: NFC, lowercase, URLs and mentions stripped,
+    hashtags split on case boundaries and retained, tokens trimmed of
+    surrounding punctuation. Idempotent on its own tokens joined by spaces."""
     text = unicodedata.normalize("NFC", raw)
-    urls = _URL_RE.findall(text)
-    text = _URL_RE.sub(" ", text)
-    mentions = [m[1:] for m in _MENTION_RE.findall(text)]
-    text = _MENTION_RE.sub(" ", text)
+    text = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text))
 
     tokens: list[str] = []
-    expansions: list[str] = []
     for word in text.split():
         if word.startswith("#"):
-            pieces = [p.lower() for p in _split_hashtag(word[1:])]
-            expansions.extend(pieces)
-            tokens.extend(pieces)
+            tokens.extend(p.lower() for p in _split_hashtag(word[1:]))
             continue
         token = _TRIM_RE.sub("", word).lower()
         if token:
             tokens.append(token)
-    return NormalizedText(
-        tokens=tokens,
-        hashtag_expansions=expansions,
-        mentions=mentions,
-        urls=urls,
-        original=raw,
-    )
+    return NormalizedText(tokens)
 
 
 @dataclass
@@ -158,7 +139,7 @@ class BuiltinEmbedder:
     token list, so repeated texts are counted, hashed and folded once.
     """
 
-    def __init__(self, dim: int = DEFAULT_DIM):
+    def __init__(self, dim: int):
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self.dim = dim
@@ -210,45 +191,59 @@ class BuiltinEmbedder:
         return out
 
 
-def embed_corpus(texts: Sequence[NormalizedText], dim: int = DEFAULT_DIM):
-    """Fit the builtin embedder on the corpus and return (matrix, embedder)."""
-    embedder = BuiltinEmbedder(dim).fit(texts)
-    return embedder.transform_many(texts), embedder
+def embed_corpus(texts: Sequence[NormalizedText], dim: int) -> np.ndarray:
+    """Fit the builtin embedder on the corpus and return its embedding."""
+    return BuiltinEmbedder(dim).fit(texts).transform_many(texts)
 
 
 def load_external_vectors(path: str | Path, tweet_ids: Sequence[str],
-                          dim: int = DEFAULT_DIM) -> np.ndarray:
+                          dim: int) -> np.ndarray:
     """Read precomputed vectors (NDJSON: tweet_id, vector) and L2-normalize.
 
     The file streams into the output rows; lines of ids not asked for are
-    skipped, and a repeated id's last line wins. Missing ids raise first,
-    naming up to ten in tweet_ids order; then the first vector, in
-    tweet_ids order, of the wrong length or with non-finite entries.
+    skipped, and a repeated id's last line wins. A line that is not a JSON
+    object with a string tweet_id and a vector raises at once, naming its
+    line number. Then missing ids raise, naming up to ten in tweet_ids
+    order; then the first vector, in tweet_ids order, that is not a flat list
+    of numbers, has the wrong length or has non-finite entries.
     """
     rows_of: dict[str, list[int]] = {}
     for i, tid in enumerate(tweet_ids):
         rows_of.setdefault(tid, []).append(i)
     out = np.zeros((len(tweet_ids), dim))
     problems: dict[str, str | None] = {}  # id -> its last line's problem, or None
-    for obj in artifacts.read_ndjson(path):
-        tid = obj["tweet_id"]
-        if tid not in rows_of:
-            continue
-        vec = np.asarray(obj["vector"], dtype=float)
-        if vec.shape != (dim,):
-            problems[tid] = f"length {vec.shape[0]}, expected {dim}"
-        elif not np.all(np.isfinite(vec)):
-            problems[tid] = "non-finite entries"
-        else:
-            problems[tid] = None
-            norm = np.linalg.norm(vec)
-            out[rows_of[tid]] = vec / norm if norm > 0 else vec
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                tid, vector = obj["tweet_id"], obj["vector"]
+            except (ValueError, KeyError, TypeError):  # not JSON, not an object
+                tid = None
+            if not isinstance(tid, str):
+                raise ValueError(f"{path} line {line_no}: expected a JSON object "
+                                 f"with a string tweet_id and a vector")
+            if tid not in rows_of:
+                continue
+            flat = isinstance(vector, list) and all(type(x) in (int, float) for x in vector)
+            vec = np.asarray(vector if flat else [], dtype=float)
+            if not flat:
+                problems[tid] = "is not a flat list of numbers"
+            elif vec.shape != (dim,):
+                problems[tid] = f"has length {vec.shape[0]}, expected {dim}"
+            elif not np.all(np.isfinite(vec)):
+                problems[tid] = "has non-finite entries"
+            else:
+                problems[tid] = None
+                norm = np.linalg.norm(vec)
+                out[rows_of[tid]] = vec / norm if norm > 0 else vec
     missing = [tid for tid in tweet_ids if tid not in problems]
     if missing:
         raise ValueError(f"external vectors missing for tweet ids: {missing[:10]}")
     for tid in tweet_ids:
         if problems[tid]:
-            raise ValueError(f"vector for {tid} has {problems[tid]}")
+            raise ValueError(f"vector for {tid} {problems[tid]}")
     return out
 
 

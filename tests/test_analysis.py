@@ -56,8 +56,7 @@ class TestRepresentationRatio:
 
 
 def engagement(cluster_id, counts):
-    return TopicEngagement(cluster_id=cluster_id, counts=dict(counts),
-                           total=sum(counts.values()))
+    return TopicEngagement(cluster_id=cluster_id, counts=dict(counts))
 
 
 class TestDisproportionalityReport:

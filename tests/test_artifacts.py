@@ -7,7 +7,7 @@ def test_formats_are_utf8_with_newline_endings(tmp_path):
     artifacts.write_csv(tmp_path / "a.csv", ["id", "text"], [["1", "é, ok"], [2, 0.5]])
     artifacts.write_json(tmp_path / "a.json", {"b": "é", "a": [1]})
     artifacts.write_ndjson(tmp_path / "a.ndjson", [{"b": "é", "a": 1}, {}])
-    artifacts.write_lines(tmp_path / "a.txt", ["x", "y"])
+    artifacts.write_column(tmp_path / "a.txt", ["x", "y"])
     assert (tmp_path / "a.csv").read_bytes() == 'id,text\n1,"é, ok"\n2,0.5\n'.encode()
     assert (tmp_path / "a.json").read_bytes() == (
         '{\n  "a": [\n    1\n  ],\n  "b": "é"\n}\n'.encode())
@@ -18,6 +18,7 @@ def test_formats_are_utf8_with_newline_endings(tmp_path):
         {"id": "1", "text": "é, ok"}, {"id": "2", "text": "0.5"}]
     assert artifacts.read_json(tmp_path / "a.json") == {"a": [1], "b": "é"}
     assert list(artifacts.read_ndjson(tmp_path / "a.ndjson")) == [{"a": 1, "b": "é"}, {}]
+    assert list(artifacts.read_column(tmp_path / "a.txt")) == ["x", "y"]
     assert list(artifacts.read_lines(tmp_path / "a.txt")) == ["x", "y"]
 
 

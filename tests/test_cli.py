@@ -302,7 +302,7 @@ class TestConfig:
 
     def test_validation_collects_field_messages(self):
         cfg = parse_config_text("damping = 1.5\ntau_hi = 0.5\n")
-        errors = cfg.validate(require_inputs=False)
+        errors = cfg.validate()
         assert any("damping" in e for e in errors)
         assert any("tau_hi" in e for e in errors)
 
@@ -534,6 +534,45 @@ def test_seed7_single_community_contract(tmp_path):
     assert manifest["stage_counts"]["communities_post_gate"] == 1
     assert (full / "communities.csv").read_text(encoding="utf-8") == (
         "community_id,size,anchor\n0,140,h01\n")
+
+
+def test_review_sample_seed_flag_equals_config_seed(tmp_path):
+    # --seed 7 used to seed the sampler with 7 itself, the config key with a
+    # seed derived from 7: with --n 5 they picked clusters 0,1,2,3,4 and
+    # 0,1,3,4,5.
+    fixture, out = tmp_path / "fixture", tmp_path / "run"
+    assert main(["synth", "--out", str(fixture), "--seed", "7"]) == 0
+    config = fixture / "config.cfg"
+    assert "\nseed = 7\n" in config.read_text(encoding="utf-8")
+    unseeded = fixture / "unseeded.cfg"
+    unseeded.write_text(config.read_text(encoding="utf-8").replace("\nseed = 7\n", "\n"),
+                        encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    samples = []
+    for args in (["--config", str(config)], ["--config", str(unseeded), "--seed", "7"]):
+        assert main(["review-sample", *args, "--out", str(out), "--n", "5"]) == 0
+        samples.append((out / "review_sample.csv").read_bytes())
+    assert samples[0] == samples[1]
+    assert samples[0].count(b"\n") == 6  # header + 5 sampled topics
+
+
+def test_node_ids_with_spaces_survive_the_node_list(tmp_path):
+    # With u0001 renamed 'u0001 ', the node list read back stripped to
+    # 'u0001': graph_stats.json counted 297 nodes but influence.csv had 298
+    # rows, PageRank mass on a node that does not exist.
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--out", str(fixture), "--seed", "7"]) == 0
+    for name in ("tweets.ndjson", "users.ndjson"):
+        path = fixture / name
+        text = path.read_text(encoding="utf-8")
+        assert '"u0001"' in text
+        path.write_text(text.replace('"u0001"', '"u0001 "'), encoding="utf-8")
+    assert_staged_equals_full(["--config", str(fixture / "config.cfg")], tmp_path)
+    full = tmp_path / "full"
+    stats = json.loads((full / "graph_stats.json").read_text(encoding="utf-8"))
+    rows = list(artifacts.read_csv(full / "influence.csv"))
+    assert stats["nodes"] == len(rows)
+    assert {"u0001 "} == {row["user_id"] for row in rows} & {"u0001", "u0001 "}
 
 
 @pytest.mark.parametrize("module", ["echolens", "echolens.cli"])

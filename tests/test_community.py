@@ -40,20 +40,15 @@ class TestNodeImportance:
     def test_empty_graph(self):
         assert node_importance(InteractionGraph()) == {}
 
-    def test_isolated_node_gets_floor(self):
-        g = InteractionGraph.from_weighted_edges([], nodes=["solo"])
-        assert node_importance(g, floor=0.5) == {"solo": 0.5}
+    def test_isolated_node_gets_zero(self):
+        g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)], nodes=["solo"])
+        imp = node_importance(g)
+        assert imp == {"A": 3.0, "B": 0.0, "solo": 0.0}
+        assert all(type(w) is float for w in imp.values())
 
-    def test_floor_below_in_weight_is_not_added(self):
-        g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)])
-        assert node_importance(g, floor=0.5) == {"A": 3.0, "B": 0.5}
-
-    def test_floor_applies_in_both_modes(self):
-        g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)])
-        scores = pagerank(g).scores
-        assert scores["B"] < 0.5 < scores["A"]
-        imp = node_importance(g, mode="pagerank", floor=0.5)
-        assert imp == {"A": scores["A"], "B": 0.5}
+    def test_pagerank_mode_returns_raw_scores(self):
+        g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)], nodes=["solo"])
+        assert node_importance(g, mode="pagerank") == pagerank(g).scores
 
     def test_pagerank_mode_cycle_symmetric(self):
         g = InteractionGraph.from_weighted_edges(
@@ -66,12 +61,6 @@ class TestNodeImportance:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             node_importance(InteractionGraph(), mode="degree")
-
-    @pytest.mark.parametrize("floor", [-0.5, float("nan")])
-    def test_negative_or_nan_floor_rejected(self, floor):
-        g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)])
-        with pytest.raises(ValueError, match="floor must be >= 0"):
-            node_importance(g, floor=floor)
 
 
 class TestLabelPropagation:

@@ -32,8 +32,8 @@ class TestEdgelessGraph:
         assert [c.members for c in assignment.communities] == [(n,) for n in NODES]
         assert assignment.converged and assignment.iterations_run == 1
 
-    def test_node_importance_is_floor(self):
-        assert node_importance(edgeless(), floor=0.25) == dict.fromkeys(NODES, 0.25)
+    def test_node_importance_is_zero(self):
+        assert node_importance(edgeless()) == dict.fromkeys(NODES, 0.0)
 
     def test_degree_stats_all_zero(self):
         stats = degree_stats(edgeless())

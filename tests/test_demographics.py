@@ -242,8 +242,8 @@ class TestAnnotations:
 
 class TestDistribution:
     def make(self, races):
-        return [DemographicAnnotation(user_id=f"u{i}", race=r)
-                for i, r in enumerate(races)]
+        return {f"u{i}": DemographicAnnotation(user_id=f"u{i}", race=r)
+                for i, r in enumerate(races)}
 
     def test_hand_worked_shares(self):
         dist = demographic_distribution(
@@ -257,14 +257,14 @@ class TestDistribution:
         assert dist.buckets == {"Asian": (1, 1.0)}
 
     def test_all_missing(self):
-        anns = [DemographicAnnotation(user_id="u1"), DemographicAnnotation(user_id="u2")]
+        anns = {uid: DemographicAnnotation(user_id=uid) for uid in ("u1", "u2")}
         dist = demographic_distribution(anns, axis="continent")
         assert dist.buckets == {}
         assert dist.missing == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            demographic_distribution([], axis="race")
+            demographic_distribution({}, axis="race")
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(RACE_CATEGORIES), min_size=1, max_size=40))

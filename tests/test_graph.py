@@ -139,6 +139,34 @@ def test_edge_csv_round_trip(tmp_path):
     assert graphs_equal(back, g)
 
 
+# Ids a line reader would strip or split and a CSV reader must unquote:
+# surrounding spaces, separators, quotes and line feeds. A carriage return is
+# left out: csv.writer does not quote a lone \r when rows end in \n.
+awkward_ids = st.text(alphabet=st.sampled_from(list("ab ,\"\n\t'")),
+                      min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(awkward_ids, min_size=1, max_size=8, unique=True), st.data())
+def test_edge_and_node_files_round_trip_awkward_ids(tmp_path_factory, ids, data):
+    # Written as plain lines and read back stripped and split on line
+    # breaks, 'a ', ' d' and 'e\nf' (5 nodes) came back as 7.
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                      st.integers(0, 3), st.integers(0, 3))
+    rows = [r for r in data.draw(st.lists(pairs, max_size=10)) if r[0] != r[1]]
+    g = InteractionGraph.from_weighted_edges(rows, nodes=ids)
+    tmp = tmp_path_factory.mktemp("awkward")
+    write_edge_csv(g, tmp / "edges.csv")
+    write_node_list(g, tmp / "nodes.txt")
+    assert graphs_equal(read_edge_csv(tmp / "edges.csv", tmp / "nodes.txt"), g)
+
+
+def test_plain_node_list_is_one_id_per_line(tmp_path):
+    g = InteractionGraph.from_weighted_edges([("b", "a", 1, 0)], nodes=["c"])
+    write_node_list(g, tmp_path / "nodes.txt")
+    assert (tmp_path / "nodes.txt").read_bytes() == b"a\nb\nc\n"
+
+
 def test_arrays_read_only_after_every_builder(tmp_path):
     # Every kernel shares these arrays, so no caller may write into them.
     tweets, index = interaction_fixture()
@@ -176,7 +204,8 @@ def test_negative_count_rejected_by_every_builder(builder, tmp_path):
         (tmp_path / "edges.csv").write_text(
             "src,dst,weight,retweets,replies\n"
             + "".join(f"{s},{d},1,{rt},{rp}\n" for s, d, rt, rp in rows))
-        build = lambda: read_edge_csv(tmp_path / "edges.csv")
+        (tmp_path / "nodes.txt").write_text("a\nb\nc\n")
+        build = lambda: read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
     with pytest.raises(ValueError, match=r"negative interaction count on \(a, b\): "
                                          r"retweets=-1, replies=0$"):
         build()

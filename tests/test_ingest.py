@@ -234,7 +234,7 @@ class TestCorpusStats:
                   make_tweet("t3", text="youngo again", likes=0, retweets=0, replies=0)]
         stats = CorpusStats(records_read=4, records_rejected=1)
         selected = select_streams(
-            tweets, [StreamSpec(kind="keyword", keywords=["youngo"])], stats=stats)
+            tweets, [StreamSpec(kind="keyword", keywords=["youngo"])], None, stats)
         cleaned = engagement_filter(selected)
         stats.records_kept = len(cleaned)
         assert stats.records_kept == 1
@@ -243,7 +243,7 @@ class TestCorpusStats:
     def test_no_streams_keeps_everything(self):
         tweets = [make_tweet("t1"), make_tweet("t2")]
         stats = CorpusStats(records_read=2)
-        assert select_streams(tweets, [], stats=stats) == tweets
+        assert select_streams(tweets, [], None, stats) == tweets
         assert stats.records_kept == 2
 
 

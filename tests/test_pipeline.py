@@ -44,8 +44,8 @@ def test_full_run_parses_each_intermediate_once(fixture_config, tmp_path, monkey
             return fn(path, *args, **kwargs)
         return wrapper
 
-    for name in ("read_csv", "read_csv_columns", "read_json", "read_ndjson",
-                 "read_lines", "sha256"):
+    for name in ("read_column", "read_csv", "read_csv_columns", "read_json",
+                 "read_ndjson", "read_lines", "sha256"):
         monkeypatch.setattr(artifacts, name, counting(getattr(artifacts, name)))
     monkeypatch.setattr(ingest, "parse_corpus", counting(ingest.parse_corpus))
 
@@ -124,7 +124,7 @@ def test_topics_normalizes_each_distinct_text_once(fixture_config, full_run, tmp
     monkeypatch.setattr(topics, "normalize_text", counting)
     run_stage(_config(fixture_config, out), "topics")
 
-    tweets, _ = ingest.parse_corpus(out / "selected_tweets.ndjson")
+    tweets, _ = ingest.parse_corpus(out / "selected_tweets.ndjson", schema="tweets")
     text_of = {t.tweet_id: t.text for t in tweets}
     studied = topics.read_assignments(out / "topic_assignments.ndjson")
     distinct = {text_of[tweet_id] for tweet_id in studied}
@@ -167,7 +167,16 @@ def test_missing_intermediate_names_its_producer(name, consumer, producer, fixtu
 @pytest.mark.parametrize("n", [0, -1])
 def test_review_sample_rejects_n_below_one(n, fixture_config, full_run):
     # Checked before any intermediate is read or any file is written.
-    cfg = _config(fixture_config, full_run)
+    cfg = _config(fixture_config, full_run, review_sample_size=n)
     with pytest.raises(ValueError, match=r"^review_sample_size: must be >= 1$"):
-        review_sample(cfg, n=n)
+        review_sample(cfg)
     assert not (full_run / "review_sample.csv").exists()
+
+
+def test_review_sample_takes_size_from_config(fixture_config, full_run, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(full_run, out)
+    path = review_sample(_config(fixture_config, out, review_sample_size=3))
+    rows = list(artifacts.read_csv(path))
+    assert len(rows) == 3
+    assert len({row["cluster_id"] for row in rows}) == 3

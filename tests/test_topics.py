@@ -22,18 +22,17 @@ from echolens.topics import (BuiltinEmbedder, cluster, embed_corpus,
 
 class TestNormalizeText:
     def test_hashtag_split_url_removed(self):
-        result = normalize_text("#TeamSeas is GREAT http://t.co/x")
+        result = normalize_text("#TeamSeas is GREAT http://t.co/x www.a.org/b")
         assert result.tokens == ["team", "seas", "is", "great"]
-        assert result.hashtag_expansions == ["team", "seas"]
-        assert result.urls == ["http://t.co/x"]
+        assert not any("t.co" in t or "www" in t or "http" in t for t in result.tokens)
 
     def test_empty_string(self):
         assert normalize_text("").tokens == []
 
-    def test_mentions_removed_but_recorded(self):
-        result = normalize_text("@youth_desk nice work on the summit")
-        assert result.mentions == ["youth_desk"]
-        assert "youth_desk" not in result.tokens
+    def test_mentions_removed(self):
+        result = normalize_text("@youth_desk nice work on the summit, @Eco_Kid!")
+        assert result.tokens == ["nice", "work", "on", "the", "summit"]
+        assert not any("youth" in t or "eco" in t for t in result.tokens)
 
     def test_all_caps_hashtag_stays_single_token(self):
         assert normalize_text("#COP26 underway").tokens == ["cop26", "underway"]
@@ -49,7 +48,7 @@ class TestNormalizeText:
         tweets, _ = make_corpus(seed=3, n_tweets=160)
         for t in tweets[:50]:
             once = normalize_text(t.text)
-            twice = normalize_text(once.joined())
+            twice = normalize_text(" ".join(once.tokens))
             assert twice.tokens == once.tokens
 
 
@@ -57,13 +56,13 @@ class TestBuiltinEmbedder:
     def test_identical_texts_identical_vectors(self):
         texts = [normalize_text("climate action now"),
                  normalize_text("climate action now")]
-        vectors, _ = embed_corpus(texts, dim=64)
+        vectors = embed_corpus(texts, dim=64)
         assert np.allclose(vectors[0], vectors[1])
         assert abs(float(vectors[0] @ vectors[1]) - 1.0) < 1e-9
 
     def test_disjoint_features_orthogonal(self):
         texts = [normalize_text("zzz qqq"), normalize_text("mmm vvv")]
-        vectors, _ = embed_corpus(texts, dim=512)
+        vectors = embed_corpus(texts, dim=512)
         assert abs(float(vectors[0] @ vectors[1])) < 1e-9
 
     def test_two_document_tfidf_matches_hand_computation(self):
@@ -87,15 +86,15 @@ class TestBuiltinEmbedder:
 
     def test_vectors_unit_norm(self):
         texts = [normalize_text("some words here"), normalize_text("")]
-        vectors, _ = embed_corpus(texts, dim=64)
+        vectors = embed_corpus(texts, dim=64)
         assert abs(np.linalg.norm(vectors[0]) - 1.0) < 1e-9
         assert np.linalg.norm(vectors[1]) == 0.0  # empty text embeds to zero
 
     def test_corpus_order_does_not_change_vectors(self):
         texts = [normalize_text(t) for t in
                  ("climate strike", "food security", "ocean cleanup")]
-        forward, _ = embed_corpus(texts, dim=64)
-        backward, _ = embed_corpus(list(reversed(texts)), dim=64)
+        forward = embed_corpus(texts, dim=64)
+        backward = embed_corpus(list(reversed(texts)), dim=64)
         assert np.allclose(forward[0], backward[2])
         assert np.allclose(forward[2], backward[0])
 
@@ -149,6 +148,38 @@ class TestExternalVectors:
         assert out.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
         path = self.write(tmp_path / "v.ndjson", [("t1", [0.0, 2.0]), ("t1", [1.0])])
         with pytest.raises(ValueError, match="length 1"):
+            load_external_vectors(path, ["t1"], dim=2)
+
+    def test_non_numeric_vector_names_tweet(self, tmp_path):
+        # numpy's own error was "could not convert string to float: 'a'".
+        path = self.write(tmp_path / "v.ndjson", [("t1", [1.0, 0.0]), ("t2", ["a", 1.0])])
+        with pytest.raises(ValueError,
+                           match=r"^vector for t2 is not a flat list of numbers$"):
+            load_external_vectors(path, ["t1", "t2"], dim=2)
+
+    def test_ragged_vector_names_tweet_in_tweet_id_order(self, tmp_path):
+        # numpy's own error was "setting an array element with a sequence...
+        # inhomogeneous shape".
+        path = self.write(tmp_path / "v.ndjson", [("t2", [1.0]), ("t1", [[1.0], [2.0, 3.0]])])
+        with pytest.raises(ValueError,
+                           match=r"^vector for t1 is not a flat list of numbers$"):
+            load_external_vectors(path, ["t1", "t2"], dim=2)
+        with pytest.raises(ValueError, match=r"^vector for t2 has length 1, expected 2$"):
+            load_external_vectors(path, ["t2", "t1"], dim=2)
+
+    @pytest.mark.parametrize("line", [
+        '{"vector": [1.0, 0.0]}',
+        '{"tweet_id": "t1"}',
+        '["t1", [1.0, 0.0]]',
+        '{"tweet_id": 1, "vector": [1.0, 0.0]}',
+        '{"tweet_id": "t1", "vector": [1.0, 0.0]',
+    ])
+    def test_malformed_line_names_line_number(self, tmp_path, line):
+        # A line without tweet_id raised the bare KeyError 'tweet_id'.
+        path = tmp_path / "v.ndjson"
+        path.write_text('{"tweet_id": "t1", "vector": [1.0, 0.0]}\n\n' + line + "\n")
+        with pytest.raises(ValueError, match=r"v\.ndjson line 3: expected a JSON object "
+                                             r"with a string tweet_id and a vector$"):
             load_external_vectors(path, ["t1"], dim=2)
 
     def test_holds_only_the_output_matrix(self, tmp_path):
@@ -345,7 +376,7 @@ class TestDistinctTextOracle:
         distinct = len({tuple(t.tokens) for t in texts})
         assert distinct <= 0.7 * len(texts)
         assert any(not t.tokens for t in texts)
-        vectors, _ = embed_corpus(texts, dim)
+        vectors = embed_corpus(texts, dim)
         assert vectors.tobytes() == reference_embed(texts, dim).tobytes()
         if dim == 8:
             assert distinct_rows(vectors) < distinct  # distinct texts collide
@@ -353,13 +384,13 @@ class TestDistinctTextOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("dim, k", [(8, 5), (8, 12), (64, 20), (512, 40)])
     def test_kmeans_bit_equal_on_embedded_corpus(self, seed, dim, k):
-        vectors, _ = embed_corpus(repetitive_corpus(seed), dim)
+        vectors = embed_corpus(repetitive_corpus(seed), dim)
         assert k <= distinct_rows(vectors)
         assert_same_kmeans(vectors, k, seed)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_kmeans_single_iteration(self, seed):
-        vectors, _ = embed_corpus(repetitive_corpus(seed), 64)
+        vectors = embed_corpus(repetitive_corpus(seed), 64)
         assert_same_kmeans(vectors, 15, seed, max_iter=1)
 
     def test_kmeans_raw_vectors_with_repeated_rows(self):
@@ -405,14 +436,14 @@ class TestBlockEdges:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_embedding_and_kmeans_bit_equal(self, seed):
         texts = block_edge_corpus(seed)
-        vectors, _ = embed_corpus(texts, 64)
+        vectors = embed_corpus(texts, 64)
         assert vectors.tobytes() == reference_embed(texts, 64).tobytes()
         assert_same_kmeans(vectors, 20, seed)
 
     @pytest.mark.parametrize("k", [2, 20])
     def test_silhouette_repr_equal(self, k):
         # At k=2 each cluster's column sums take several row blocks.
-        vectors, _ = embed_corpus(block_edge_corpus(2), 64)
+        vectors = embed_corpus(block_edge_corpus(2), 64)
         assignments = cluster(vectors, k, seed=1).assignments
         got = silhouette(vectors, assignments)
         assert repr(got) == repr(reference_silhouette(vectors, assignments))
@@ -450,7 +481,7 @@ def test_topics_kernels_hold_one_matrix_of_their_input_size():
     assert n - len({tuple(t.tokens) for t in texts}) >= 0.3 * n
     tracemalloc.start()
     try:
-        (vectors, _), embed_peak = traced_peak(embed_corpus, texts, dim)
+        vectors, embed_peak = traced_peak(embed_corpus, texts, dim)
         result, cluster_peak = traced_peak(cluster, vectors, k, seed=0)
         _, silhouette_peak = traced_peak(silhouette, vectors, result.assignments)
     finally:
