@@ -4,7 +4,8 @@ This is the one module that opens intermediate and report files, so the
 on-disk format is decided here and nowhere else:
 
 - Every artifact is UTF-8 text with `\\n` line endings and a trailing newline.
-- CSV: a header row, then one row per record; minimal quoting.
+- CSV: a header row, then one row per record; minimal quoting, and a field
+  holding a carriage return is quoted too.
 - JSON: one value, `indent=2`, sorted keys, non-ASCII kept as UTF-8.
 - NDJSON: one object per line, sorted keys, non-ASCII kept as UTF-8.
 - Columns: a headerless one-column CSV, one value per row.
@@ -26,6 +27,7 @@ import io
 import json
 import os
 from contextlib import contextmanager
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -57,12 +59,43 @@ def _replace_atomically(path: str | Path, newline: str):
         raise
 
 
+_CHUNK_ROWS = 1024
+
+
+def _write_rows(fh, rows: Iterable[Sequence[Any]]) -> None:
+    """Write CSV rows, formatted a chunk at a time.
+
+    Python's csv writer quotes a field for the characters of its line
+    terminator, not for a lone carriage return, which every reader then takes
+    for the end of the row. The writer never emits a carriage return itself,
+    so a chunk whose text holds one is formatted again row by row with
+    "\r\n" as the terminator, which quotes those fields, and each row's
+    "\r\n" is cut back to "\n". Rows are sequences, since a chunk may be
+    read twice."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerows(chunk)
+        text = buf.getvalue()
+        if "\r" in text:
+            quoting = csv.writer(buf, lineterminator="\r\n")
+            lines = []
+            for row in chunk:
+                buf.seek(0)
+                buf.truncate()
+                quoting.writerow(row)
+                lines.append(buf.getvalue()[:-2] + "\n")
+            text = "".join(lines)
+        fh.write(text)
+
+
 def write_csv(path: str | Path, header: Sequence[str],
               rows: Iterable[Sequence[Any]]) -> None:
     with _replace_atomically(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_rows(fh, chain([header], rows))
 
 
 def write_json(path: str | Path, value: Any) -> None:
@@ -80,7 +113,7 @@ def write_ndjson(path: str | Path, objects: Iterable[Any]) -> None:
 
 def write_column(path: str | Path, values: Iterable[str]) -> None:
     with _replace_atomically(path, newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows((value,) for value in values)
+        _write_rows(fh, ((value,) for value in values))
 
 
 def read_csv(path: str | Path) -> Iterator[dict[str, str]]:

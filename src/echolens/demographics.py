@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import artifacts
-from .ingest import TweetRecord, UserRecord
+from .ingest import TweetRecord, UserRecord, record_dict
 
 __all__ = [
     "RACE_CATEGORIES",
@@ -448,7 +448,7 @@ def demographic_distribution(annotations: Mapping[str, DemographicAnnotation],
 def write_annotations(path: str | Path,
                       annotations: Mapping[str, DemographicAnnotation]) -> None:
     """Annotation NDJSON with exactly the documented fields, one user per line."""
-    artifacts.write_ndjson(path, (vars(annotations[uid]) for uid in sorted(annotations)))
+    artifacts.write_ndjson(path, (record_dict(annotations[uid]) for uid in sorted(annotations)))
 
 
 def read_annotations(path: str | Path) -> dict[str, DemographicAnnotation]:

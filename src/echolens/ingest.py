@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +26,7 @@ __all__ = [
     "parse_tweet",
     "parse_user",
     "write_ndjson",
+    "record_dict",
     "apply_stream",
     "engagement_filter",
     "match_text",
@@ -264,9 +266,21 @@ def parse_user(obj: Mapping) -> UserRecord:
     )
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def record_dict(record) -> dict:
+    """A dataclass record's fields as a new dict. vars(record) would give the
+    record a __dict__ that it then keeps for life, as a record that a run
+    hands on to later stages does."""
+    return {name: getattr(record, name) for name in _field_names(type(record))}
+
+
 def write_ndjson(path: str | Path, records: Iterable[TweetRecord | UserRecord]) -> None:
     """Serialize records one JSON object per line."""
-    artifacts.write_ndjson(path, map(vars, records))
+    artifacts.write_ndjson(path, map(record_dict, records))
 
 
 def parse_corpus(path: str | Path, schema: str):

@@ -3,12 +3,15 @@
 Every stage reads only the config plus files written by earlier stages and
 persists its own output under the run directory, so any stage can be re-run
 in isolation and a chained stage-by-stage run is byte-identical to a full
-pipeline run (the full run calls the same stage functions in order, and they
-share one parse of each intermediate).
+pipeline run: the full run calls the same stage functions in order. In a
+full run each stage also hands the values it has just written to the later
+stages that read them, each equal to what parsing its file returns, so the
+run parses none of its own files; a single stage parses its inputs once.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from contextlib import contextmanager
@@ -104,14 +107,27 @@ _INTERMEDIATES = {
 
 
 class _Intermediates:
-    """The intermediates of one run directory, each parsed from disk the
-    first time it is asked for and returned as that same value after. One
-    instance lives for one run_pipeline, run_stage or review_sample call, so
-    no parsed value outlives the call that parsed it."""
+    """The intermediates of one run directory. A stage that writes one hands
+    its value over; any other is parsed from disk the first time it is asked
+    for. Either way it is returned as that same value after, until forgotten.
+    One instance lives for one run_pipeline, run_stage or review_sample call,
+    so no value outlives the call that made it."""
 
     def __init__(self, out: Path):
         self._out = out
         self._parsed: dict[str, object] = {}
+
+    def hand(self, name: str, value) -> None:
+        """Take value as name's in place of a parse of the files just written
+        for it; it must equal what that parse returns, iteration order
+        included."""
+        self._parsed[name] = value
+
+    def hand_json(self, name: str, path: Path, value) -> None:
+        """Write value as the JSON intermediate name and hand over what
+        read_json returns for it: keys sorted, tuples as lists."""
+        artifacts.write_json(path, value)
+        self.hand(name, json.loads(json.dumps(value, sort_keys=True)))
 
     def __getitem__(self, name: str):
         if name not in self._parsed:
@@ -149,8 +165,11 @@ def stage_ingest(cfg: RunConfig, inputs: _Intermediates) -> None:
 
     artifacts.write_csv(out / "tweet_index.csv", ["tweet_id", "author_id"],
                         ([t.tweet_id, t.author_id] for t in tweets))
+    inputs.hand("tweet_index", {t.tweet_id: t.author_id for t in tweets})
     ingest.write_ndjson(out / "selected_tweets.ndjson", cleaned)
+    inputs.hand("tweets", cleaned)
     ingest.write_ndjson(out / "users.ndjson", users)
+    inputs.hand("users", user_index)
     payload = stats.to_dict()
     payload.update({
         "engagement_removed": len(selected) - len(cleaned),
@@ -159,7 +178,7 @@ def stage_ingest(cfg: RunConfig, inputs: _Intermediates) -> None:
         "users_read": len(users) + len(user_errors),
         "users_kept": len(users),
     })
-    artifacts.write_json(out / "ingest_stats.json", payload)
+    inputs.hand_json("ingest_stats", out / "ingest_stats.json", payload)
 
 
 def stage_graph(cfg: RunConfig, inputs: _Intermediates) -> None:
@@ -167,7 +186,8 @@ def stage_graph(cfg: RunConfig, inputs: _Intermediates) -> None:
     g, stats = build_interaction_graph(inputs["tweets"], inputs["tweet_index"])
     write_edge_csv(g, out / "graph_edges.csv")
     write_node_list(g, out / "graph_nodes.txt")
-    artifacts.write_json(out / "graph_stats.json", {
+    inputs.hand("graph", g)
+    inputs.hand_json("graph_stats", out / "graph_stats.json", {
         "nodes": len(g),
         "edges": g.num_edges(),
         "total_weight": g.total_weight(),
@@ -194,11 +214,12 @@ def stage_communities(cfg: RunConfig, inputs: _Intermediates) -> None:
              if keywords else [])
     community.write_review_flags(out / "review_flags.csv", gated, flags)
 
-    artifacts.write_csv(out / "community_labels.csv", ["user_id", "community_id"],
-                        sorted(gated.labels.items()))
+    labels = sorted(gated.labels.items())
+    artifacts.write_csv(out / "community_labels.csv", ["user_id", "community_id"], labels)
+    inputs.hand("community_members", {user_id for user_id, _ in labels})
     artifacts.write_csv(out / "communities.csv", ["community_id", "size", "anchor"],
                         ([c.community_id, c.size, c.anchor] for c in gated.communities))
-    artifacts.write_json(out / "community_stats.json", {
+    inputs.hand_json("community_stats", out / "community_stats.json", {
         "iterations_run": assignment.iterations_run,
         "converged": assignment.converged,
         "communities_pre_gate": len(assignment.communities),
@@ -213,9 +234,11 @@ def stage_influence(cfg: RunConfig, inputs: _Intermediates) -> None:
     result = influence.pagerank(inputs["graph"], damping=cfg.damping,
                                 tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter)
     scaled = influence.scale_scores(result.scores) if result.scores else {}
+    ranked = sorted(result.scores.items())
     artifacts.write_csv(out / "influence.csv", ["user_id", "raw", "scaled"],
-                        ([user_id, repr(raw), repr(scaled[user_id])]
-                         for user_id, raw in sorted(result.scores.items())))
+                        ([user_id, repr(raw), repr(scaled[user_id])] for user_id, raw in ranked))
+    # float(repr(x)) == x for every float.
+    inputs.hand("scaled_influence", {user_id: scaled[user_id] for user_id, _ in ranked})
     artifacts.write_json(out / "influence_stats.json", {
         "iterations": result.iterations,
         "converged": result.converged,
@@ -237,6 +260,7 @@ def stage_demographics(cfg: RunConfig, inputs: _Intermediates) -> None:
     annotations = demographics.annotate_users(
         list(inputs["users"].values()), inputs["tweets"], gaz, model, lexicon)
     demographics.write_annotations(out / "annotations.ndjson", annotations)
+    inputs.hand("annotations", {user_id: annotations[user_id] for user_id in sorted(annotations)})
 
 
 def stage_topics(cfg: RunConfig, inputs: _Intermediates) -> None:
@@ -276,12 +300,14 @@ def stage_topics(cfg: RunConfig, inputs: _Intermediates) -> None:
         cluster_id=cid, top_terms=topics.top_terms(members, idf) if members else [],
         size=len(members)) for cid, members in enumerate(grouped)]
 
-    topics.write_assignments(out / "topic_assignments.ndjson",
-                             dict(zip(tweet_ids, cluster_ids)))
+    assignments = dict(zip(tweet_ids, cluster_ids))
+    topics.write_assignments(out / "topic_assignments.ndjson", assignments)
+    inputs.hand("assignments", {tweet_id: assignments[tweet_id]
+                                for tweet_id in sorted(assignments)})
     topics.write_cluster_csv(clusters, out / "topic_clusters.csv")
     sil = (topics.silhouette(vectors, result.assignments)
            if 2 <= cfg.k < len(corpus) <= 4000 else None)
-    artifacts.write_json(out / "topic_stats.json", {
+    inputs.hand_json("topic_stats", out / "topic_stats.json", {
         "clustered_tweets": len(corpus),
         "iterations": result.iterations,
         "converged": result.converged,
@@ -396,8 +422,10 @@ def review_sample(cfg: RunConfig) -> Path:
     validation.
 
     Clusters are split into small/medium/large size terciles and sampled
-    proportionally with an RNG seeded from cfg.seed; reruns with the same
-    seed pick the same topics. The sample size must be >= 1. Writes
+    in proportion to the terciles' sizes, by largest remainder, with an RNG
+    seeded from cfg.seed; reruns with the same seed pick the same topics.
+    The sample holds min(size, non-empty clusters) topics; the size must be
+    >= 1. Writes
     review_sample.csv and returns its path; a corrupt intermediate raises
     StageError for the stage `review-sample`.
     """
@@ -418,15 +446,20 @@ def review_sample(cfg: RunConfig) -> Path:
             strata[min(2, i * 3 // max(1, len(by_size)))].append(item)
         names = ("small", "medium", "large")
 
+        # Largest-remainder quotas: min(n, total) topics in all, each stratum
+        # its share rounded down, and the topics left over go one each to the
+        # strata with the largest remainders, small before large on a tie. A
+        # stratum with a remainder is not full, so no quota exceeds its stratum.
         total = len(by_size)
+        wanted = min(n, total)
+        shares = [divmod(wanted * len(stratum), max(1, total)) for stratum in strata]
+        quotas = [quota for quota, _ in shares]
+        for i in sorted(range(3), key=lambda i: -shares[i][1])[:wanted - sum(quotas)]:
+            quotas[i] += 1
         chosen: list[tuple[str, tuple[int, int, str]]] = []
-        for name, stratum in zip(names, strata):
-            if not stratum:
-                continue
-            quota = min(len(stratum), max(1, round(n * len(stratum) / total)))
-            picks = rng.sample(stratum, quota)
-            chosen.extend((name, pick) for pick in picks)
-        chosen = chosen[:n]
+        for name, stratum, quota in zip(names, strata, quotas):
+            if quota:
+                chosen.extend((name, pick) for pick in rng.sample(stratum, quota))
         chosen.sort(key=lambda item: item[1][0])
 
         examples: dict[int, list[str]] = {}

@@ -8,13 +8,19 @@ file keyed by tweet id. Clustering is k-means with greedy farthest-point
 initialization, which is fully reproducible for a given seed.
 
 Retweets repeat text, so the work is done once per distinct text or row: the
-embedder counts, hashes and folds each distinct token list once, and the
-seeding runs over distinct rows. Lloyd's iterations still cover every row.
+embedder counts and folds each distinct token list once, and the seeding runs
+over distinct rows. Lloyd's iterations still cover every row.
 Each seeding step screens the distinct rows with one matvec against the new
 centre, a distance that is within a derived bound of the exact one, and
 computes exact distances only for the rows whose screened distances come
 within that bound of the farthest. Every output equals that of the per-text,
 per-row computation bit for bit.
+
+The embedder interns features as integers: a token's word and trigram
+features get ids, buckets and signs the first time the embedder sees the
+token, and a text's features are counted with Counter over their ids. A block
+of distinct texts is folded by one np.add.at, which adds in input order into
+the zeroed output, as the per-feature `vec[bucket] += tf * signed_idf` does.
 
 Besides its input, each kernel holds at most one matrix of the input's size:
 the embedding, one n x k distance buffer, or the n x n silhouette distances.
@@ -29,7 +35,9 @@ import math
 import random
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -97,23 +105,47 @@ class TopicCluster:
     size: int
 
 
-def _features(text: NormalizedText) -> dict[str, int]:
-    """Word unigrams plus character trigrams per token, with raw counts.
+def _token_features(token: str) -> list[str]:
+    """The word unigram of a token, then its character trigrams in order.
     Feature names are prefixed so the two spaces never collide."""
-    counts: dict[str, int] = {}
-    for token in text.tokens:
-        key = "w:" + token
-        counts[key] = counts.get(key, 0) + 1
-        if len(token) >= 3:
-            for i in range(len(token) - 2):
-                key = "c:" + token[i:i + 3]
-                counts[key] = counts.get(key, 0) + 1
-    return counts
+    return ["w:" + token] + ["c:" + token[i:i + 3] for i in range(len(token) - 2)]
 
 
 def _hash_feature(name: str) -> int:
     return int.from_bytes(
         hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "big")
+
+
+class _FeatureTable(dict):
+    """token -> the integer ids of its features, in `_token_features` order.
+
+    A feature gets the next id the first time any token yields it; its
+    bucket (hash mod dim) and sign are hashed then and kept by id."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+        self.ids: dict[str, int] = {}
+        self.buckets: list[int] = []
+        self.signs: list[float] = []
+
+    def __missing__(self, token: str) -> tuple[int, ...]:
+        ids = []
+        for name in _token_features(token):
+            fid = self.ids.get(name)
+            if fid is None:
+                fid = self.ids[name] = len(self.buckets)
+                h = _hash_feature(name)
+                self.buckets.append(h % self.dim)
+                self.signs.append(1.0 if (h >> 60) & 1 == 0 else -1.0)
+            ids.append(fid)
+        self[token] = ids = tuple(ids)
+        return ids
+
+    def counts(self, text: NormalizedText) -> Counter:
+        """Each feature id of a text with its raw count, in order of first
+        occurrence."""
+        return Counter(chain.from_iterable(map(self.__getitem__, text.tokens)))
 
 
 def _distinct_texts(texts: Sequence[NormalizedText]) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +168,8 @@ class BuiltinEmbedder:
     so terms absent from the corpus still get finite weight. Each feature is
     folded into the vector at hash(name) mod dim with a hash-derived sign,
     then the vector is L2-normalized. A vector depends only on its text's
-    token list, so repeated texts are counted, hashed and folded once.
+    token list, so repeated texts are counted and folded once, and a token's
+    features are listed and hashed once per embedder.
     """
 
     def __init__(self, dim: int):
@@ -144,43 +177,76 @@ class BuiltinEmbedder:
             raise ValueError("dim must be >= 2")
         self.dim = dim
         self.n_docs = 0
-        self.df: dict[str, int] = {}
-        self._folds: dict[str, tuple[int, float]] = {}
+        self._table = _FeatureTable(dim)
+        self._df = np.zeros(0, dtype=np.int64)  # by feature id; ids past the end have df 0
 
     def fit(self, texts: Sequence[NormalizedText]) -> "BuiltinEmbedder":
         firsts, inverse = _distinct_texts(texts)
+        repeats = np.bincount(inverse)
         self.n_docs = len(texts)
-        self.df = {}
-        self._folds = {}
-        for first, count in zip(firsts.tolist(), np.bincount(inverse).tolist()):
-            for feature in _features(texts[first]):
-                self.df[feature] = self.df.get(feature, 0) + count
+        self._df = np.zeros(0, dtype=np.int64)
+        for start in range(0, firsts.size, _BLOCK_ROWS):
+            block = firsts[start:start + _BLOCK_ROWS]
+            ids, _, lens = self._block_counts(texts, block)
+            df = np.zeros(len(self._table.buckets), dtype=np.int64)
+            df[:self._df.size] = self._df
+            np.add.at(df, ids, np.repeat(repeats[start:start + block.size], lens))
+            self._df = df
         return self
 
-    def idf(self, feature: str) -> float:
-        return math.log((1 + self.n_docs) / (1 + self.df.get(feature, 0))) + 1.0
+    def _block_counts(self, texts: Sequence[NormalizedText],
+                      block: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The feature ids and raw counts of the texts at block, text after
+        text, each text's in order of first occurrence; and how many
+        features each text has."""
+        ids: list[int] = []
+        tf: list[int] = []
+        lens: list[int] = []
+        for i in block.tolist():
+            counts = self._table.counts(texts[i])
+            ids += counts
+            tf += counts.values()
+            lens.append(len(counts))
+        return np.array(ids, dtype=np.intp), np.array(tf, dtype=float), lens
 
-    def _fold(self, feature: str) -> tuple[int, float]:
-        """(bucket, signed idf) of a feature, computed once per fit."""
-        fold = self._folds.get(feature)
-        if fold is None:
-            h = _hash_feature(feature)
-            sign = 1.0 if (h >> 60) & 1 == 0 else -1.0
-            fold = self._folds[feature] = (h % self.dim, sign * self.idf(feature))
-        return fold
+    def idf(self, feature: str) -> float:
+        fid = self._table.ids.get(feature, self._df.size)
+        df = int(self._df[fid]) if fid < self._df.size else 0
+        return math.log((1 + self.n_docs) / (1 + df)) + 1.0
+
+    def _signed_idfs(self, first_id: int) -> np.ndarray:
+        """sign * idf of every feature from id first_id on, with math.log
+        once per distinct df."""
+        df = np.zeros(len(self._table.buckets) - first_id, dtype=np.int64)
+        fitted = self._df[first_id:]
+        df[:fitted.size] = fitted
+        values, which = np.unique(df, return_inverse=True)
+        idf = np.array([math.log((1 + self.n_docs) / (1 + d)) + 1.0 for d in values.tolist()])
+        # sign * idf is exact: negation does not round.
+        return np.asarray(self._table.signs[first_id:]) * idf[which]
 
     def transform_many(self, texts: Sequence[NormalizedText]) -> np.ndarray:
         firsts, inverse = _distinct_texts(texts)
-        out = np.zeros((len(texts), self.dim))
-        for first in firsts.tolist():
-            # tf * (sign * idf) equals sign * (tf * idf): negation is exact.
-            vec = out[first]
-            for feature, tf in _features(texts[first]).items():
-                bucket, signed_idf = self._fold(feature)
-                vec[bucket] += tf * signed_idf
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec /= norm
+        dim = self.dim
+        out = np.zeros((len(texts), dim))
+        buckets = np.zeros(0, dtype=np.intp)
+        signed_idf = np.zeros(0)
+        for start in range(0, firsts.size, _BLOCK_ROWS):
+            block = firsts[start:start + _BLOCK_ROWS]
+            ids, tf, lens = self._block_counts(texts, block)
+            if buckets.size < len(self._table.buckets):  # features first seen here
+                buckets = np.concatenate([buckets, self._table.buckets[buckets.size:]])
+                signed_idf = np.concatenate([signed_idf, self._signed_idfs(signed_idf.size)])
+            # add.at adds each entry's weight in input order into the zeroed
+            # output, as `vec[bucket] += tf * signed_idf` does feature by
+            # feature, and needs no block-sized buffer.
+            np.add.at(out.reshape(-1), np.repeat(block * dim, lens) + buckets[ids],
+                      tf * signed_idf[ids])
+            for first in block.tolist():
+                vec = out[first]
+                norm = np.linalg.norm(vec)
+                if norm > 0:
+                    vec /= norm
         source = firsts[inverse]
         repeats = np.flatnonzero(source != np.arange(len(texts)))
         # Sources are first occurrences, never repeats, so no block reads a

@@ -6,8 +6,9 @@ per-destination Python-float PageRank instead of the bincount matvec, exact
 brute-force partition enumeration instead of label propagation, a
 dict-of-dicts label propagation instead of the array-based one,
 per-node scans over every edge instead of array reductions, a
-per-text embedder and per-row k-means seeding instead of the
-distinct-text ones, a per-point silhouette loop instead of per-cluster
+per-text embedder with its own feature listing and hashing instead of the
+interned, block-summed one, per-row k-means seeding instead of the
+distinct-row one, a per-point silhouette loop instead of per-cluster
 column sums, term ranking by repeated selection instead of a sort, name
 posteriors counted from the training pairs instead of the fitted tables,
 and exact rationals instead of float shares.
@@ -256,30 +257,45 @@ def graphs_equal(a, b):
         for name in ("indptr", "indices", "retweets", "replies"))
 
 
-def reference_embed(texts, dim):
-    """The builtin embedder, one text at a time: fit counts df per text, and
-    every text's vector is built, hashed and normalized on its own, with no
-    grouping of repeated texts and no per-feature cache. Returns the n x dim
-    matrix `embed_corpus` must reproduce bit for bit."""
+def _features(tokens):
+    """Word unigrams plus character trigrams of a token list, with raw
+    counts, keyed by prefixed feature name in order of first occurrence."""
+    counts = {}
+    for token in tokens:
+        names = ["w:" + token]
+        if len(token) >= 3:
+            names += ["c:" + token[i:i + 3] for i in range(len(token) - 2)]
+        for name in names:
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def reference_embed(texts, dim, fit_texts=None):
+    """The builtin embedder, one text at a time: fit counts df per text of
+    fit_texts (texts by default), and every text's vector is built, hashed
+    and normalized on its own, with no grouping of repeated texts, no
+    interned features and no per-feature cache. Returns the n x dim matrix
+    `BuiltinEmbedder(dim).fit(fit_texts).transform_many(texts)` must
+    reproduce bit for bit."""
+    import hashlib
     import math
 
-    from echolens.topics import _features, _hash_feature
-
-    n_docs = len(texts)
+    fit_texts = texts if fit_texts is None else fit_texts
     df = {}
-    for text in texts:
-        for feature in _features(text):
+    for text in fit_texts:
+        for feature in _features(text.tokens):
             df[feature] = df.get(feature, 0) + 1
 
     def idf(feature):
-        return math.log((1 + n_docs) / (1 + df.get(feature, 0))) + 1.0
+        return math.log((1 + len(fit_texts)) / (1 + df.get(feature, 0))) + 1.0
 
     out = np.zeros((len(texts), dim))
     for i, text in enumerate(texts):
         vec = np.zeros(dim)
-        weights = {f: tf * idf(f) for f, tf in _features(text).items()}
+        weights = {f: tf * idf(f) for f, tf in _features(text.tokens).items()}
         for feature, weight in weights.items():
-            h = _hash_feature(feature)
+            h = int.from_bytes(hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest(),
+                               "big")
             sign = 1.0 if (h >> 60) & 1 == 0 else -1.0
             vec[h % dim] += sign * weight
         norm = np.linalg.norm(vec)
@@ -362,9 +378,7 @@ def reference_kmeans(vectors, k, seed=0, max_iter=100):
 def reference_weights(embedder, text):
     """Pre-hash TF-IDF weights per feature of one text under a fitted
     embedder: raw count times idf."""
-    from echolens.topics import _features
-
-    return {f: tf * embedder.idf(f) for f, tf in _features(text).items()}
+    return {f: tf * embedder.idf(f) for f, tf in _features(text.tokens).items()}
 
 
 def reference_silhouette(vectors, assignments):

@@ -1,4 +1,9 @@
+import csv
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echolens import artifacts
 
@@ -55,3 +60,45 @@ def test_read_csv_columns_skips_blank_lines_and_reads_last_unterminated_row(tmp_
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n\n\n3,4", encoding="utf-8")
     assert artifacts.read_csv_columns(path) == {"a": ["1", "3"], "b": ["2", "4"]}
+
+
+def _plain_csv(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()
+
+
+def test_lone_carriage_return_is_quoted_in_its_chunk_only(tmp_path, monkeypatch):
+    # Chunks of three rows: the header and rows 0-1, rows 2-4, rows 5-7.
+    monkeypatch.setattr(artifacts, "_CHUNK_ROWS", 3)
+    rows = [[f"u{i}", i] for i in range(8)]
+    rows[3] = ["a\rb", 'x\r\n"y"']
+    path = tmp_path / "t.csv"
+    artifacts.write_csv(path, ["id", "n"], rows)
+    plain = _plain_csv([["id", "n"]] + rows).decode()
+    assert path.read_bytes() == plain.replace("a\rb,", '"a\rb",').encode()
+    assert list(artifacts.read_csv(path)) == [{"id": a, "n": str(b)} for a, b in rows]
+    assert artifacts.read_csv_columns(path)["id"] == [a for a, _ in rows]
+
+    artifacts.write_column(tmp_path / "c.txt", ["\r", "", "a\r", "b"])
+    assert (tmp_path / "c.txt").read_bytes() == b'"\r"\n""\n"a\r"\nb\n'
+    assert list(artifacts.read_column(tmp_path / "c.txt")) == ["\r", "", "a\r", "b"]
+
+
+fields = st.text(alphabet=st.sampled_from(list("a ,\"\n\r'")), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(fields, min_size=2, max_size=2), max_size=7),
+       st.integers(min_value=1, max_value=4))
+def test_csv_round_trips_and_keeps_bytes_without_carriage_returns(tmp_path_factory, rows,
+                                                                  chunk_rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(artifacts, "_CHUNK_ROWS", chunk_rows)
+        artifacts.write_csv(path, ["a", "b"], rows)
+    assert [[row["a"], row["b"]] for row in artifacts.read_csv(path)] == rows
+    assert artifacts.read_csv_columns(path) == {"a": [r[0] for r in rows],
+                                               "b": [r[1] for r in rows]}
+    if not any("\r" in field for row in rows for field in row):
+        assert path.read_bytes() == _plain_csv([["a", "b"]] + rows)

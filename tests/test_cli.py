@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -585,3 +586,28 @@ def test_import_loads_no_scipy(module):
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_topics_stage_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The topics stage runs GEMMs (k-means, silhouette); its files must keep
+    their bytes whether BLAS runs on one thread or two."""
+    config = write_fixture(tmp_path / "fixture", seed=7, n_tweets=2000)
+    primed = tmp_path / "primed"
+    assert main(["run", "--config", str(config), "--out", str(primed)]) == 0
+    src = str(Path(artifacts.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        shutil.copytree(primed, out)
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "echolens.cli", "topics", "--config",
+                               str(config), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {"topic_assignments.ndjson", "topic_clusters.csv", "topic_stats.json"} <= set(names)
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

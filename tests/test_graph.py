@@ -140,9 +140,8 @@ def test_edge_csv_round_trip(tmp_path):
 
 
 # Ids a line reader would strip or split and a CSV reader must unquote:
-# surrounding spaces, separators, quotes and line feeds. A carriage return is
-# left out: csv.writer does not quote a lone \r when rows end in \n.
-awkward_ids = st.text(alphabet=st.sampled_from(list("ab ,\"\n\t'")),
+# surrounding spaces, separators, quotes, line feeds and carriage returns.
+awkward_ids = st.text(alphabet=st.sampled_from(list("ab ,\"\n\r\t'")),
                       min_size=1, max_size=5)
 
 

@@ -1,0 +1,188 @@
+"""A full run hands each intermediate from the stage that writes it to the
+stages that read it instead of parsing the file again, so a handed value
+must equal what its parser returns for the file just written, iteration
+order included. These tests hold parse(write(x)) == x for every format, and
+hold every value a full run hands against a parse of its file."""
+
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from echolens import artifacts, ingest, pipeline, topics
+from echolens.demographics import DemographicAnnotation, write_annotations
+from echolens.graph import InteractionGraph, write_edge_csv, write_node_list
+from echolens.ingest import TweetRecord, UserRecord
+from echolens.config import load_config
+from echolens.synth import write_fixture
+
+from _oracles import graphs_equal
+
+# Ids and text that a CSV or JSON writer must quote or escape.
+ids = st.text(alphabet=st.sampled_from(list("ab ,\"\n\r\t'é")), min_size=1, max_size=4)
+texts = st.text(max_size=12)
+counts = st.integers(min_value=0, max_value=2**40)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def parse(name, directory):
+    files, _, _, parser = pipeline._INTERMEDIATES[name]
+    return parser(*(directory / f for f in files))
+
+
+def same(a, b):
+    """Equal, and equal in iteration order; graphs by ids and CSR arrays."""
+    if isinstance(a, InteractionGraph):
+        return isinstance(b, InteractionGraph) and graphs_equal(a, b)
+    if isinstance(a, dict):
+        return a == b and list(a) == list(b)
+    if isinstance(a, (set, list)):
+        return a == b and list(a) == list(b)
+    return a == b
+
+
+@st.composite
+def tweets(draw):
+    """TweetRecords as ingest keeps them: unique ids, integral times as int."""
+    records = []
+    for tweet_id in draw(st.lists(ids, unique=True, max_size=6)):
+        created = draw(st.one_of(st.integers(0, 2**40), finite.filter(
+            lambda x: not x.is_integer())))
+        reply_to, retweet_of = draw(st.none() | ids), draw(st.none() | ids)
+        if reply_to is not None and reply_to == retweet_of:
+            retweet_of = None
+        located = draw(st.booleans())
+        records.append(TweetRecord(
+            tweet_id=tweet_id, author_id=draw(ids), text=draw(texts), created_at=created,
+            likes=draw(counts), retweets=draw(counts), replies=draw(counts),
+            mentions=draw(st.lists(ids, max_size=3)), reply_to=reply_to,
+            retweet_of=retweet_of,
+            lat=draw(st.floats(-90, 90)) if located else None,
+            lon=draw(st.floats(-180, 180)) if located else None,
+            place_name=draw(st.none() | texts)))
+    return records
+
+
+@st.composite
+def users(draw):
+    records = {}
+    for user_id in draw(st.lists(ids, unique=True, max_size=6)):
+        faces = draw(st.none() | st.integers(0, 3))
+        annotated = faces == 1 and draw(st.booleans())
+        records[user_id] = UserRecord(
+            user_id=user_id, handle=draw(ids), display_name=draw(texts),
+            followers=draw(counts), has_profile_photo=draw(st.booleans()),
+            face_count=faces,
+            age_estimate=draw(st.none() | st.integers(0, 99)) if annotated else None,
+            gender_estimate=(draw(st.none() | st.sampled_from(ingest.GENDER_VALUES))
+                             if annotated else None),
+            account_kind=draw(st.sampled_from(ingest.ACCOUNT_KINDS)))
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(tweets())
+def test_tweets_and_tweet_index_round_trip(tmp_path_factory, records):
+    out = tmp_path_factory.mktemp("tweets")
+    ingest.write_ndjson(out / "selected_tweets.ndjson", records)
+    artifacts.write_csv(out / "tweet_index.csv", ["tweet_id", "author_id"],
+                        ([t.tweet_id, t.author_id] for t in records))
+    assert same(records, parse("tweets", out))
+    assert same({t.tweet_id: t.author_id for t in records}, parse("tweet_index", out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(users())
+def test_users_round_trip_in_file_order(tmp_path_factory, records):
+    out = tmp_path_factory.mktemp("users")
+    ingest.write_ndjson(out / "users.ndjson", records.values())
+    assert same(records, parse("users", out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(ids, st.builds(
+    DemographicAnnotation, user_id=st.just(""), country=st.none() | texts,
+    continent=st.none() | texts, race=texts, age=st.none() | st.integers(0, 99),
+    gender=st.none() | texts, eligible_youth=st.booleans()), max_size=6))
+def test_annotations_round_trip_sorted_by_user_id(tmp_path_factory, drawn):
+    annotations = {}
+    for user_id, annotation in drawn.items():
+        annotation.user_id = user_id
+        annotations[user_id] = annotation
+    out = tmp_path_factory.mktemp("annotations")
+    write_annotations(out / "annotations.ndjson", annotations)
+    handed = {user_id: annotations[user_id] for user_id in sorted(annotations)}
+    assert same(handed, parse("annotations", out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(ids, st.tuples(finite, finite), max_size=6))
+def test_influence_round_trips_scaled_scores(tmp_path_factory, scores):
+    # Written as the influence stage writes it: rows sorted, floats by repr.
+    out = tmp_path_factory.mktemp("influence")
+    ranked = sorted(scores.items())
+    artifacts.write_csv(out / "influence.csv", ["user_id", "raw", "scaled"],
+                        ([user_id, repr(raw), repr(scaled)] for user_id, (raw, scaled) in ranked))
+    assert same({user_id: scaled for user_id, (_, scaled) in ranked},
+                parse("scaled_influence", out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(ids, st.integers(0, 500), max_size=8))
+def test_assignments_round_trip_sorted_by_tweet_id(tmp_path_factory, assignments):
+    out = tmp_path_factory.mktemp("assignments")
+    topics.write_assignments(out / "topic_assignments.ndjson", assignments)
+    handed = {tweet_id: assignments[tweet_id] for tweet_id in sorted(assignments)}
+    assert same(handed, parse("assignments", out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ids, min_size=1, max_size=8, unique=True), st.data())
+def test_graph_and_members_round_trip(tmp_path_factory, nodes, data):
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
+                      st.integers(0, 3), st.integers(0, 3))
+    edges = [e for e in data.draw(st.lists(pairs, max_size=12)) if e[0] != e[1]]
+    g = InteractionGraph.from_weighted_edges(edges, nodes=nodes)
+    out = tmp_path_factory.mktemp("graph")
+    write_edge_csv(g, out / "graph_edges.csv")
+    write_node_list(g, out / "graph_nodes.txt")
+    assert same(g, parse("graph", out))
+
+    labels = sorted((node, i % 3) for i, node in enumerate(nodes))
+    artifacts.write_csv(out / "community_labels.csv", ["user_id", "community_id"], labels)
+    assert same({user_id for user_id, _ in labels}, parse("community_members", out))
+
+
+@pytest.fixture(scope="module")
+def shuffled_config(tmp_path_factory):
+    """The seed-7 fixture with its tweet and user lines shuffled, so that no
+    value comes out in id order unless it is sorted."""
+    config = write_fixture(tmp_path_factory.mktemp("fixture"), seed=7, n_tweets=2000)
+    for name in ("tweets.ndjson", "users.ndjson"):
+        path = config.parent / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(name).shuffle(lines)
+        path.write_text("".join(lines), encoding="utf-8")
+    return config
+
+
+def test_every_value_a_full_run_hands_equals_its_parse(shuffled_config, tmp_path,
+                                                       monkeypatch):
+    handed = {}
+    hand = pipeline._Intermediates.hand
+
+    def recording(self, name, value):
+        handed[name] = value
+        return hand(self, name, value)
+
+    monkeypatch.setattr(pipeline._Intermediates, "hand", recording)
+    cfg = load_config(shuffled_config)
+    cfg.out_dir = str(tmp_path / "run")
+    pipeline.run_pipeline(cfg)
+
+    read = {name for name, entry in pipeline._INTERMEDIATES.items() if entry[2]}
+    assert set(handed) == read
+    for name, value in handed.items():
+        assert same(value, parse(name, Path(cfg.out_dir))), name

@@ -1,6 +1,7 @@
-"""The stage runner's intermediates: each is parsed at most once per run,
-is let go after the last stage that reads it, never outlives the call that
-parsed it, and names its producer when missing."""
+"""The stage runner's intermediates: a full run hands each one from the
+stage that writes it to the stages that read it, a single stage parses each
+at most once, each is let go after the last stage that reads it, never
+outlives the call that made it, and names its producer when missing."""
 
 import shutil
 from collections import Counter
@@ -35,26 +36,29 @@ def _config(config_path, out, **knobs):
     return cfg
 
 
-def test_full_run_parses_each_intermediate_once(fixture_config, tmp_path, monkeypatch):
-    reads = Counter()
+def test_full_run_parses_no_file_it_wrote(fixture_config, tmp_path, monkeypatch):
+    """Each stage hands what it writes to the later stages of the run, so no
+    file under the run directory is parsed. The manifest's checksums of the
+    reports are not parses and are not counted."""
+    parses = Counter()
 
     def counting(fn):
         def wrapper(path, *args, **kwargs):
-            reads[Path(path).resolve()] += 1
+            parses[Path(path).resolve()] += 1
             return fn(path, *args, **kwargs)
         return wrapper
 
     for name in ("read_column", "read_csv", "read_csv_columns", "read_json",
-                 "read_ndjson", "read_lines", "sha256"):
+                 "read_ndjson", "read_lines"):
         monkeypatch.setattr(artifacts, name, counting(getattr(artifacts, name)))
     monkeypatch.setattr(ingest, "parse_corpus", counting(ingest.parse_corpus))
 
     out = (tmp_path / "run").resolve()
-    run_pipeline(_config(fixture_config, out))
-    under_out = {path.name: n for path, n in reads.items() if out in path.parents}
-    assert {"selected_tweets.ndjson", "users.ndjson", "graph_edges.csv",
-            "annotations.ndjson"} <= set(under_out)
-    assert {name: n for name, n in under_out.items() if n > 1} == {}
+    cfg = _config(fixture_config, out)
+    run_pipeline(cfg)
+    assert [path.name for path in parses if out in path.parents] == []
+    # The counters see the stages' reads: ingest parses the raw archive once.
+    assert parses[Path(cfg.tweets).resolve()] == 1
 
 
 def test_declared_readers_match_reads_and_bound_lifetimes(fixture_config, tmp_path,
@@ -180,3 +184,22 @@ def test_review_sample_takes_size_from_config(fixture_config, full_run, tmp_path
     rows = list(artifacts.read_csv(path))
     assert len(rows) == 3
     assert len({row["cluster_id"] for row in rows}) == 3
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 50])
+def test_review_sample_writes_size_or_every_nonempty_topic(size, fixture_config, full_run,
+                                                           tmp_path):
+    # Six non-empty topics in strata of two: largest-remainder quotas give
+    # size 4 its four rows, where rounding each stratum's share gave three.
+    out = tmp_path / "run"
+    shutil.copytree(full_run, out)
+    nonempty = {row["cluster_id"] for row in artifacts.read_csv(out / "topic_clusters.csv")
+                if int(row["size"]) > 0}
+    assert len(nonempty) == 6
+    rows = list(artifacts.read_csv(review_sample(
+        _config(fixture_config, out, review_sample_size=size))))
+    assert len(rows) == min(size, len(nonempty))
+    assert len({row["cluster_id"] for row in rows}) == len(rows)
+    assert {row["cluster_id"] for row in rows} <= nonempty
+    strata = Counter(row["stratum"] for row in rows)
+    assert max(strata.values()) - min(strata[s] for s in ("small", "medium", "large")) <= 1

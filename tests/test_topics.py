@@ -420,6 +420,65 @@ class TestDistinctTextOracle:
         assert_same_kmeans(vectors, k, seed, max_iter=20)
 
 
+def texts_of(*token_lists):
+    return [topics.NormalizedText(tokens=list(tokens)) for tokens in token_lists]
+
+
+class TestInternedEmbedderOracle:
+    """The embedder interns features and sums each block with one bincount;
+    its vectors must equal the per-text oracle's bit for bit."""
+
+    def assert_same(self, texts, dim, fit_texts=None):
+        fit = texts if fit_texts is None else fit_texts
+        got = BuiltinEmbedder(dim).fit(fit).transform_many(texts)
+        assert got.tobytes() == reference_embed(texts, dim, fit_texts).tobytes()
+
+    def test_dim_two_every_bucket_collides(self):
+        texts = [normalize_text(r) for r in
+                 ("climate action now", "ocean cleanup crew", "climate climate", "a b")]
+        self.assert_same(texts, 2)
+        self.assert_same(repetitive_corpus(5), 2)
+
+    def test_short_tokens_have_no_trigrams(self):
+        self.assert_same(texts_of(["a", "bc"], ["bc", "a", "de"], ["x"], ["bc", "bcd"]), 16)
+
+    def test_empty_token_lists_embed_to_zero(self):
+        texts = texts_of([], ["ok", "go"], [], ["ok"])
+        vectors = BuiltinEmbedder(16).fit(texts).transform_many(texts)
+        assert not vectors[0].any() and not vectors[2].any()
+        self.assert_same(texts, 16)
+        self.assert_same(texts_of([], []), 16)
+
+    def test_repeated_features_count_raw_tf(self):
+        # "aaaa" yields c:aaa twice; "banana" c:ana twice; words repeat.
+        self.assert_same(texts_of(["aaaa", "aaaa", "aaa"], ["banana", "banana"],
+                                  ["aaa", "banana"]), 32)
+
+    def test_unseen_features_at_transform_have_df_zero(self):
+        fitted = texts_of(["climate", "action"], ["ocean"])
+        unseen = texts_of(["climate", "strike"], ["zzz"], [], ["ocean", "ocean", "acti"])
+        self.assert_same(unseen, 32, fitted)
+        self.assert_same(unseen, 2, fitted)
+        embedder = BuiltinEmbedder(32).fit(fitted)
+        assert embedder.idf("w:strike") == math.log(3 / 1) + 1.0
+        assert embedder.idf("w:climate") == math.log(3 / 2) + 1.0
+
+    def test_more_distinct_texts_than_a_block(self):
+        texts = block_edge_corpus(3)
+        fitted = texts[:topics._BLOCK_ROWS // 2]
+        self.assert_same(texts, 64, fitted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.text(alphabet="abé", max_size=5), max_size=6), max_size=10),
+       st.lists(st.lists(st.text(alphabet="abé", max_size=5), max_size=6), max_size=10),
+       st.sampled_from([2, 3, 16]))
+def test_embedder_equals_reference_on_any_tokens(fit_tokens, tokens, dim):
+    fit_texts, texts = texts_of(*fit_tokens), texts_of(*tokens)
+    got = BuiltinEmbedder(dim).fit(fit_texts).transform_many(texts)
+    assert got.tobytes() == reference_embed(texts, dim, fit_texts).tobytes()
+
+
 def block_edge_corpus(seed):
     """A repetitive corpus whose size is not a multiple of the block size,
     with more repeats than one block and a repeat straddling the first
