@@ -16,12 +16,14 @@ from pathlib import Path
 from echolens.demographics import (NameModel, NgramNameClassifier,
                                    ProperNounLexicon, annotate_users,
                                    classify_race, default_data_path,
-                                   demographic_distribution, load_gazetteer,
-                                   load_name_lists, load_training_names)
+                                   demographic_distribution, load_continents,
+                                   load_gazetteer, load_name_lists,
+                                   load_training_names)
 from echolens.ingest import parse_corpus
 from echolens.synth import write_fixture
 
 gaz = load_gazetteer(default_data_path("gazetteer.csv"))
+continents = load_continents(default_data_path("continents.csv"))
 names, labels = load_training_names(default_data_path("classifier_names.csv"))
 model = NameModel(
     census_lists=load_name_lists(default_data_path("name_lists.csv")),
@@ -43,7 +45,7 @@ write_fixture(workdir, seed=7, n_tweets=800)
 tweets, _ = parse_corpus(workdir / "tweets.ndjson", schema="tweets")
 users, _ = parse_corpus(workdir / "users.ndjson", schema="users")
 
-annotations = annotate_users(users, tweets, gaz, model, lexicon)
+annotations = annotate_users(users, tweets, gaz, continents, model, lexicon)
 eligible = sum(a.eligible_youth for a in annotations.values())
 print(f"\n{eligible} of {len(annotations)} users are youth-eligible")
 

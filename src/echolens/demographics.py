@@ -33,6 +33,7 @@ __all__ = [
     "load_name_lists",
     "load_training_names",
     "geolocate_country",
+    "load_continents",
     "continent_of",
     "classify_race",
     "eligibility_filter",
@@ -139,21 +140,16 @@ def geolocate_country(t: TweetRecord, gaz: Gazetteer) -> str | None:
     return None
 
 
-def _load_continents() -> dict[str, str]:
+def load_continents(path: str | Path) -> dict[str, str]:
+    """Country code (upper case) -> continent, from a `country,continent` CSV."""
     return {row["country"].strip().upper(): row["continent"].strip()
-            for row in artifacts.read_csv(DATA_DIR / "continents.csv")}
+            for row in artifacts.read_csv(path)}
 
 
-_CONTINENTS: dict[str, str] | None = None
-
-
-def continent_of(country: str | None) -> str | None:
-    global _CONTINENTS
+def continent_of(country: str | None, continents: Mapping[str, str]) -> str | None:
     if country is None:
         return None
-    if _CONTINENTS is None:
-        _CONTINENTS = _load_continents()
-    return _CONTINENTS.get(country.upper())
+    return continents.get(country.upper())
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +383,7 @@ def _user_country(tweets: Sequence[TweetRecord], gaz: Gazetteer) -> str | None:
 
 
 def annotate_users(users: Sequence[UserRecord], tweets: Sequence[TweetRecord],
-                   gaz: Gazetteer, model: NameModel,
+                   gaz: Gazetteer, continents: Mapping[str, str], model: NameModel,
                    lexicon: ProperNounLexicon) -> dict[str, DemographicAnnotation]:
     """Full demographic annotation for every user record.
 
@@ -406,7 +402,7 @@ def annotate_users(users: Sequence[UserRecord], tweets: Sequence[TweetRecord],
         annotations[user.user_id] = DemographicAnnotation(
             user_id=user.user_id,
             country=country,
-            continent=continent_of(country),
+            continent=continent_of(country, continents),
             race=classify_race(user.display_name, model),
             age=user.age_estimate if face_ok else None,
             gender=user.gender_estimate if face_ok else None,

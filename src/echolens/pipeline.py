@@ -3,14 +3,16 @@
 Every stage reads only the config plus files written by earlier stages and
 persists its own output under the run directory, so any stage can be re-run
 in isolation and a chained stage-by-stage run is byte-identical to a full
-pipeline run: the full run calls the same stage functions in order. In a
-full run each stage also hands the values it has just written to the later
-stages that read them, each equal to what parsing its file returns, so the
-run parses none of its own files; a single stage parses its inputs once.
+pipeline run: the full run calls the same stage functions in order. A stage
+names the intermediates it reads as its parameters and returns the values of
+those it wrote, each equal to what parsing its file returns. A full run
+holds each returned value until the last later stage that names it, so it
+parses none of its own files; a single stage parses its inputs once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -67,84 +69,77 @@ def _parse_records(path: Path, schema: str) -> list:
     return records
 
 
-# Every intermediate a stage reads: its files, the stage that writes them, the
-# stages that read it and its parser. Parsers look their readers up when
-# called, so a wrapper installed later on a module attribute
-# (ingest.parse_corpus, read_edge_csv) sees each parse.
+# Every intermediate a stage reads: its files, the stage that writes them and
+# its parser. Parsers look their readers up when called, so a wrapper
+# installed later on a module attribute (ingest.parse_corpus, read_edge_csv)
+# sees each parse.
 _INTERMEDIATES = {
     "tweets": (("selected_tweets.ndjson",), "ingest",
-               ("graph", "communities", "demographics", "topics", "report"),
                lambda path: _parse_records(path, "tweets")),
-    "users": (("users.ndjson",), "ingest", ("communities", "demographics", "report"),
+    "users": (("users.ndjson",), "ingest",
               lambda path: {u.user_id: u for u in _parse_records(path, "users")}),
-    "tweet_index": (("tweet_index.csv",), "ingest", ("graph",),
+    "tweet_index": (("tweet_index.csv",), "ingest",
                     lambda path: {row["tweet_id"]: row["author_id"]
                                   for row in artifacts.read_csv(path)}),
-    "ingest_stats": (("ingest_stats.json",), "ingest", ("report",),
-                     lambda path: artifacts.read_json(path)),
+    "ingest_stats": (("ingest_stats.json",), "ingest", lambda path: artifacts.read_json(path)),
     "graph": (("graph_edges.csv", "graph_nodes.txt"), "graph",
-              ("communities", "influence", "report"),
               lambda edges, nodes: read_edge_csv(edges, nodes)),
-    "graph_stats": (("graph_stats.json",), "graph", ("report",),
-                    lambda path: artifacts.read_json(path)),
-    "community_members": (("community_labels.csv",), "communities", ("topics",),
+    "graph_stats": (("graph_stats.json",), "graph", lambda path: artifacts.read_json(path)),
+    "community_members": (("community_labels.csv",), "communities",
                           lambda path: {row["user_id"] for row in artifacts.read_csv(path)}),
-    "community_stats": (("community_stats.json",), "communities", ("report",),
+    "community_stats": (("community_stats.json",), "communities",
                         lambda path: artifacts.read_json(path)),
-    "scaled_influence": (("influence.csv",), "influence", ("report",),
+    "scaled_influence": (("influence.csv",), "influence",
                          lambda path: {row["user_id"]: float(row["scaled"])
                                        for row in artifacts.read_csv(path)}),
-    "annotations": (("annotations.ndjson",), "demographics", ("topics", "report"),
+    "annotations": (("annotations.ndjson",), "demographics",
                     lambda path: demographics.read_annotations(path)),
-    "assignments": (("topic_assignments.ndjson",), "topics", ("report",),
+    "assignments": (("topic_assignments.ndjson",), "topics",
                     lambda path: topics.read_assignments(path)),
-    "clusters": (("topic_clusters.csv",), "topics", (),
+    "clusters": (("topic_clusters.csv",), "topics",
                  lambda path: [(int(row["cluster_id"]), int(row["size"]), row["top_terms"])
                                for row in artifacts.read_csv(path)]),
-    "topic_stats": (("topic_stats.json",), "topics", ("report",),
-                    lambda path: artifacts.read_json(path)),
+    "topic_stats": (("topic_stats.json",), "topics", lambda path: artifacts.read_json(path)),
 }
 
+# Bundled, not configurable; its sha256 goes into the manifest with the data files.
+_CONTINENTS_CSV = demographics.default_data_path("continents.csv")
 
-class _Intermediates:
-    """The intermediates of one run directory. A stage that writes one hands
-    its value over; any other is parsed from disk the first time it is asked
-    for. Either way it is returned as that same value after, until forgotten.
-    One instance lives for one run_pipeline, run_stage or review_sample call,
-    so no value outlives the call that made it."""
 
-    def __init__(self, out: Path):
-        self._out = out
-        self._parsed: dict[str, object] = {}
+def _stage(fn):
+    """Make fn(cfg, <intermediates>...) callable as stage(cfg, held): each
+    parameter after cfg names an intermediate, taken from held, the values
+    the run holds, or else parsed from the run directory inside the call.
+    stage.reads lists those names."""
+    reads = fn.__code__.co_varnames[1:fn.__code__.co_argcount]
 
-    def hand(self, name: str, value) -> None:
-        """Take value as name's in place of a parse of the files just written
-        for it; it must equal what that parse returns, iteration order
-        included."""
-        self._parsed[name] = value
+    @functools.wraps(fn)
+    def stage(cfg: RunConfig, held: dict):
+        return fn(cfg, *(held[name] if name in held else _parse(_out(cfg), name)
+                         for name in reads))
 
-    def hand_json(self, name: str, path: Path, value) -> None:
-        """Write value as the JSON intermediate name and hand over what
-        read_json returns for it: keys sorted, tuples as lists."""
-        artifacts.write_json(path, value)
-        self.hand(name, json.loads(json.dumps(value, sort_keys=True)))
+    stage.reads = reads
+    return stage
 
-    def __getitem__(self, name: str):
-        if name not in self._parsed:
-            files, producer, _, parse = _INTERMEDIATES[name]
-            self._parsed[name] = parse(*(_require(self._out / f, producer)
-                                         for f in files))
-        return self._parsed[name]
 
-    def forget(self, name: str) -> None:
-        self._parsed.pop(name, None)
+def _parse(out: Path, name: str):
+    files, producer, parse = _INTERMEDIATES[name]
+    return parse(*(_require(out / f, producer) for f in files))
+
+
+def _written_json(path: Path, value):
+    """Write value as a JSON intermediate; returns what read_json gives back
+    for it: keys sorted, tuples as lists."""
+    artifacts.write_json(path, value)
+    return json.loads(json.dumps(value, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
 # Stage implementations
 
 
-def stage_ingest(cfg: RunConfig, inputs: _Intermediates) -> None:
+@_stage
+def stage_ingest(cfg: RunConfig) -> dict:
     out = _out(cfg)
     tweets_path = _require(Path(cfg.tweets))
     users_path = _require(Path(cfg.users))
@@ -165,11 +160,8 @@ def stage_ingest(cfg: RunConfig, inputs: _Intermediates) -> None:
 
     artifacts.write_csv(out / "tweet_index.csv", ["tweet_id", "author_id"],
                         ([t.tweet_id, t.author_id] for t in tweets))
-    inputs.hand("tweet_index", {t.tweet_id: t.author_id for t in tweets})
     ingest.write_ndjson(out / "selected_tweets.ndjson", cleaned)
-    inputs.hand("tweets", cleaned)
     ingest.write_ndjson(out / "users.ndjson", users)
-    inputs.hand("users", user_index)
     payload = stats.to_dict()
     payload.update({
         "engagement_removed": len(selected) - len(cleaned),
@@ -178,16 +170,17 @@ def stage_ingest(cfg: RunConfig, inputs: _Intermediates) -> None:
         "users_read": len(users) + len(user_errors),
         "users_kept": len(users),
     })
-    inputs.hand_json("ingest_stats", out / "ingest_stats.json", payload)
+    return {"tweet_index": {t.tweet_id: t.author_id for t in tweets}, "tweets": cleaned,
+            "users": user_index, "ingest_stats": _written_json(out / "ingest_stats.json", payload)}
 
 
-def stage_graph(cfg: RunConfig, inputs: _Intermediates) -> None:
+@_stage
+def stage_graph(cfg: RunConfig, tweets, tweet_index) -> dict:
     out = _out(cfg)
-    g, stats = build_interaction_graph(inputs["tweets"], inputs["tweet_index"])
+    g, stats = build_interaction_graph(tweets, tweet_index)
     write_edge_csv(g, out / "graph_edges.csv")
     write_node_list(g, out / "graph_nodes.txt")
-    inputs.hand("graph", g)
-    inputs.hand_json("graph_stats", out / "graph_stats.json", {
+    return {"graph": g, "graph_stats": _written_json(out / "graph_stats.json", {
         "nodes": len(g),
         "edges": g.num_edges(),
         "total_weight": g.total_weight(),
@@ -195,31 +188,29 @@ def stage_graph(cfg: RunConfig, inputs: _Intermediates) -> None:
         "resolved_replies": stats.resolved_replies,
         "unresolved_targets": stats.unresolved_targets,
         "self_interactions": stats.self_interactions,
-    })
+    })}
 
 
-def stage_communities(cfg: RunConfig, inputs: _Intermediates) -> None:
+@_stage
+def stage_communities(cfg: RunConfig, graph, tweets, users) -> dict:
     out = _out(cfg)
-    g = inputs["graph"]
     importance = community.node_importance(
-        g, mode=cfg.importance_mode, damping=cfg.damping,
+        graph, mode=cfg.importance_mode, damping=cfg.damping,
         tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter)
     assignment = community.label_propagation(
-        g, importance, seed=derive_seed(cfg.seed, "communities"),
+        graph, importance, seed=derive_seed(cfg.seed, "communities"),
         max_rounds=cfg.lp_max_rounds)
     gated = community.gate_communities(assignment, cfg.min_community_size)
 
     keywords = cfg.effective_flag_keywords()
-    flags = (community.flag_offtopic(gated, inputs["tweets"], keywords, inputs["users"])
-             if keywords else [])
+    flags = community.flag_offtopic(gated, tweets, keywords, users) if keywords else []
     community.write_review_flags(out / "review_flags.csv", gated, flags)
 
     labels = sorted(gated.labels.items())
     artifacts.write_csv(out / "community_labels.csv", ["user_id", "community_id"], labels)
-    inputs.hand("community_members", {user_id for user_id, _ in labels})
     artifacts.write_csv(out / "communities.csv", ["community_id", "size", "anchor"],
                         ([c.community_id, c.size, c.anchor] for c in gated.communities))
-    inputs.hand_json("community_stats", out / "community_stats.json", {
+    stats = _written_json(out / "community_stats.json", {
         "iterations_run": assignment.iterations_run,
         "converged": assignment.converged,
         "communities_pre_gate": len(assignment.communities),
@@ -227,27 +218,31 @@ def stage_communities(cfg: RunConfig, inputs: _Intermediates) -> None:
         "dropped_members": gated.dropped_members,
         "flagged": len(flags),
     })
+    return {"community_members": {user_id for user_id, _ in labels}, "community_stats": stats}
 
 
-def stage_influence(cfg: RunConfig, inputs: _Intermediates) -> None:
+@_stage
+def stage_influence(cfg: RunConfig, graph) -> dict:
     out = _out(cfg)
-    result = influence.pagerank(inputs["graph"], damping=cfg.damping,
+    result = influence.pagerank(graph, damping=cfg.damping,
                                 tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter)
     scaled = influence.scale_scores(result.scores) if result.scores else {}
     ranked = sorted(result.scores.items())
     artifacts.write_csv(out / "influence.csv", ["user_id", "raw", "scaled"],
                         ([user_id, repr(raw), repr(scaled[user_id])] for user_id, raw in ranked))
-    # float(repr(x)) == x for every float.
-    inputs.hand("scaled_influence", {user_id: scaled[user_id] for user_id, _ in ranked})
     artifacts.write_json(out / "influence_stats.json", {
         "iterations": result.iterations,
         "converged": result.converged,
     })
+    # float(repr(x)) == x for every float.
+    return {"scaled_influence": {user_id: scaled[user_id] for user_id, _ in ranked}}
 
 
-def stage_demographics(cfg: RunConfig, inputs: _Intermediates) -> None:
+@_stage
+def stage_demographics(cfg: RunConfig, users, tweets) -> dict:
     out = _out(cfg)
     gaz = demographics.load_gazetteer(_require(cfg.data_file("gazetteer")))
+    continents = demographics.load_continents(_require(_CONTINENTS_CSV))
     names, labels = demographics.load_training_names(
         _require(cfg.data_file("classifier_names")))
     model = demographics.NameModel(
@@ -258,17 +253,14 @@ def stage_demographics(cfg: RunConfig, inputs: _Intermediates) -> None:
     lexicon = demographics.ProperNounLexicon.from_files(
         _require(cfg.data_file("given_names")), _require(cfg.data_file("stopwords")))
     annotations = demographics.annotate_users(
-        list(inputs["users"].values()), inputs["tweets"], gaz, model, lexicon)
+        list(users.values()), tweets, gaz, continents, model, lexicon)
     demographics.write_annotations(out / "annotations.ndjson", annotations)
-    inputs.hand("annotations", {user_id: annotations[user_id] for user_id in sorted(annotations)})
+    return {"annotations": {user_id: annotations[user_id] for user_id in sorted(annotations)}}
 
 
-def stage_topics(cfg: RunConfig, inputs: _Intermediates) -> None:
+@_stage
+def stage_topics(cfg: RunConfig, tweets, community_members, annotations) -> dict:
     out = _out(cfg)
-    tweets = inputs["tweets"]
-    community_members = inputs["community_members"]
-    annotations = inputs["annotations"]
-
     studied = {uid for uid in community_members
                if uid in annotations and annotations[uid].eligible_youth}
     corpus = [t for t in tweets if t.author_id in studied]
@@ -302,28 +294,26 @@ def stage_topics(cfg: RunConfig, inputs: _Intermediates) -> None:
 
     assignments = dict(zip(tweet_ids, cluster_ids))
     topics.write_assignments(out / "topic_assignments.ndjson", assignments)
-    inputs.hand("assignments", {tweet_id: assignments[tweet_id]
-                                for tweet_id in sorted(assignments)})
     topics.write_cluster_csv(clusters, out / "topic_clusters.csv")
     sil = (topics.silhouette(vectors, result.assignments)
            if 2 <= cfg.k < len(corpus) <= 4000 else None)
-    inputs.hand_json("topic_stats", out / "topic_stats.json", {
+    stats = _written_json(out / "topic_stats.json", {
         "clustered_tweets": len(corpus),
         "iterations": result.iterations,
         "converged": result.converged,
         "final_sse": result.sse_history[-1] if result.sse_history else 0.0,
         "silhouette": sil,
     })
+    return {"assignments": {tweet_id: assignments[tweet_id] for tweet_id in sorted(assignments)},
+            "topic_stats": stats}
 
 
-def stage_report(cfg: RunConfig, inputs: _Intermediates) -> None:
+@_stage
+def stage_report(cfg: RunConfig, tweets, annotations, assignments, graph, scaled_influence,
+                 users, ingest_stats, graph_stats, community_stats, topic_stats) -> dict:
     out = _out(cfg)
-    tweets = inputs["tweets"]
-    annotations = inputs["annotations"]
-    assignments = inputs["assignments"]
-
-    table = influence.rank_tables(inputs["graph"], inputs["scaled_influence"], tweets,
-                                  inputs["users"], k=cfg.table_rows, privacy=cfg.privacy)
+    table = influence.rank_tables(graph, scaled_influence, tweets, users,
+                                  k=cfg.table_rows, privacy=cfg.privacy)
 
     by_id = {t.tweet_id: t for t in tweets}
     studied_users = sorted({by_id[tid].author_id for tid in assignments if tid in by_id})
@@ -347,17 +337,15 @@ def stage_report(cfg: RunConfig, inputs: _Intermediates) -> None:
     merged = analysis.RepresentationReport(rows=rows, tau_hi=cfg.tau_hi,
                                            tau_lo=cfg.tau_lo)
 
-    stage_counts = {key: inputs[stats][key] for stats, keys in (
-        ("ingest_stats", ("records_read", "records_rejected", "records_kept")),
-        ("graph_stats", ("nodes", "edges")),
-        ("community_stats", ("communities_post_gate", "dropped_members")),
-        ("topic_stats", ("clustered_tweets",)),
+    stage_counts = {key: stats[key] for stats, keys in (
+        (ingest_stats, ("records_read", "records_rejected", "records_kept")),
+        (graph_stats, ("nodes", "edges")),
+        (community_stats, ("communities_post_gate", "dropped_members")),
+        (topic_stats, ("clustered_tweets",)),
     ) for key in keys}
 
-    fixtures = {}
-    for name in cfg.DATA_FILES:
-        path = cfg.data_file(name)
-        fixtures[path.name] = artifacts.sha256(path)
+    fixtures = {path.name: artifacts.sha256(path)
+                for path in (*map(cfg.data_file, cfg.DATA_FILES), _CONTINENTS_CSV)}
 
     bundle = analysis.ReportBundle(
         rank_table=table,
@@ -370,17 +358,7 @@ def stage_report(cfg: RunConfig, inputs: _Intermediates) -> None:
         data_fixtures=fixtures,
     )
     analysis.emit_reports(bundle, out, formats=cfg.formats)
-
-
-_STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "graph": stage_graph,
-    "communities": stage_communities,
-    "influence": stage_influence,
-    "demographics": stage_demographics,
-    "topics": stage_topics,
-    "report": stage_report,
-}
+    return {}
 
 
 @contextmanager
@@ -395,14 +373,15 @@ def _failures_of(stage: str):
 
 
 def _run(cfg: RunConfig, stages: tuple[str, ...]) -> None:
-    inputs = _Intermediates(_out(cfg))
-    for i, stage in enumerate(stages):
-        with _failures_of(stage):
-            _STAGE_FUNCS[stage](cfg, inputs)
-        # Let go of each intermediate after the last stage that reads it.
-        for name, (_, _, readers, _) in _INTERMEDIATES.items():
-            if stage in readers and not set(readers) & set(stages[i + 1:]):
-                inputs.forget(name)
+    # Stages are looked up by name when run, so a wrapper installed on a
+    # module attribute stage_<name> is the one called.
+    held: dict = {}
+    for i, name in enumerate(stages):
+        with _failures_of(name):
+            held.update(globals()[f"stage_{name}"](cfg, held))
+        # Hold each value only until the last later stage that reads it.
+        later = {read for s in stages[i + 1:] for read in globals()[f"stage_{s}"].reads}
+        held = {key: value for key, value in held.items() if key in later}
 
 
 def run_stage(cfg: RunConfig, stage: str) -> None:
@@ -429,53 +408,55 @@ def review_sample(cfg: RunConfig) -> Path:
     review_sample.csv and returns its path; a corrupt intermediate raises
     StageError for the stage `review-sample`.
     """
-    n = cfg.review_sample_size
-    if n < 1:
+    if cfg.review_sample_size < 1:
         raise ValueError("review_sample_size: must be >= 1")
-    out = _out(cfg)
     with _failures_of("review-sample"):
-        inputs = _Intermediates(out)
-        clusters = [c for c in inputs["clusters"] if c[1] > 0]
-        assignments = inputs["assignments"]
-        tweets = {t.tweet_id: t for t in inputs["tweets"]}
-        rng = random.Random(derive_seed(cfg.seed, "review-sample"))
+        return _review_sample(cfg, {})
 
-        by_size = sorted(clusters, key=lambda c: (c[1], c[0]))
-        strata: list[list[tuple[int, int, str]]] = [[], [], []]
-        for i, item in enumerate(by_size):
-            strata[min(2, i * 3 // max(1, len(by_size)))].append(item)
-        names = ("small", "medium", "large")
 
-        # Largest-remainder quotas: min(n, total) topics in all, each stratum
-        # its share rounded down, and the topics left over go one each to the
-        # strata with the largest remainders, small before large on a tie. A
-        # stratum with a remainder is not full, so no quota exceeds its stratum.
-        total = len(by_size)
-        wanted = min(n, total)
-        shares = [divmod(wanted * len(stratum), max(1, total)) for stratum in strata]
-        quotas = [quota for quota, _ in shares]
-        for i in sorted(range(3), key=lambda i: -shares[i][1])[:wanted - sum(quotas)]:
-            quotas[i] += 1
-        chosen: list[tuple[str, tuple[int, int, str]]] = []
-        for name, stratum, quota in zip(names, strata, quotas):
-            if quota:
-                chosen.extend((name, pick) for pick in rng.sample(stratum, quota))
-        chosen.sort(key=lambda item: item[1][0])
+@_stage
+def _review_sample(cfg: RunConfig, clusters, assignments, tweets) -> Path:
+    n = cfg.review_sample_size
+    out = _out(cfg)
+    by_id = {t.tweet_id: t for t in tweets}
+    rng = random.Random(derive_seed(cfg.seed, "review-sample"))
 
-        examples: dict[int, list[str]] = {}
-        for tid in sorted(assignments):
-            cid = assignments[tid]
-            bucket = examples.setdefault(cid, [])
-            if len(bucket) < 3:
-                bucket.append(tid)
+    by_size = sorted((c for c in clusters if c[1] > 0), key=lambda c: (c[1], c[0]))
+    strata: list[list[tuple[int, int, str]]] = [[], [], []]
+    for i, item in enumerate(by_size):
+        strata[min(2, i * 3 // max(1, len(by_size)))].append(item)
+    names = ("small", "medium", "large")
 
-        def rows():
-            for stratum_name, (cid, size, terms) in chosen:
-                snippets = [tweets[tid].text.replace("\n", " ")
-                            for tid in examples.get(cid, []) if tid in tweets]
-                yield [cid, size, stratum_name, terms, " | ".join(snippets)]
+    # Largest-remainder quotas: min(n, total) topics in all, each stratum
+    # its share rounded down, and the topics left over go one each to the
+    # strata with the largest remainders, small before large on a tie. A
+    # stratum with a remainder is not full, so no quota exceeds its stratum.
+    total = len(by_size)
+    wanted = min(n, total)
+    shares = [divmod(wanted * len(stratum), max(1, total)) for stratum in strata]
+    quotas = [quota for quota, _ in shares]
+    for i in sorted(range(3), key=lambda i: -shares[i][1])[:wanted - sum(quotas)]:
+        quotas[i] += 1
+    chosen: list[tuple[str, tuple[int, int, str]]] = []
+    for name, stratum, quota in zip(names, strata, quotas):
+        if quota:
+            chosen.extend((name, pick) for pick in rng.sample(stratum, quota))
+    chosen.sort(key=lambda item: item[1][0])
 
-        path = out / "review_sample.csv"
-        artifacts.write_csv(path, ["cluster_id", "size", "stratum", "top_terms",
-                                   "example_texts"], rows())
-        return path
+    examples: dict[int, list[str]] = {}
+    for tid in sorted(assignments):
+        cid = assignments[tid]
+        bucket = examples.setdefault(cid, [])
+        if len(bucket) < 3:
+            bucket.append(tid)
+
+    def rows():
+        for stratum_name, (cid, size, terms) in chosen:
+            snippets = [by_id[tid].text.replace("\n", " ")
+                        for tid in examples.get(cid, []) if tid in by_id]
+            yield [cid, size, stratum_name, terms, " | ".join(snippets)]
+
+    path = out / "review_sample.csv"
+    artifacts.write_csv(path, ["cluster_id", "size", "stratum", "top_terms",
+                               "example_texts"], rows())
+    return path

@@ -11,7 +11,8 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Targets that no longer resolve: the stage runner reads and writes its
-# artifacts through echolens.artifacts and the _Intermediates table instead.
+# artifacts through echolens.artifacts, and parses an intermediate through the
+# parser in pipeline._INTERMEDIATES, instead.
 DEAD = {("echolens.pipeline", name) for name in (
     "_write_json", "_read_json", "_load_tweet_index", "_load_influence",
     "_load_community_members", "_load_clusters")}

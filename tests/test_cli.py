@@ -537,6 +537,27 @@ def test_seed7_single_community_contract(tmp_path):
         "community_id,size,anchor\n0,140,h01\n")
 
 
+def test_seed7_communities_reads_tweets_and_users_without_flag_keywords(tmp_path, capsys):
+    # No keyword stream and no flag keywords: nothing is flagged, yet the
+    # stage still reads selected_tweets.ndjson and users.ndjson.
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--out", str(fixture), "--seed", "7"]) == 0
+    lines = [line for line in (fixture / "config.cfg").read_text(encoding="utf-8").splitlines()
+             if not line.startswith(("stream.1.", "flag_keywords"))]
+    bare = fixture / "bare.cfg"
+    bare.write_text("\n".join([*lines, "flag_keywords ="]) + "\n", encoding="utf-8")
+    assert_staged_equals_full(["--config", str(bare)], tmp_path)
+    assert (tmp_path / "full" / "review_flags.csv").read_text(encoding="utf-8") == (
+        "community_id,size,anchor,reason\n")
+
+    staged = tmp_path / "staged"
+    (staged / "users.ndjson").unlink()
+    capsys.readouterr()
+    assert main(["communities", "--config", str(bare), "--out", str(staged)]) == 3
+    err = capsys.readouterr().err
+    assert "users.ndjson" in err and "run the ingest stage first" in err
+
+
 def test_review_sample_seed_flag_equals_config_seed(tmp_path):
     # --seed 7 used to seed the sampler with 7 itself, the config key with a
     # seed derived from 7: with --n 5 they picked clusters 0,1,2,3,4 and

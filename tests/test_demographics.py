@@ -8,7 +8,7 @@ from echolens.demographics import (RACE_CATEGORIES, DemographicAnnotation,
                                    classify_race, continent_of,
                                    default_data_path, demographic_distribution,
                                    eligibility_filter, geolocate_country,
-                                   load_gazetteer, load_name_lists,
+                                   load_continents, load_gazetteer, load_name_lists,
                                    load_training_names, normalize_name,
                                    read_annotations, write_annotations)
 
@@ -19,6 +19,11 @@ from conftest import make_tweet, make_user
 @pytest.fixture(scope="module")
 def gaz():
     return load_gazetteer(default_data_path("gazetteer.csv"))
+
+
+@pytest.fixture(scope="module")
+def continents():
+    return load_continents(default_data_path("continents.csv"))
 
 
 class TestGeolocation:
@@ -47,11 +52,19 @@ class TestGeolocation:
         t = make_tweet("t1", lat=51.5, lon=-0.12, place_name="Nairobi")
         assert geolocate_country(t, gaz) == "GB"
 
-    def test_continent_lookup(self):
-        assert continent_of("KE") == "Africa"
-        assert continent_of("br") == "South America"
-        assert continent_of(None) is None
-        assert continent_of("ZZ") is None
+    def test_continent_lookup(self, continents):
+        assert continent_of("KE", continents) == "Africa"
+        assert continent_of("br", continents) == "South America"
+        assert continent_of(None, continents) is None
+        assert continent_of("ZZ", continents) is None
+
+    def test_continent_table_is_the_one_passed(self, tmp_path):
+        path = tmp_path / "continents.csv"
+        path.write_text("country,continent\n ke , Atlantis \n", encoding="utf-8")
+        table = load_continents(path)
+        assert table == {"KE": "Atlantis"}
+        assert continent_of("ke", table) == "Atlantis"
+        assert continent_of("BR", table) is None
 
 
 class TestNgramClassifier:
@@ -212,29 +225,29 @@ class TestEligibility:
 
 
 class TestAnnotations:
-    def test_photo_rules_gate_age_gender_only(self, gaz, name_model, lexicon):
+    def test_photo_rules_gate_age_gender_only(self, gaz, continents, name_model, lexicon):
         users = [make_user("u1", display_name="Amina Diallo",
                            has_profile_photo=False)]
-        anns = annotate_users(users, [], gaz, name_model, lexicon)
+        anns = annotate_users(users, [], gaz, continents, name_model, lexicon)
         ann = anns["u1"]
         assert ann.age is None and ann.gender is None
         assert ann.eligible_youth  # still in race/topic analyses
         assert ann.race in RACE_CATEGORIES
 
-    def test_country_from_majority_of_tweets(self, gaz, name_model, lexicon):
+    def test_country_from_majority_of_tweets(self, gaz, continents, name_model, lexicon):
         users = [make_user("u1", display_name="Amina Diallo")]
         tweets = [make_tweet("t1", author_id="u1", place_name="Nairobi"),
                   make_tweet("t2", author_id="u1", place_name="Nairobi"),
                   make_tweet("t3", author_id="u1", place_name="London")]
-        ann = annotate_users(users, tweets, gaz, name_model, lexicon)["u1"]
+        ann = annotate_users(users, tweets, gaz, continents, name_model, lexicon)["u1"]
         assert ann.country == "KE"
         assert ann.continent == "Africa"
 
-    def test_round_trip_ndjson(self, tmp_path, gaz, name_model, lexicon):
+    def test_round_trip_ndjson(self, tmp_path, gaz, continents, name_model, lexicon):
         users = [make_user("u1", display_name="Amina Diallo",
                            has_profile_photo=True, face_count=1,
                            age_estimate=20, gender_estimate="female")]
-        anns = annotate_users(users, [], gaz, name_model, lexicon)
+        anns = annotate_users(users, [], gaz, continents, name_model, lexicon)
         path = tmp_path / "annotations.ndjson"
         write_annotations(path, anns)
         assert read_annotations(path) == anns

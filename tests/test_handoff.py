@@ -1,9 +1,11 @@
-"""A full run hands each intermediate from the stage that writes it to the
-stages that read it instead of parsing the file again, so a handed value
-must equal what its parser returns for the file just written, iteration
-order included. These tests hold parse(write(x)) == x for every format, and
-hold every value a full run hands against a parse of its file."""
+"""In a full run each stage returns the values of the intermediates it wrote
+and the run hands them to the later stages that read them instead of parsing
+the files again, so a handed value must equal what its parser returns for
+the file just written, iteration order included. These tests hold
+parse(write(x)) == x for every format, and hold every value a full run hands
+against a parse of its file."""
 
+import functools
 import random
 from pathlib import Path
 
@@ -28,8 +30,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def parse(name, directory):
-    files, _, _, parser = pipeline._INTERMEDIATES[name]
-    return parser(*(directory / f for f in files))
+    return pipeline._parse(directory, name)
 
 
 def same(a, b):
@@ -171,18 +172,24 @@ def shuffled_config(tmp_path_factory):
 def test_every_value_a_full_run_hands_equals_its_parse(shuffled_config, tmp_path,
                                                        monkeypatch):
     handed = {}
-    hand = pipeline._Intermediates.hand
 
-    def recording(self, name, value):
-        handed[name] = value
-        return hand(self, name, value)
+    def recording(stage):
+        @functools.wraps(stage)
+        def wrapper(cfg, held):
+            written = stage(cfg, held)
+            handed.update(written)
+            return written
+        return wrapper
 
-    monkeypatch.setattr(pipeline._Intermediates, "hand", recording)
+    for stage in pipeline.STAGES:
+        name = f"stage_{stage}"
+        monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
     cfg = load_config(shuffled_config)
     cfg.out_dir = str(tmp_path / "run")
     pipeline.run_pipeline(cfg)
 
-    read = {name for name, entry in pipeline._INTERMEDIATES.items() if entry[2]}
+    read = {name for stage in pipeline.STAGES
+            for name in getattr(pipeline, f"stage_{stage}").reads}
     assert set(handed) == read
     for name, value in handed.items():
         assert same(value, parse(name, Path(cfg.out_dir))), name

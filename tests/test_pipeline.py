@@ -1,8 +1,10 @@
 """The stage runner's intermediates: a full run hands each one from the
-stage that writes it to the stages that read it, a single stage parses each
-at most once, each is let go after the last stage that reads it, never
-outlives the call that made it, and names its producer when missing."""
+stage that returns it to the stages whose parameters name it, a single stage
+parses each at most once, each is let go after the last stage that reads it,
+never outlives the call that made it, and names its producer when missing."""
 
+import functools
+import json
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from echolens import artifacts, ingest, pipeline, topics
 from echolens.cli import main
 from echolens.config import load_config
+from echolens.demographics import default_data_path
 from echolens.pipeline import STAGES, review_sample, run_pipeline, run_stage
 from echolens.synth import write_fixture
 
@@ -63,40 +66,46 @@ def test_full_run_parses_no_file_it_wrote(fixture_config, tmp_path, monkeypatch)
 
 def test_declared_readers_match_reads_and_bound_lifetimes(fixture_config, tmp_path,
                                                          monkeypatch):
-    current = []
-    readers = {}
     held_at_start = {}
+    producer = {}
 
     def tracking(stage, fn):
-        def wrapper(cfg, inputs):
-            held_at_start[stage] = set(inputs._parsed)
-            current.append(stage)
-            try:
-                return fn(cfg, inputs)
-            finally:
-                current.pop()
+        @functools.wraps(fn)
+        def wrapper(cfg, held):
+            held_at_start[stage] = set(held)
+            written = fn(cfg, held)
+            producer.update(dict.fromkeys(written, stage))
+            return written
         return wrapper
 
     for stage in STAGES:
-        monkeypatch.setitem(pipeline._STAGE_FUNCS, stage,
-                            tracking(stage, pipeline._STAGE_FUNCS[stage]))
-    getitem = pipeline._Intermediates.__getitem__
-
-    def recording(self, name):
-        readers.setdefault(name, set()).add(current[-1])
-        return getitem(self, name)
-
-    monkeypatch.setattr(pipeline._Intermediates, "__getitem__", recording)
+        name = f"stage_{stage}"
+        monkeypatch.setattr(pipeline, name, tracking(stage, getattr(pipeline, name)))
     run_pipeline(_config(fixture_config, tmp_path / "run"))
 
-    declared = {name: set(entry[2]) for name, entry in pipeline._INTERMEDIATES.items()
-                if entry[2]}
-    assert readers == declared
+    readers = {}
+    for stage in STAGES:
+        reads = getattr(pipeline, f"stage_{stage}").reads
+        # Every read is handed over, by the stage the missing-input hint names.
+        assert set(reads) <= held_at_start[stage], stage
+        for name in reads:
+            assert pipeline._INTERMEDIATES[name][1] == producer[name], name
+            readers.setdefault(name, set()).add(stage)
     # Nothing is held into a stage after its last reader has run.
     for stage, held in held_at_start.items():
         later = set(STAGES[STAGES.index(stage):])
-        assert {name for name in held if not declared[name] & later} == set(), stage
+        assert {name for name in held if not readers[name] & later} == set(), stage
     assert "tweet_index" not in held_at_start["communities"]
+
+
+def test_manifest_records_every_data_file_the_run_read(full_run):
+    # continents.csv is bundled, not a config key, but shapes the continent
+    # reports, so its sha256 sits with the configurable data files'.
+    manifest = json.loads((full_run / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["data_fixtures"] == {
+        name: artifacts.sha256(default_data_path(name))
+        for name in ("classifier_names.csv", "continents.csv", "gazetteer.csv",
+                     "given_names.csv", "name_lists.csv", "stopwords.txt")}
 
 
 def test_in_process_knob_iteration_equals_fresh_run(fixture_config, tmp_path):
