@@ -23,6 +23,11 @@ REPORT_FILES = ("rank_table.csv", "continent_distribution.csv",
 # BLAS call touches and that do not depend on the absolute input path. The
 # topic files are left out: their bytes go through BLAS gemm.
 SEED7_SHA256 = {
+    "ingest_stats.json": "c18e3207def8927abcd2f732b8f09bb0bc8f069de5f413ba7b5b58032509d0f6",
+    "continent_distribution.csv": "4a1746e14d7f098860838ec2c07b6a80c0f5b21cbc4507b706d328828a58f6bf",
+    "continent_distribution.json": "d519e158a75f761df1461ca1cef6127cbd6185fdf8365a4c9cb6ce741e974d39",
+    "ethnicity_distribution.csv": "9e39dd81b6ad0515804c1e8a869789d998a6db3acac0d19f2547b355abeac38d",
+    "ethnicity_distribution.json": "93b8376d8333542e3dd433471fa7d21aa952f4c4a7c451de14e4d61ea5e4feca",
     "influence.csv": "fcd274b08193542cfbcc46a9a81e9b432845763ab2202948cdd866fe7c1e352e",
     "influence_stats.json": "cc62f499ac26582e2204b96d93331e2641b146ff81e1c507c4e8381936d563d4",
     "rank_table.csv": "5d1ead04ded07fbe39cca8d31e3d2f57d95fef3d3b9cb2d61bdb04e55e627613",
