@@ -11,8 +11,8 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from echolens.ingest import (CorpusStats, StreamSpec, engagement_filter,
-                             parse_corpus, select_streams)
+from echolens.ingest import (StreamSpec, engagement_filter, parse_corpus,
+                             select_streams)
 from echolens.synth import write_fixture
 
 workdir = Path(tempfile.mkdtemp(prefix="echolens_demo_"))
@@ -32,14 +32,12 @@ streams = [
                window=(1_625_097_600, 1_625_097_600 + 90_000 * 60)),
 ]
 
-stats = CorpusStats(records_read=len(tweets) + len(errors),
-                    records_rejected=len(errors))
-selected = select_streams(tweets, streams, {u.user_id: u for u in users}, stats)
+selected, kept_per_stream = select_streams(tweets, streams,
+                                           {u.user_id: u for u in users})
 cleaned = engagement_filter(selected)
-stats.records_kept = len(cleaned)
 
-print("per-stream hits:", stats.records_kept_per_stream)
+print("per-stream hits:", kept_per_stream)
 print(f"selected {len(selected)}, kept {len(cleaned)} after engagement cleaning")
+read, rejected, kept = len(tweets) + len(errors), len(errors), len(cleaned)
 print(f"accounting: read = kept + rejected + filtered -> "
-      f"{stats.records_read} = {stats.records_kept} + {stats.records_rejected}"
-      f" + {stats.records_filtered}")
+      f"{read} = {kept} + {rejected} + {read - rejected - kept}")

@@ -33,5 +33,5 @@ print(f"pagerank converged={result.converged} after {result.iterations} iteratio
 scaled = scale_scores(result.scores)
 table = rank_tables(g, scaled, cleaned, users, k=5, privacy=True)
 print(f"{'rank':>4}  {'retweeted':<28}{'pagerank':<28}{'tweet volume'}")
-for rank, retweeted, pr, volume in table.rows:
+for rank, retweeted, pr, volume in table:
     print(f"{rank:>4}  {retweeted:<28}{pr:<28}{volume}")

@@ -8,9 +8,8 @@ demographic-disproportionality reporting. The `echolens` console script
 drives the same stages from a flat config file.
 """
 
-from .analysis import (RepresentationReport, RepresentationRow, TopicEngagement,
-                       disproportionality_report, emit_reports,
-                       representation_ratio, topic_engagement)
+from .analysis import (RepresentationRow, disproportionality_report, emit_reports,
+                       topic_engagement)
 from .community import (Community, CommunityAssignment, flag_offtopic,
                         gate_communities, label_propagation, node_importance)
 from .config import ConfigError, RunConfig, derive_seed, load_config
@@ -20,14 +19,12 @@ from .demographics import (DemographicAnnotation, Gazetteer, NameModel,
                            eligibility_filter, geolocate_country)
 from .graph import (InteractionGraph, build_interaction_graph, degree_stats,
                     induced_subgraph)
-from .influence import (PageRankResult, RankTable, pagerank, rank_tables,
-                        scale_scores)
-from .ingest import (CorpusStats, StreamSpec, TweetRecord, UserRecord,
-                     apply_stream, engagement_filter, parse_corpus)
+from .influence import PageRankResult, pagerank, rank_tables, scale_scores
+from .ingest import (StreamSpec, TweetRecord, UserRecord, apply_stream,
+                     engagement_filter, parse_corpus)
 from .pipeline import (MissingInputError, StageError, review_sample,
                        run_pipeline, run_stage)
-from .topics import (BuiltinEmbedder, KMeansResult, NormalizedText,
-                     TopicCluster, cluster, embed_corpus, normalize_text,
-                     silhouette, top_terms)
+from .topics import (BuiltinEmbedder, KMeansResult, NormalizedText, cluster,
+                     embed_corpus, normalize_text, silhouette, top_terms)
 
 __version__ = "0.1.0"

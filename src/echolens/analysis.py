@@ -1,10 +1,13 @@
 """Demographic-disproportionality metrics over topics and report assembly.
 
-A representation ratio compares a demographic bucket's share inside one topic
-to its share across the whole clustered corpus; 1 means proportional
-representation. Ratios at or beyond the configured thresholds are flagged as
-over- or under-represented. Report emission is a pure function of its inputs:
-identical results and config produce byte-identical files.
+Engagement is counted once per tweet for every axis (gender, race,
+continent), as plain {cluster_id: {bucket: count}} dicts beside the corpus
+counts. A representation ratio compares a demographic bucket's share inside
+one topic to its share across the whole clustered corpus; 1 means
+proportional representation. Ratios at or beyond the configured thresholds
+are flagged as over- or under-represented. Report emission is a pure
+function of its inputs: identical results and config produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -16,81 +19,47 @@ from typing import Mapping, Sequence
 
 from . import artifacts
 from .demographics import DemographicAnnotation, DistributionResult
-from .influence import RankTable
 from .ingest import TweetRecord
 
 __all__ = [
-    "TopicEngagement",
     "RepresentationRow",
-    "RepresentationReport",
     "topic_engagement",
-    "representation_ratio",
     "disproportionality_report",
     "emit_reports",
     "ReportBundle",
 ]
 
 
-@dataclass
-class TopicEngagement:
-    """Per-topic engagement counts split by demographic bucket.
-
-    Engagement is authorship of a tweet assigned to the topic; with
-    retweet weighting on, each tweet counts 1 + its retweet count.
-    """
-
-    cluster_id: int
-    counts: dict[str, int] = field(default_factory=dict)
-    unclassified: int = 0
-
-
 def topic_engagement(assignments: Mapping[str, int], tweets: Sequence[TweetRecord],
-                     annotations: Mapping[str, DemographicAnnotation], axis: str,
-                     retweet_weighted: bool = False):
-    """Aggregate engagement per (topic, bucket) along one demographic axis.
+                     annotations: Mapping[str, DemographicAnnotation],
+                     retweet_weighted: bool = False
+                     ) -> dict[str, tuple[dict[int, dict[str, int]], dict[str, int]]]:
+    """Aggregate engagement per (topic, bucket) along every axis in one pass.
 
-    Returns (engagements sorted by cluster id, corpus_counts). Tweets whose
-    author has no annotation or a missing/unknown bucket value count as
-    unclassified, never silently dropped.
+    Returns {axis: ({cluster_id: {bucket: count}}, corpus_counts)}.
+    Engagement is authorship of a tweet assigned to the topic; with retweet
+    weighting on, each tweet counts 1 + its retweet count. A tweet whose
+    author has no annotation, or a missing or unknown value on an axis,
+    counts on no bucket of that axis.
     """
-    per_topic: dict[int, TopicEngagement] = {}
-    corpus_counts: dict[str, int] = {}
+    engagement = {axis: ({}, {}) for axis in ("gender", "race", "continent")}
     by_id = {t.tweet_id: t for t in tweets}
     for tweet_id, cluster_id in assignments.items():
         tweet = by_id.get(tweet_id)
         if tweet is None:
             continue
-        weight = 1 + tweet.retweets if retweet_weighted else 1
-        eng = per_topic.setdefault(cluster_id, TopicEngagement(cluster_id=cluster_id))
         ann = annotations.get(tweet.author_id)
-        bucket = getattr(ann, axis, None) if ann is not None else None
-        if bucket is None or bucket == "unknown":
-            eng.unclassified += weight
+        if ann is None:
             continue
-        eng.counts[bucket] = eng.counts.get(bucket, 0) + weight
-        corpus_counts[bucket] = corpus_counts.get(bucket, 0) + weight
-    engagements = [per_topic[cid] for cid in sorted(per_topic)]
-    return engagements, corpus_counts
-
-
-def representation_ratio(topic_counts: Mapping[str, int],
-                         corpus_counts: Mapping[str, int], bucket: str) -> float | None:
-    """(bucket share within topic) / (bucket share within corpus).
-
-    Returns None (reported as missing) when the bucket has no corpus mass;
-    a bucket absent from the topic yields 0.0.
-    """
-    corpus_total = sum(corpus_counts.values())
-    if corpus_total <= 0:
-        raise ValueError("corpus counts are empty")
-    corpus_share = corpus_counts.get(bucket, 0) / corpus_total
-    if corpus_share == 0.0:
-        return None
-    topic_total = sum(topic_counts.values())
-    if topic_total == 0:
-        return 0.0
-    topic_share = topic_counts.get(bucket, 0) / topic_total
-    return topic_share / corpus_share
+        weight = 1 + tweet.retweets if retweet_weighted else 1
+        for axis, (per_topic, corpus_counts) in engagement.items():
+            bucket = getattr(ann, axis)
+            if bucket is None or bucket == "unknown":
+                continue
+            counts = per_topic.setdefault(cluster_id, {})
+            counts[bucket] = counts.get(bucket, 0) + weight
+            corpus_counts[bucket] = corpus_counts.get(bucket, 0) + weight
+    return engagement
 
 
 @dataclass
@@ -100,56 +69,46 @@ class RepresentationRow:
     bucket: str
     topic_share: float
     corpus_share: float
-    ratio: float
+    ratio: float  # topic_share / corpus_share
     direction: str  # "over", "under", or ""
 
 
-@dataclass
-class RepresentationReport:
-    rows: list[RepresentationRow] = field(default_factory=list)
-    tau_hi: float = 1.25
-    tau_lo: float = 0.8
+def disproportionality_report(
+        engagement: Mapping[str, tuple[Mapping[int, Mapping[str, int]], Mapping[str, int]]],
+        tau_hi: float = 1.25, tau_lo: float = 0.8) -> list[RepresentationRow]:
+    """Flag over-/under-represented (topic, bucket) pairs on every axis of
+    `topic_engagement`'s result.
 
-
-def disproportionality_report(engagements: Sequence[TopicEngagement],
-                              corpus_counts: Mapping[str, int], axis: str,
-                              tau_hi: float = 1.25, tau_lo: float = 0.8) -> RepresentationReport:
-    """Flag over-/under-represented (topic, bucket) pairs along one axis.
-
+    One row per axis, topic and bucket with corpus mass, for every topic
+    with mass on that axis; a bucket absent from the topic has ratio 0.
     Rows are sorted by |log ratio| descending (ratio 0 sorts first), ties by
-    (cluster id, bucket), so output order is deterministic.
+    (axis, cluster id, bucket), so output order is deterministic.
     """
     if not (tau_hi > 1.0 > tau_lo > 0.0):
         raise ValueError("thresholds must satisfy tau_hi > 1 > tau_lo > 0")
-    corpus_total = sum(corpus_counts.values())
     rows: list[RepresentationRow] = []
-    if corpus_total == 0:
-        return RepresentationReport(rows=[], tau_hi=tau_hi, tau_lo=tau_lo)
-    for eng in engagements:
-        topic_total = sum(eng.counts.values())
-        if topic_total == 0:
-            continue
-        for bucket in sorted(corpus_counts):
-            ratio = representation_ratio(eng.counts, corpus_counts, bucket)
-            if ratio is None:
+    for axis, (per_topic, corpus_counts) in engagement.items():
+        corpus_total = sum(corpus_counts.values())
+        for cluster_id, counts in per_topic.items():
+            topic_total = sum(counts.values())
+            if topic_total == 0:
                 continue
-            direction = ""
-            if ratio >= tau_hi:
-                direction = "over"
-            elif ratio <= tau_lo:
-                direction = "under"
-            rows.append(RepresentationRow(
-                axis=axis,
-                cluster_id=eng.cluster_id,
-                bucket=bucket,
-                topic_share=eng.counts.get(bucket, 0) / topic_total,
-                corpus_share=corpus_counts[bucket] / corpus_total,
-                ratio=ratio,
-                direction=direction,
-            ))
+            for bucket, corpus_count in corpus_counts.items():
+                if corpus_count == 0:
+                    continue
+                topic_share = counts.get(bucket, 0) / topic_total
+                corpus_share = corpus_count / corpus_total
+                ratio = topic_share / corpus_share
+                direction = ""
+                if ratio >= tau_hi:
+                    direction = "over"
+                elif ratio <= tau_lo:
+                    direction = "under"
+                rows.append(RepresentationRow(axis, cluster_id, bucket, topic_share,
+                                              corpus_share, ratio, direction))
     rows.sort(key=lambda r: (-(abs(math.log(r.ratio)) if r.ratio > 0 else math.inf),
-                             r.cluster_id, r.bucket))
-    return RepresentationReport(rows=rows, tau_hi=tau_hi, tau_lo=tau_lo)
+                             r.axis, r.cluster_id, r.bucket))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +119,12 @@ def disproportionality_report(engagements: Sequence[TopicEngagement],
 class ReportBundle:
     """Everything the report stage writes, already computed upstream."""
 
-    rank_table: RankTable
+    rank_table: list[tuple[int, str, str, str]]
     continent_distribution: DistributionResult
     ethnicity_distribution: DistributionResult
-    representation: RepresentationReport
+    representation: list[RepresentationRow]
+    tau_hi: float
+    tau_lo: float
     config_hash: str = ""
     seed: int = 0
     stage_counts: dict[str, int] = field(default_factory=dict)
@@ -199,18 +160,18 @@ def emit_reports(bundle: ReportBundle, out_dir: str | Path,
     table, representation = bundle.rank_table, bundle.representation
     # (file stem, CSV header, CSV rows, JSON value) per report.
     reports = [
-        ("rank_table", ["rank", "retweeted", "pagerank", "tweet_volume"], table.rows,
+        ("rank_table", ["rank", "retweeted", "pagerank", "tweet_volume"], table,
          [{"rank": rank, "retweeted": rt, "pagerank": pr, "tweet_volume": tv}
-          for rank, rt, pr, tv in table.rows]),
+          for rank, rt, pr, tv in table]),
         ("continent_distribution", *_distribution_report(bundle.continent_distribution)),
         ("ethnicity_distribution", *_distribution_report(bundle.ethnicity_distribution)),
         ("disproportionality",
          ["axis", "cluster_id", "bucket", "topic_share", "corpus_share", "ratio",
           "direction"],
          [[r.axis, r.cluster_id, r.bucket, repr(r.topic_share), repr(r.corpus_share),
-           repr(r.ratio), r.direction] for r in representation.rows],
-         {"tau_hi": representation.tau_hi, "tau_lo": representation.tau_lo,
-          "rows": [vars(r) for r in representation.rows]}),
+           repr(r.ratio), r.direction] for r in representation],
+         {"tau_hi": bundle.tau_hi, "tau_lo": bundle.tau_lo,
+          "rows": [vars(r) for r in representation]}),
     ]
     written: list[Path] = []
     for stem, header, rows, value in reports:

@@ -423,11 +423,10 @@ DISTRIBUTION_AXES = ("continent", "race", "gender")
 def demographic_distribution(annotations: Mapping[str, DemographicAnnotation],
                              axis: str) -> DistributionResult:
     """Counts and shares per bucket along one axis; shares sum to 1 over the
-    non-missing buckets, and missing values are counted separately."""
+    non-missing buckets, and missing values are counted separately. No
+    annotations give the empty distribution."""
     if axis not in DISTRIBUTION_AXES:
         raise ValueError(f"unknown axis {axis!r}")
-    if not annotations:
-        raise ValueError("demographic_distribution needs at least one annotation")
     counts: dict[str, int] = {}
     missing = 0
     for ann in annotations.values():

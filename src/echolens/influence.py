@@ -15,7 +15,7 @@ transposed transition matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from .ingest import TweetRecord, UserRecord
 
 __all__ = [
     "PageRankResult",
-    "RankTable",
     "pagerank",
     "scale_scores",
     "rank_tables",
@@ -109,18 +108,6 @@ def scale_scores(raw: Mapping[str, float]) -> dict[str, float]:
     return {node: 10.0 * ((score - lo) / span) for node, score in raw.items()}
 
 
-@dataclass
-class RankTable:
-    """Ranked-account table: each column is sorted by its own metric.
-
-    rows hold rendered labels; columns hold the underlying (user_id, value)
-    rankings for programmatic use.
-    """
-
-    rows: list[tuple[int, str, str, str]] = field(default_factory=list)
-    columns: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-
-
 def _render(user_id: str, users: Mapping[str, UserRecord], privacy: bool) -> str:
     user = users.get(user_id)
     if user is None:
@@ -132,32 +119,19 @@ def _render(user_id: str, users: Mapping[str, UserRecord], privacy: bool) -> str
 
 def rank_tables(g: InteractionGraph, scaled_scores: Mapping[str, float],
                 tweets: Sequence[TweetRecord], users: Mapping[str, UserRecord],
-                k: int = 10, privacy: bool = True) -> RankTable:
-    """Top-k accounts by times-retweeted, by scaled PageRank, and by authored
-    tweet volume. With privacy on, individual accounts render as "Individual".
+                k: int = 10, privacy: bool = True) -> list[tuple[int, str, str, str]]:
+    """Ranked-account rows (rank, retweeted, pagerank, tweet_volume): the
+    top-k accounts by times-retweeted, by scaled PageRank, and by authored
+    tweet volume, each column sorted by its own metric, ties by user id. A
+    column shorter than the table is padded with "". With privacy on,
+    individual accounts render as "Individual".
     """
     retweeted = weighted_in_degrees(g, kind="retweet")
     volume: dict[str, int] = {}
     for t in tweets:
         volume[t.author_id] = volume.get(t.author_id, 0) + 1
-
-    def ranked(metric: Mapping[str, float | int]) -> list[tuple[str, float]]:
-        order = sorted(metric.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(uid, float(v)) for uid, v in order[:k]]
-
-    cols = {
-        "retweeted": ranked(retweeted),
-        "pagerank": ranked(dict(scaled_scores)),
-        "tweet_volume": ranked(volume),
-    }
-    depth = max((len(c) for c in cols.values()), default=0)
-    rows = []
-    for i in range(min(k, depth)):
-        rows.append((
-            i + 1,
-            _render(cols["retweeted"][i][0], users, privacy) if i < len(cols["retweeted"]) else "",
-            _render(cols["pagerank"][i][0], users, privacy) if i < len(cols["pagerank"]) else "",
-            _render(cols["tweet_volume"][i][0], users, privacy) if i < len(cols["tweet_volume"]) else "",
-        ))
-    return RankTable(rows=rows, columns=cols)
-
+    columns = [[_render(user_id, users, privacy) for user_id, _ in
+                sorted(metric.items(), key=lambda kv: (-kv[1], kv[0]))[:k]]
+               for metric in (retweeted, scaled_scores, volume)]
+    return [(i + 1, *(column[i] if i < len(column) else "" for column in columns))
+            for i in range(max(map(len, columns)))]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -20,7 +20,6 @@ __all__ = [
     "TweetRecord",
     "UserRecord",
     "StreamSpec",
-    "CorpusStats",
     "RecordError",
     "parse_corpus",
     "parse_tweet",
@@ -127,25 +126,6 @@ class StreamSpec:
         lat_a, lon_a, lat_b, lon_b = self.bounding_box
         return (min(lat_a, lat_b), min(lon_a, lon_b),
                 max(lat_a, lat_b), max(lon_a, lon_b))
-
-
-@dataclass
-class CorpusStats:
-    """Per-run ingestion accounting; read = kept + rejected + filtered."""
-
-    records_read: int = 0
-    records_rejected: int = 0
-    records_kept: int = 0
-    records_kept_per_stream: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def records_filtered(self) -> int:
-        return self.records_read - self.records_rejected - self.records_kept
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["records_filtered"] = self.records_filtered
-        return d
 
 
 def _require_str(obj: Mapping, key: str) -> str:
@@ -380,24 +360,23 @@ def apply_stream(records: Sequence[TweetRecord], spec: StreamSpec,
 
 
 def select_streams(records: Sequence[TweetRecord], specs: Sequence[StreamSpec],
-                   users: Mapping[str, UserRecord] | None,
-                   stats: CorpusStats) -> list[TweetRecord]:
-    """Union of all stream selections, deduplicated, in original corpus order,
-    with the kept counts recorded on stats.
+                   users: Mapping[str, UserRecord] | None
+                   ) -> tuple[list[TweetRecord], dict[str, int]]:
+    """Union of all stream selections, deduplicated, in original corpus order.
 
-    With no specs configured the whole corpus is kept (selection disabled).
+    Returns (selected, kept_per_stream): the hits of stream i of kind k are
+    counted under "stream_<i>_<k>", i from 1. With no specs configured the
+    whole corpus is kept (selection disabled) and no stream is counted.
     """
     if not specs:
-        stats.records_kept = len(records)
-        return list(records)
+        return list(records), {}
     kept_ids: set[str] = set()
+    kept_per_stream: dict[str, int] = {}
     for i, spec in enumerate(specs):
         hits = apply_stream(records, spec, users)
-        stats.records_kept_per_stream[f"stream_{i + 1}_{spec.kind}"] = len(hits)
+        kept_per_stream[f"stream_{i + 1}_{spec.kind}"] = len(hits)
         kept_ids.update(t.tweet_id for t in hits)
-    selected = [t for t in records if t.tweet_id in kept_ids]
-    stats.records_kept = len(selected)
-    return selected
+    return [t for t in records if t.tweet_id in kept_ids], kept_per_stream
 
 
 def engagement_filter(records: Sequence[TweetRecord]) -> list[TweetRecord]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import random
 from contextlib import contextmanager
 from pathlib import Path
@@ -148,30 +147,32 @@ def stage_ingest(cfg: RunConfig) -> dict:
     users, user_errors = ingest.parse_corpus(users_path, schema="users")
     user_index = {u.user_id: u for u in users}
 
-    stats = ingest.CorpusStats(records_read=len(tweets) + len(tweet_errors),
-                               records_rejected=len(tweet_errors))
-    selected = ingest.select_streams(tweets, cfg.streams, user_index, stats)
+    selected, kept_per_stream = ingest.select_streams(tweets, cfg.streams, user_index)
     cleaned = ingest.engagement_filter(selected)
-    stats.records_kept = len(cleaned)
-    if not cleaned:
-        raise ValueError(f"no records kept: {stats.records_read} read, "
-                         f"{stats.records_rejected} rejected, "
-                         f"{stats.records_filtered} filtered")
-
-    artifacts.write_csv(out / "tweet_index.csv", ["tweet_id", "author_id"],
-                        ([t.tweet_id, t.author_id] for t in tweets))
-    ingest.write_ndjson(out / "selected_tweets.ndjson", cleaned)
-    ingest.write_ndjson(out / "users.ndjson", users)
-    payload = stats.to_dict()
-    payload.update({
+    # records_read = records_kept + records_rejected + records_filtered
+    stats = {
+        "records_read": len(tweets) + len(tweet_errors),
+        "records_rejected": len(tweet_errors),
+        "records_kept": len(cleaned),
+        "records_filtered": len(tweets) - len(cleaned),
+        "records_kept_per_stream": kept_per_stream,
         "engagement_removed": len(selected) - len(cleaned),
         "tweet_parse_errors": [str(e) for e in tweet_errors[:20]],
         "user_parse_errors": [str(e) for e in user_errors[:20]],
         "users_read": len(users) + len(user_errors),
         "users_kept": len(users),
-    })
+    }
+    if not cleaned:
+        raise ValueError(f"no records kept: {stats['records_read']} read, "
+                         f"{stats['records_rejected']} rejected, "
+                         f"{stats['records_filtered']} filtered")
+
+    artifacts.write_csv(out / "tweet_index.csv", ["tweet_id", "author_id"],
+                        ([t.tweet_id, t.author_id] for t in tweets))
+    ingest.write_ndjson(out / "selected_tweets.ndjson", cleaned)
+    ingest.write_ndjson(out / "users.ndjson", users)
     return {"tweet_index": {t.tweet_id: t.author_id for t in tweets}, "tweets": cleaned,
-            "users": user_index, "ingest_stats": _written_json(out / "ingest_stats.json", payload)}
+            "users": user_index, "ingest_stats": _written_json(out / "ingest_stats.json", stats)}
 
 
 @_stage
@@ -226,16 +227,16 @@ def stage_influence(cfg: RunConfig, graph) -> dict:
     out = _out(cfg)
     result = influence.pagerank(graph, damping=cfg.damping,
                                 tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter)
-    scaled = influence.scale_scores(result.scores) if result.scores else {}
-    ranked = sorted(result.scores.items())
+    scaled = influence.scale_scores(result.scores)
     artifacts.write_csv(out / "influence.csv", ["user_id", "raw", "scaled"],
-                        ([user_id, repr(raw), repr(scaled[user_id])] for user_id, raw in ranked))
+                        ([user_id, repr(raw), repr(scaled[user_id])]
+                         for user_id, raw in result.scores.items()))
     artifacts.write_json(out / "influence_stats.json", {
         "iterations": result.iterations,
         "converged": result.converged,
     })
-    # float(repr(x)) == x for every float.
-    return {"scaled_influence": {user_id: scaled[user_id] for user_id, _ in ranked}}
+    # Scores are in id order; float(repr(x)) == x for every float.
+    return {"scaled_influence": scaled}
 
 
 @_stage
@@ -288,9 +289,8 @@ def stage_topics(cfg: RunConfig, tweets, community_members, annotations) -> dict
     grouped = [[] for _ in range(cfg.k)]
     for text, cid in zip(texts, cluster_ids):
         grouped[cid].append(text)
-    clusters = [topics.TopicCluster(
-        cluster_id=cid, top_terms=topics.top_terms(members, idf) if members else [],
-        size=len(members)) for cid, members in enumerate(grouped)]
+    clusters = [(cid, len(members), " ".join(topics.top_terms(members, idf)) if members else "")
+                for cid, members in enumerate(grouped)]
 
     assignments = dict(zip(tweet_ids, cluster_ids))
     topics.write_assignments(out / "topic_assignments.ndjson", assignments)
@@ -319,23 +319,8 @@ def stage_report(cfg: RunConfig, tweets, annotations, assignments, graph, scaled
     studied_users = sorted({by_id[tid].author_id for tid in assignments if tid in by_id})
     studied_annotations = {uid: annotations[uid] for uid in studied_users
                            if uid in annotations}
-    continent_dist = (demographics.demographic_distribution(studied_annotations, "continent")
-                      if studied_annotations else demographics.DistributionResult())
-    ethnicity_dist = (demographics.demographic_distribution(studied_annotations, "race")
-                      if studied_annotations else demographics.DistributionResult())
-
-    rows: list[analysis.RepresentationRow] = []
-    for axis in ("gender", "race", "continent"):
-        engagements, corpus_counts = analysis.topic_engagement(
-            assignments, tweets, annotations, axis,
-            retweet_weighted=cfg.retweet_weighted)
-        report = analysis.disproportionality_report(
-            engagements, corpus_counts, axis, tau_hi=cfg.tau_hi, tau_lo=cfg.tau_lo)
-        rows.extend(report.rows)
-    rows.sort(key=lambda r: (-(abs(math.log(r.ratio)) if r.ratio > 0 else math.inf),
-                             r.axis, r.cluster_id, r.bucket))
-    merged = analysis.RepresentationReport(rows=rows, tau_hi=cfg.tau_hi,
-                                           tau_lo=cfg.tau_lo)
+    engagement = analysis.topic_engagement(assignments, tweets, annotations,
+                                           retweet_weighted=cfg.retweet_weighted)
 
     stage_counts = {key: stats[key] for stats, keys in (
         (ingest_stats, ("records_read", "records_rejected", "records_kept")),
@@ -344,14 +329,19 @@ def stage_report(cfg: RunConfig, tweets, annotations, assignments, graph, scaled
         (topic_stats, ("clustered_tweets",)),
     ) for key in keys}
 
-    fixtures = {path.name: artifacts.sha256(path)
-                for path in (*map(cfg.data_file, cfg.DATA_FILES), _CONTINENTS_CSV)}
+    # Keyed by config key, so two data files that share a base name both show.
+    fixtures = {key: artifacts.sha256(cfg.data_file(key)) for key in cfg.DATA_FILES}
+    fixtures["continents"] = artifacts.sha256(_CONTINENTS_CSV)
 
     bundle = analysis.ReportBundle(
         rank_table=table,
-        continent_distribution=continent_dist,
-        ethnicity_distribution=ethnicity_dist,
-        representation=merged,
+        continent_distribution=demographics.demographic_distribution(
+            studied_annotations, "continent"),
+        ethnicity_distribution=demographics.demographic_distribution(studied_annotations, "race"),
+        representation=analysis.disproportionality_report(
+            engagement, tau_hi=cfg.tau_hi, tau_lo=cfg.tau_lo),
+        tau_hi=cfg.tau_hi,
+        tau_lo=cfg.tau_lo,
         config_hash=cfg.config_hash(),
         seed=cfg.seed,
         stage_counts=stage_counts,

@@ -47,7 +47,6 @@ from . import artifacts
 
 __all__ = [
     "NormalizedText",
-    "TopicCluster",
     "KMeansResult",
     "BuiltinEmbedder",
     "normalize_text",
@@ -96,13 +95,6 @@ def normalize_text(raw: str) -> NormalizedText:
         if token:
             tokens.append(token)
     return NormalizedText(tokens)
-
-
-@dataclass
-class TopicCluster:
-    cluster_id: int
-    top_terms: list[str]
-    size: int
 
 
 def _token_features(token: str) -> list[str]:
@@ -579,11 +571,10 @@ def silhouette(vectors: np.ndarray, assignments: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def write_cluster_csv(clusters: Sequence[TopicCluster], path: str | Path) -> None:
-    """Cluster output CSV `cluster_id,size,top_terms` (terms space-joined)."""
-    artifacts.write_csv(path, ["cluster_id", "size", "top_terms"],
-                        ([c.cluster_id, c.size, " ".join(c.top_terms)]
-                         for c in sorted(clusters, key=lambda c: c.cluster_id)))
+def write_cluster_csv(clusters: Sequence[tuple[int, int, str]], path: str | Path) -> None:
+    """Cluster output CSV `cluster_id,size,top_terms` from (cluster_id, size,
+    space-joined top terms) rows, in the order given."""
+    artifacts.write_csv(path, ["cluster_id", "size", "top_terms"], clusters)
 
 
 def write_assignments(path: str | Path, assignment_map: Mapping[str, int]) -> None:

@@ -503,3 +503,40 @@ def reference_representation_ratio(topic_counts, corpus_counts, bucket):
         return Fraction(0)
     return Fraction(topic_counts.get(bucket, 0) * sum(corpus_counts.values()),
                     topic_total * corpus)
+
+
+def reference_disproportionality(assignments, tweets, annotations, retweet_weighted=False,
+                                 tau_hi=1.25, tau_lo=0.8):
+    """The disproportionality report as {(axis, cluster_id, bucket): (exact
+    Fraction ratio, direction)}, counted axis by axis and topic by topic
+    straight from the assignments: a tweet weighs 1, or 1 + its retweets
+    when retweet-weighted, on its author's bucket; unannotated authors and
+    missing or unknown buckets count nowhere. A topic without mass on an axis
+    and a bucket without corpus mass give no row."""
+    from fractions import Fraction
+
+    by_id = {t.tweet_id: t for t in tweets}
+
+    def counts(axis, tweet_ids):
+        out = {}
+        for tweet_id in tweet_ids:
+            tweet = by_id.get(tweet_id)
+            ann = annotations.get(tweet.author_id) if tweet is not None else None
+            bucket = getattr(ann, axis) if ann is not None else None
+            if bucket not in (None, "unknown"):
+                out[bucket] = out.get(bucket, 0) + (1 + tweet.retweets if retweet_weighted else 1)
+        return out
+
+    rows = {}
+    for axis in ("gender", "race", "continent"):
+        corpus = counts(axis, assignments)
+        for cluster_id in sorted(set(assignments.values())):
+            topic = counts(axis, [t for t, c in assignments.items() if c == cluster_id])
+            if not topic:
+                continue
+            for bucket in corpus:
+                ratio = reference_representation_ratio(topic, corpus, bucket)
+                direction = ("over" if ratio >= Fraction(tau_hi)
+                             else "under" if ratio <= Fraction(tau_lo) else "")
+                rows[(axis, cluster_id, bucket)] = (ratio, direction)
+    return rows

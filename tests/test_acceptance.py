@@ -10,8 +10,7 @@ import time
 
 import numpy as np
 
-from echolens.analysis import (TopicEngagement, disproportionality_report,
-                               representation_ratio)
+from echolens.analysis import disproportionality_report
 from echolens.community import (Community, CommunityAssignment, gate_communities,
                                 label_propagation, node_importance)
 from echolens.demographics import (RACE_CATEGORIES, NameModel,
@@ -188,17 +187,16 @@ def test_criterion_7_name_classifier():
 
 
 def test_criterion_8_representation_math():
-    engagements = [TopicEngagement(cluster_id=c, counts={"X": 10, "Y": 30})
-                   for c in range(4)]
-    corpus = {"X": 40, "Y": 120}
-    report = disproportionality_report(engagements, corpus, axis="race")
-    assert report.rows
-    for row in report.rows:
+    engagement = {"race": ({c: {"X": 10, "Y": 30} for c in range(4)}, {"X": 40, "Y": 120})}
+    rows = disproportionality_report(engagement)
+    assert rows
+    for row in rows:
         assert abs(row.ratio - 1.0) < 1e-9
         assert row.direction == ""
 
-    assert representation_ratio({"X": 6, "other": 4},
-                                {"X": 30, "other": 70}, "X") == 2.0
+    rows = disproportionality_report({"race": ({0: {"X": 6, "other": 4}},
+                                               {"X": 30, "other": 70})})
+    assert next(r.ratio for r in rows if r.bucket == "X") == 2.0
 
     rng = random.Random(11)
     for _ in range(25):
@@ -207,10 +205,9 @@ def test_criterion_8_representation_math():
         topic_counts = {b: rng.randint(0, 20) for b in buckets}
         if sum(topic_counts.values()) == 0:
             topic_counts[buckets[0]] = 1
-        total = sum(
-            (corpus_counts[b] / sum(corpus_counts.values()))
-            * representation_ratio(topic_counts, corpus_counts, b)
-            for b in buckets)
+        rows = disproportionality_report({"race": ({0: topic_counts}, corpus_counts)})
+        assert sorted(r.bucket for r in rows) == buckets
+        total = sum(r.corpus_share * r.ratio for r in rows)
         assert abs(total - 1.0) < 1e-9
     _passed(8, "uniform null has all ratios 1 +/- 1e-9 with zero flags; "
                "6/10 vs 30/100 gives exactly 2.0; share-weighted identity holds")

@@ -6,92 +6,110 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echolens.analysis import (ReportBundle, RepresentationReport, TopicEngagement,
-                               disproportionality_report, emit_reports,
-                               representation_ratio, topic_engagement)
+from echolens import demographics, ingest, topics
+from echolens.analysis import (ReportBundle, disproportionality_report, emit_reports,
+                               topic_engagement)
 from echolens.config import load_config
 from echolens.demographics import DemographicAnnotation, DistributionResult
-from echolens.influence import RankTable
 from echolens.pipeline import run_pipeline
 from echolens.synth import write_fixture
 
-from _oracles import reference_representation_ratio
+from _oracles import reference_disproportionality, reference_representation_ratio
 from conftest import make_tweet
+
+
+def report(per_topic, corpus, axis="race", **taus):
+    """disproportionality_report over one axis's engagement."""
+    return disproportionality_report({axis: (per_topic, corpus)}, **taus)
+
+
+def ratio_row(topic, corpus, bucket):
+    """The row for bucket in a one-topic report, or None when there is none."""
+    return next((r for r in report({0: topic}, corpus) if r.bucket == bucket), None)
+
+
+def sort_key(axis, cluster_id, bucket, ratio):
+    return (-(abs(math.log(ratio)) if ratio > 0 else math.inf), axis, cluster_id, bucket)
 
 
 class TestRepresentationRatio:
     def test_hand_example_exactly_two(self):
         topic = {"X": 6, "other": 4}
         corpus = {"X": 30, "other": 70}
-        assert representation_ratio(topic, corpus, "X") == 2.0
+        assert ratio_row(topic, corpus, "X").ratio == 2.0
 
     def test_equal_shares_ratio_one(self):
         topic = {"X": 3, "Y": 7}
         corpus = {"X": 30, "Y": 70}
-        assert representation_ratio(topic, corpus, "X") == 1.0
+        assert ratio_row(topic, corpus, "X").ratio == 1.0
 
     def test_absent_bucket_ratio_zero(self):
-        assert representation_ratio({"Y": 5}, {"X": 10, "Y": 10}, "X") == 0.0
+        assert ratio_row({"Y": 5}, {"X": 10, "Y": 10}, "X").ratio == 0.0
 
     def test_zero_corpus_share_is_missing(self):
-        assert representation_ratio({"X": 1}, {"X": 0, "Y": 5}, "X") is None
+        assert ratio_row({"X": 1}, {"X": 0, "Y": 5}, "X") is None
+        assert [r.bucket for r in report({0: {"X": 1}}, {"X": 0, "Y": 5})] == ["Y"]
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            representation_ratio({}, {}, "X")
+    def test_empty_corpus_gives_no_rows(self):
+        assert report({0: {"X": 1}}, {}) == []
+        assert report({0: {"X": 1}}, {"X": 0}) == []
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.sampled_from("XYZ"), st.integers(0, 10 ** 12)),
            st.dictionaries(st.sampled_from("XYZ"), st.integers(0, 10 ** 12)).filter(
                lambda counts: sum(counts.values()) > 0))
     def test_within_four_ulp_of_exact_ratio(self, topic, corpus):
-        got = representation_ratio(topic, corpus, "X")
+        got = ratio_row(topic, corpus, "X")
         want = reference_representation_ratio(topic, corpus, "X")
-        if want is None:
+        if sum(topic.values()) == 0:
+            assert report({0: topic}, corpus) == []  # a topic without mass gives no row
+        elif want is None:
             assert got is None
         elif want == 0:
-            assert got == 0.0 and type(got) is float
+            assert got.ratio == 0.0 and type(got.ratio) is float
         else:
-            assert abs(got - float(want)) <= 4 * math.ulp(float(want))
-
-
-def engagement(cluster_id, counts):
-    return TopicEngagement(cluster_id=cluster_id, counts=dict(counts))
+            assert abs(got.ratio - float(want)) <= 4 * math.ulp(float(want))
 
 
 class TestDisproportionalityReport:
     def test_ratio_two_flagged_over(self):
-        report = disproportionality_report(
-            [engagement(0, {"X": 6, "Y": 4})], {"X": 30, "Y": 70}, axis="race",
-            tau_hi=1.25, tau_lo=0.8)
-        row = next(r for r in report.rows if r.bucket == "X")
+        rows = report({0: {"X": 6, "Y": 4}}, {"X": 30, "Y": 70}, tau_hi=1.25, tau_lo=0.8)
+        row = next(r for r in rows if r.bucket == "X")
         assert row.ratio == 2.0
         assert row.direction == "over"
 
+    def test_ratio_at_a_threshold_is_flagged(self):
+        rows = report({0: {"X": 5, "Y": 5}, 1: {"X": 4, "Y": 6}}, {"X": 40, "Y": 60})
+        assert [(r.cluster_id, r.bucket, r.ratio, r.direction) for r in rows
+                if r.bucket == "X"] == [(0, "X", 1.25, "over"), (1, "X", 1.0, "")]
+        rows = report({0: {"X": 4, "Y": 6}}, {"X": 50, "Y": 50})
+        assert [(r.bucket, r.ratio, r.direction) for r in rows] == [
+            ("X", 0.8, "under"), ("Y", 1.2, "")]
+
     def test_uniform_null_no_flags(self):
-        engagements = [engagement(c, {"X": 10, "Y": 30}) for c in range(4)]
-        corpus = {"X": 40, "Y": 120}
-        report = disproportionality_report(engagements, corpus, axis="race")
-        assert report.rows
-        for row in report.rows:
+        rows = report({c: {"X": 10, "Y": 30} for c in range(4)}, {"X": 40, "Y": 120})
+        assert rows
+        for row in rows:
             assert abs(row.ratio - 1.0) < 1e-9
             assert row.direction == ""
 
     def test_rows_sorted_by_abs_log_ratio(self):
-        engagements = [engagement(0, {"X": 5, "Y": 5}),
-                       engagement(1, {"X": 9, "Y": 1}),
-                       engagement(2, {"Y": 10})]
         corpus = {"X": 14, "Y": 16}
-        report = disproportionality_report(engagements, corpus, axis="race")
-        keys = [abs(math.log(r.ratio)) if r.ratio > 0 else math.inf
-                for r in report.rows]
-        assert keys == sorted(keys, reverse=True)
+        rows = disproportionality_report({
+            "race": ({0: {"X": 5, "Y": 5}, 1: {"X": 9, "Y": 1}, 2: {"Y": 10}}, corpus),
+            # The same topics under other ids: equal ratios order by axis first.
+            "gender": ({0: {"X": 9, "Y": 1}, 1: {"X": 5, "Y": 5}, 2: {"Y": 10}}, corpus)})
+        keys = [sort_key(r.axis, r.cluster_id, r.bucket, r.ratio) for r in rows]
+        assert keys == sorted(keys)
+        assert len(rows) == 12
+        assert [(r.axis, r.cluster_id, r.bucket) for r in rows[-4:]] == [
+            ("gender", 1, "X"), ("race", 0, "X"), ("gender", 1, "Y"), ("race", 0, "Y")]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            disproportionality_report([], {}, axis="race", tau_hi=0.9)
+            disproportionality_report({}, tau_hi=0.9)
         with pytest.raises(ValueError):
-            disproportionality_report([], {}, axis="race", tau_lo=1.1)
+            disproportionality_report({}, tau_lo=1.1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(
@@ -99,22 +117,18 @@ class TestDisproportionalityReport:
         min_size=1, max_size=6))
     def test_shares_weighted_ratios_reconstruct_unity(self, topic_rows):
         buckets = ("A", "B", "C")
-        engagements = []
+        per_topic = {}
         corpus = {b: 0 for b in buckets}
         for cid, row in enumerate(topic_rows):
-            counts = {b: n for b, n in zip(buckets, row) if n > 0}
-            engagements.append(engagement(cid, counts))
-            for b, n in counts.items():
+            per_topic[cid] = {b: n for b, n in zip(buckets, row) if n > 0}
+            for b, n in per_topic[cid].items():
                 corpus[b] += n
         corpus = {b: n for b, n in corpus.items() if n > 0}
-        if not corpus:
-            return
-        for eng in engagements:
-            if sum(eng.counts.values()) == 0:
-                continue
-            total = sum(
-                (corpus[b] / sum(corpus.values())) * representation_ratio(eng.counts, corpus, b)
-                for b in corpus)
+        totals = {}
+        for row in report(per_topic, corpus):
+            totals[row.cluster_id] = totals.get(row.cluster_id, 0.0) + row.corpus_share * row.ratio
+        assert set(totals) == {cid for cid, counts in per_topic.items() if counts}
+        for total in totals.values():
             assert abs(total - 1.0) < 1e-9
 
 
@@ -127,50 +141,53 @@ class TestTopicEngagement:
         annotations = {
             "u1": DemographicAnnotation(user_id="u1", gender="female", race="Asian"),
             "u2": DemographicAnnotation(user_id="u2", gender="male", race="White"),
-            "u3": DemographicAnnotation(user_id="u3", gender=None, race="White"),
+            "u3": DemographicAnnotation(user_id="u3", gender="unknown", race="White"),
+            "u4": DemographicAnnotation(user_id="u4", gender=None, race="unknown"),
         }
-        assignments = {"t1": 0, "t2": 0, "t3": 1, "t4": 1}
+        tweets.append(make_tweet("t5", author_id="u4"))
+        assignments = {"t1": 0, "t2": 0, "t3": 1, "t4": 1, "t5": 1}
         return assignments, tweets, annotations
 
     def test_counts_and_unclassified(self):
         assignments, tweets, annotations = self.fixture()
-        engagements, corpus = topic_engagement(assignments, tweets, annotations,
-                                               axis="gender")
-        by_id = {e.cluster_id: e for e in engagements}
-        assert by_id[0].counts == {"female": 1, "male": 1}
-        assert by_id[1].counts == {}
-        assert by_id[1].unclassified == 2  # missing gender + unannotated author
-        assert corpus == {"female": 1, "male": 1}
+        engagement = topic_engagement(assignments, tweets, annotations)
+        assert set(engagement) == {"gender", "race", "continent"}
+        # Topic 1 has unknown and missing genders and an unannotated author:
+        # no gender mass; unknown and missing buckets count nowhere.
+        assert engagement["gender"] == ({0: {"female": 1, "male": 1}},
+                                        {"female": 1, "male": 1})
+        assert engagement["race"] == ({0: {"Asian": 1, "White": 1}, 1: {"White": 1}},
+                                      {"Asian": 1, "White": 2})
+        assert engagement["continent"] == ({}, {})
 
     def test_retweet_weighting_option(self):
         assignments, tweets, annotations = self.fixture()
-        engagements, corpus = topic_engagement(assignments, tweets, annotations,
-                                               axis="gender", retweet_weighted=True)
-        by_id = {e.cluster_id: e for e in engagements}
-        assert by_id[0].counts == {"female": 5, "male": 1}
+        per_topic, corpus = topic_engagement(assignments, tweets, annotations,
+                                             retweet_weighted=True)["gender"]
+        assert per_topic[0] == {"female": 5, "male": 1}
         assert corpus == {"female": 5, "male": 1}
 
     def test_race_axis_keeps_inconclusive_bucket(self):
         tweets = [make_tweet("t1", author_id="u1")]
         annotations = {"u1": DemographicAnnotation(user_id="u1", race="Inconclusive")}
-        engagements, corpus = topic_engagement({"t1": 0}, tweets, annotations,
-                                               axis="race")
-        assert engagements[0].counts == {"Inconclusive": 1}
+        per_topic, corpus = topic_engagement({"t1": 0}, tweets, annotations)["race"]
+        assert per_topic == {0: {"Inconclusive": 1}}
         assert corpus == {"Inconclusive": 1}
 
 
 def tiny_bundle():
     return ReportBundle(
-        rank_table=RankTable(rows=[(1, "Hub Org", "Hub Org", "Individual")],
-                             columns={}),
+        rank_table=[(1, "Hub Org", "Hub Org", "Individual")],
         continent_distribution=DistributionResult(buckets={"Africa": (2, 1.0)}),
         ethnicity_distribution=DistributionResult(buckets={"White": (1, 0.5),
                                                            "Asian": (1, 0.5)}),
-        representation=RepresentationReport(rows=[], tau_hi=1.25, tau_lo=0.8),
+        representation=[],
+        tau_hi=1.25,
+        tau_lo=0.8,
         config_hash="cafe" * 16,
         seed=7,
         stage_counts={"records_read": 10},
-        data_fixtures={"gazetteer.csv": "00" * 32},
+        data_fixtures={"gazetteer": "00" * 32},
     )
 
 
@@ -207,26 +224,57 @@ class TestEmitReports:
             emit_reports(tiny_bundle(), tmp_path, formats={"parquet"})
 
 
-def test_report_rows_ordered_across_axes(tmp_path):
-    """The report stage merges the per-axis reports into one order; on the
-    2000-tweet fixture the leading rows mix axes, so the merge sort matters."""
-    config_path = write_fixture(tmp_path / "fixture", seed=7, n_tweets=2000)
+@pytest.fixture(scope="module")
+def seed7_run(tmp_path_factory):
+    config_path = write_fixture(tmp_path_factory.mktemp("fixture"), seed=7, n_tweets=2000)
     cfg = load_config(config_path)
-    cfg.out_dir = str(tmp_path / "run")
+    cfg.out_dir = str(tmp_path_factory.mktemp("run"))
     cfg.formats = {"csv", "json"}
     run_pipeline(cfg)
+    return cfg
+
+
+def test_report_rows_ordered_across_axes(seed7_run):
+    """The report sorts every axis's rows in one order; on the 2000-tweet
+    fixture the leading rows mix axes, so the order is across axes."""
+    out = seed7_run.out_dir
 
     def key(row):
-        ratio = float(row["ratio"])
-        return (-(abs(math.log(ratio)) if ratio > 0 else math.inf),
-                row["axis"], int(row["cluster_id"]), row["bucket"])
+        return sort_key(row["axis"], int(row["cluster_id"]), row["bucket"], float(row["ratio"]))
 
-    with open(tmp_path / "run" / "disproportionality.csv", encoding="utf-8",
-              newline="") as fh:
+    with open(f"{out}/disproportionality.csv", encoding="utf-8", newline="") as fh:
         csv_rows = list(csv.DictReader(fh))
-    json_rows = json.loads(
-        (tmp_path / "run" / "disproportionality.json").read_text())["rows"]
+    with open(f"{out}/disproportionality.json", encoding="utf-8") as fh:
+        json_rows = json.load(fh)["rows"]
     for rows in (csv_rows, json_rows):
         keys = [key(r) for r in rows]
         assert keys == sorted(keys)
         assert len({r["axis"] for r in rows[:12]}) > 1
+
+
+def test_report_rows_match_exact_oracle(seed7_run):
+    """Every row of the seed-7 report against exact ratios counted axis by
+    axis and topic by topic from the run's own intermediates."""
+    out = seed7_run.out_dir
+    tweets, errors = ingest.parse_corpus(f"{out}/selected_tweets.ndjson", schema="tweets")
+    assert errors == []
+    want = reference_disproportionality(
+        topics.read_assignments(f"{out}/topic_assignments.ndjson"), tweets,
+        demographics.read_annotations(f"{out}/annotations.ndjson"),
+        seed7_run.retweet_weighted, seed7_run.tau_hi, seed7_run.tau_lo)
+    with open(f"{out}/disproportionality.json", encoding="utf-8") as fh:
+        rows = json.load(fh)["rows"]
+
+    got = {(r["axis"], r["cluster_id"], r["bucket"]): r for r in rows}
+    assert len(got) == len(rows)
+    assert set(got) == set(want)
+    assert {r["direction"] for r in rows} == {"over", "under", ""}
+    for key, (exact, direction) in want.items():
+        row = got[key]
+        assert row["direction"] == direction, key
+        if exact == 0:
+            assert row["ratio"] == 0.0, key
+        else:
+            assert abs(row["ratio"] - float(exact)) <= 4 * math.ulp(float(exact)), key
+    keys = [sort_key(*key, got[key]["ratio"]) for key in got]
+    assert keys == sorted(keys)

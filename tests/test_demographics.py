@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echolens.demographics import (RACE_CATEGORIES, DemographicAnnotation,
-                                   Gazetteer, NameModel, NgramNameClassifier,
+                                   DistributionResult, Gazetteer, NameModel, NgramNameClassifier,
                                    ProperNounLexicon, annotate_users,
                                    classify_race, continent_of,
                                    default_data_path, demographic_distribution,
@@ -275,9 +275,10 @@ class TestDistribution:
         assert dist.buckets == {}
         assert dist.missing == 2
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            demographic_distribution({}, axis="race")
+    def test_empty_gives_empty_distribution(self):
+        # The report stage relies on this when no studied user is annotated.
+        for axis in ("continent", "race", "gender"):
+            assert demographic_distribution({}, axis=axis) == DistributionResult()
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(RACE_CATEGORIES), min_size=1, max_size=40))

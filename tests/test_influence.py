@@ -184,33 +184,35 @@ class TestRankTables:
         scaled = scale_scores(pagerank(g).scores)
         tweets = [make_tweet("t1", author_id="l1")]
         table = rank_tables(g, scaled, tweets, self.users(), k=4, privacy=True)
-        rendered = [row[2] for row in table.rows]
+        rendered = [row[2] for row in table]
         assert "Individual" in rendered
         assert rendered[0] == "Hub Org"
         off = rank_tables(g, scaled, tweets, self.users(), k=4, privacy=False)
-        assert "Individual" not in [row[2] for row in off.rows]
+        assert "Individual" not in [row[2] for row in off]
 
     def test_star_hub_tops_retweeted_and_pagerank(self):
         g = star_graph()
         scaled = scale_scores(pagerank(g).scores)
         table = rank_tables(g, scaled, [], self.users(), k=1)
-        assert table.columns["retweeted"][0][0] == "hub"
-        assert table.columns["pagerank"][0][0] == "hub"
+        assert table == [(1, "Hub Org", "Hub Org", "")]
 
     def test_empty_everything_empty_table(self):
-        table = rank_tables(InteractionGraph(), {}, [], {}, k=5)
-        assert table.rows == []
+        assert rank_tables(InteractionGraph(), {}, [], {}, k=5) == []
 
     def test_k_larger_than_nodes_truncates(self):
         g = star_graph()
         scaled = scale_scores(pagerank(g).scores)
-        table = rank_tables(g, scaled, [], self.users(), k=99)
-        assert len(table.rows) == 4
+        table = rank_tables(g, scaled, [], self.users(), k=99, privacy=False)
+        # Leaves tie on PageRank and are never retweeted: ties go by user id.
+        assert table == [(1, "Hub Org", "Hub Org", ""),
+                         (2, "Leaf One", "Leaf One", ""),
+                         (3, "Leaf Two", "Leaf Two", ""),
+                         (4, "Leaf Three", "Leaf Three", "")]
 
     def test_volume_column_counts_authored(self):
         g = star_graph()
         scaled = scale_scores(pagerank(g).scores)
         tweets = [make_tweet(f"t{i}", author_id="l2") for i in range(3)]
         tweets += [make_tweet("t9", author_id="l1")]
-        table = rank_tables(g, scaled, tweets, self.users(), k=2)
-        assert table.columns["tweet_volume"][0] == ("l2", 3.0)
+        table = rank_tables(g, scaled, tweets, self.users(), k=2, privacy=False)
+        assert [row[3] for row in table] == ["Leaf Two", "Leaf One"]

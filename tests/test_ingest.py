@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echolens import ingest
-from echolens.ingest import (CorpusStats, StreamSpec, apply_stream,
-                             engagement_filter, match_text, parse_corpus,
-                             parse_tweet, parse_user, select_streams,
-                             write_ndjson)
+from echolens.config import RunConfig
+from echolens.ingest import (StreamSpec, apply_stream, engagement_filter,
+                             match_text, parse_corpus, parse_tweet, parse_user,
+                             select_streams, write_ndjson)
+from echolens.pipeline import run_stage
 
 from conftest import make_tweet, make_user
 
@@ -228,23 +229,34 @@ class TestEngagementFilter:
 
 
 class TestCorpusStats:
-    def test_counts_reconcile(self):
+    def test_counts_reconcile(self, tmp_path):
         tweets = [make_tweet("t1", text="youngo rally"),
                   make_tweet("t2", text="nothing relevant"),
                   make_tweet("t3", text="youngo again", likes=0, retweets=0, replies=0)]
-        stats = CorpusStats(records_read=4, records_rejected=1)
-        selected = select_streams(
-            tweets, [StreamSpec(kind="keyword", keywords=["youngo"])], None, stats)
-        cleaned = engagement_filter(selected)
-        stats.records_kept = len(cleaned)
-        assert stats.records_kept == 1
-        assert stats.records_filtered == 2
+        streams = [StreamSpec(kind="keyword", keywords=["youngo"]),
+                   StreamSpec(kind="account", accounts=["u9"])]
+        selected, kept_per_stream = select_streams(tweets, streams, None)
+        assert [t.tweet_id for t in selected] == ["t1", "t3"]
+        assert kept_per_stream == {"stream_1_keyword": 2, "stream_2_account": 0}
+
+        # A stage run's accounting: read = kept + rejected + filtered.
+        lines = [json.dumps(ingest.record_dict(t)) for t in tweets] + ["not json"]
+        (tmp_path / "tweets.ndjson").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_ndjson(tmp_path / "users.ndjson", [make_user("u1")])
+        run_stage(RunConfig(tweets=str(tmp_path / "tweets.ndjson"),
+                            users=str(tmp_path / "users.ndjson"),
+                            out_dir=str(tmp_path / "out"), streams=streams), "ingest")
+        stats = json.loads((tmp_path / "out" / "ingest_stats.json").read_text(encoding="utf-8"))
+        assert {key: stats[key] for key in ("records_read", "records_kept", "records_rejected",
+                                            "records_filtered", "records_kept_per_stream",
+                                            "engagement_removed")} == {
+            "records_read": 4, "records_kept": 1, "records_rejected": 1,
+            "records_filtered": 2, "records_kept_per_stream": kept_per_stream,
+            "engagement_removed": 1}
 
     def test_no_streams_keeps_everything(self):
         tweets = [make_tweet("t1"), make_tweet("t2")]
-        stats = CorpusStats(records_read=2)
-        assert select_streams(tweets, [], None, stats) == tweets
-        assert stats.records_kept == 2
+        assert select_streams(tweets, [], None) == (tweets, {})
 
 
 def test_match_text_normalizes_case_and_whitespace():

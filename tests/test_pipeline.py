@@ -99,13 +99,31 @@ def test_declared_readers_match_reads_and_bound_lifetimes(fixture_config, tmp_pa
 
 
 def test_manifest_records_every_data_file_the_run_read(full_run):
-    # continents.csv is bundled, not a config key, but shapes the continent
-    # reports, so its sha256 sits with the configurable data files'.
+    # Keyed by config key. continents.csv is bundled, not a config key, but
+    # shapes the continent reports, so its sha256 sits with the configurable
+    # data files' under "continents".
     manifest = json.loads((full_run / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["data_fixtures"] == {
-        name: artifacts.sha256(default_data_path(name))
-        for name in ("classifier_names.csv", "continents.csv", "gazetteer.csv",
-                     "given_names.csv", "name_lists.csv", "stopwords.txt")}
+        key: artifacts.sha256(default_data_path(name))
+        for key, name in (("classifier_names", "classifier_names.csv"),
+                          ("continents", "continents.csv"), ("gazetteer", "gazetteer.csv"),
+                          ("given_names", "given_names.csv"),
+                          ("name_lists", "name_lists.csv"), ("stopwords", "stopwords.txt"))}
+
+
+def test_manifest_keeps_data_files_that_share_a_base_name(fixture_config, tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    given_names = shutil.copy(default_data_path("given_names.csv"), tmp_path / "a" / "names.csv")
+    name_lists = shutil.copy(default_data_path("name_lists.csv"), tmp_path / "b" / "names.csv")
+    run_pipeline(_config(fixture_config, tmp_path / "run", given_names=str(given_names),
+                         name_lists=str(name_lists)))
+    fixtures = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))[
+        "data_fixtures"]
+    assert len(fixtures) == 6
+    assert fixtures["given_names"] == artifacts.sha256(given_names)
+    assert fixtures["name_lists"] == artifacts.sha256(name_lists)
+    assert fixtures["given_names"] != fixtures["name_lists"]
 
 
 def test_in_process_knob_iteration_equals_fresh_run(fixture_config, tmp_path):
