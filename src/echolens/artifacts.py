@@ -14,9 +14,9 @@ on-disk format is decided here and nowhere else:
 Writes are atomic: each file is written to a temporary sibling and moved over
 the target with `os.replace`. If the writer raises, the temporary file is
 removed and any earlier file at the path is left untouched, so a reader never
-sees a half-written artifact. Readers of row formats stream rows lazily,
-except `read_csv_columns`, which reads a whole CSV file into one list per
-column for callers that turn the columns into arrays.
+sees a half-written artifact. Readers of row formats stream rows lazily;
+`read_csv_chunks` streams a CSV file column-wise, a slice at a time, for
+callers that turn the columns into arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "write_ndjson",
     "write_column",
     "read_csv",
-    "read_csv_columns",
+    "read_csv_chunks",
     "read_json",
     "read_ndjson",
     "read_column",
@@ -122,26 +122,65 @@ def read_csv(path: str | Path) -> Iterator[dict[str, str]]:
         yield from csv.DictReader(fh)
 
 
-def read_csv_columns(path: str | Path) -> dict[str, list[str]]:
-    """Read a whole CSV file column-wise: header name -> field strings.
+_CHUNK_BYTES = 1 << 18
 
-    Builds no object per row, so a large file read this way leaves the
-    garbage collector nothing to scan. A plain file (newline-terminated, no
-    quote, carriage return or blank line) is split on separators directly;
-    any other file goes through the csv module. Blank lines are skipped.
+
+def read_csv_chunks(path: str | Path) -> Iterator[tuple[Sequence[int], dict[str, list[str]]]]:
+    """Yield a CSV file's data rows column-wise, a slice of the file at a
+    time, as (lines, {header name: field strings}); row j of a slice starts
+    on line lines[j]. Blank lines are skipped.
+
+    Builds no object per row. Each slice of _CHUNK_BYTES, read on to the end
+    of its line, is split on separators directly while it is plain: no quote,
+    carriage return or blank line, and a whole number of rows. From the first
+    slice that is not, the rest of the file goes through the csv module,
+    _CHUNK_ROWS rows at a time, since a quoted field may span lines; there a
+    row whose field count is not the header's is refused, naming its line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    header, _, body = text.partition("\n")
-    names = header.split(",")
-    fields = body.replace("\n", ",").split(",")[:-1] if body else []
-    plain = (text.endswith("\n") and "\n\n" not in text
-             and not any(c in text for c in '"\r'))
-    if not plain or len(fields) % len(names):
-        rows = [row for row in csv.reader(io.StringIO(text)) if row]
-        names, rows = rows[0], rows[1:]
-        return {name: [row[i] for row in rows] for i, name in enumerate(names)}
-    return {name: fields[i::len(names)] for i, name in enumerate(names)}
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8")
+        names, line = None, 1
+        if header.strip("\n") and not any(c in header for c in '"\r'):
+            names, line = header.rstrip("\n").split(","), 2
+            while data := fh.read(_CHUNK_BYTES) + fh.readline():
+                text = data.decode("utf-8")
+                fields = text.replace("\n", ",").split(",")
+                if text.endswith("\n"):
+                    fields.pop()
+                rows, ragged = divmod(len(fields), len(names))
+                if (ragged or text.startswith("\n") or "\n\n" in text
+                        or any(c in text for c in '"\r')):
+                    fh.seek(fh.tell() - len(data))
+                    break
+                yield range(line, line + rows), {
+                    name: fields[i::len(names)] for i, name in enumerate(names)}
+                line += rows
+        else:
+            fh.seek(0)
+        yield from _csv_chunks(path, fh, names, line)
+
+
+def _csv_chunks(path: str | Path, fh, names: list[str] | None,
+                line: int) -> Iterator[tuple[list[int], dict[str, list[str]]]]:
+    """read_csv_chunks through the csv module, from fh's position, which is
+    the start of `line`; the first row read is the header if names is None."""
+    reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+    rows, lines, start = [], [], line
+    for row in reader:
+        if row and names is None:
+            names = row
+        elif row:
+            if len(row) != len(names):
+                raise ValueError(f"{path} line {start}: {len(row)} fields, the header "
+                                 f"has {len(names)}")
+            rows.append(row)
+            lines.append(start)
+            if len(rows) == _CHUNK_ROWS:
+                yield lines, dict(zip(names, map(list, zip(*rows))))
+                rows, lines = [], []
+        start = line + reader.line_num
+    if rows:
+        yield lines, dict(zip(names, map(list, zip(*rows))))
 
 
 def read_column(path: str | Path) -> Iterator[str]:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -64,30 +65,45 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 _NO_EDGES = _frozen(np.zeros(0, np.int64))
 
 
-def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointer for row indices that are already sorted."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
+# Tuples per chunk that `from_weighted_edges` turns into integer columns.
+_CHUNK_EDGES = 1 << 14
 
 
-def _sum_duplicates(rows: np.ndarray, cols: np.ndarray, n: int,
-                   *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sort (row, col) pairs and sum the values of repeated pairs.
-
-    Returns (rows, cols, *summed values), ordered by row then column, one
-    entry per distinct pair. Equal pairs keep their input order before
-    summing, and the sums stay in the values' dtype.
-    """
-    key = rows * n + cols
+def _summed(rows: np.ndarray, cols: np.ndarray, n: int, *values: np.ndarray,
+            both_ways: bool = False) -> tuple[np.ndarray, ...]:
+    """CSR (indptr, cols, *sums) of (row, col) entries, one per distinct pair
+    in row-then-column order, the values of repeated pairs summed in input
+    order and in their dtype (the entries are sorted stably by row * n + col).
+    With both_ways, entry i also stands for (cols[i], rows[i]), after all the
+    (row, col) entries; its values are read in place, not doubled. Each
+    temporary is freed as soon as it is used."""
+    m = rows.size
+    key = np.empty(2 * m if both_ways else m, dtype=np.int64)
+    np.multiply(rows, n, out=key[:m], dtype=np.int64)
+    key[:m] += cols
+    if both_ways:
+        np.multiply(cols, n, out=key[m:], dtype=np.int64)
+        key[m:] += rows
+    del rows, cols
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    sums = tuple(np.add.reduceat(v[order], starts) if starts.size else v[:0]
-                 for v in values)
-    return (key[starts] // n, key[starts] % n) + sums
+    del first
+    key = key[starts]
+    cols = key % n
+    key //= n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=n), out=indptr[1:])
+    del key
+    if both_ways:
+        np.remainder(order, m, out=order)
+    taken = [v[order] for v in values]
+    del order
+    return (indptr, cols, *(np.add.reduceat(t, starts) if starts.size else t
+                            for t in taken))
 
 
 class InteractionGraph:
@@ -114,19 +130,17 @@ class InteractionGraph:
             i = int(negative[0])
             raise ValueError(f"negative interaction count on ({ids[src[i]]}, {ids[dst[i]]}): "
                              f"retweets={retweets[i]}, replies={replies[i]}")
-        src, dst, retweets, replies = _sum_duplicates(src, dst, n, retweets, replies)
         self.ids = ids
-        self.indptr = _frozen(_indptr(src, n))
-        self.indices = _frozen(dst)
-        self.retweets = _frozen(retweets)
-        self.replies = _frozen(replies)
+        self.indptr, self.indices, self.retweets, self.replies = map(
+            _frozen, _summed(src, dst, n, retweets, replies))
 
     @classmethod
     def from_weighted_edges(cls, edges: Iterable[tuple[str, str, int, int]],
                             nodes: Iterable[str] = ()) -> "InteractionGraph":
-        """Bulk constructor from (src, dst, retweets, replies) tuples."""
-        columns = tuple(zip(*edges)) or ((), (), (), ())
-        return _interned(nodes, *columns)
+        """Bulk constructor from (src, dst, retweets, replies) tuples, read
+        once, a chunk at a time. A count that is not an int (a float, str or
+        bool) is refused, naming its pair."""
+        return _built(nodes, _edge_chunks(edges))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -160,11 +174,8 @@ class InteractionGraph:
     def undirected(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR (indptr, indices, weights) of the symmetrised graph, where the
         weight of {u, v} is w(u, v) + w(v, u); neighbours sorted by index."""
-        src, dst, w = self.sources(), self.indices, self.weights()
-        rows, cols, sym = _sum_duplicates(np.concatenate([src, dst]),
-                                         np.concatenate([dst, src]), len(self),
-                                         np.concatenate([w, w]))
-        return _indptr(rows, len(self)), cols, sym
+        return _summed(self.sources(), self.indices, len(self), self.weights(),
+                       both_ways=True)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -176,17 +187,52 @@ class InteractionGraph:
         return int(self.retweets.sum() + self.replies.sum())
 
 
-def _interned(nodes: Iterable[str], src: Sequence[str], dst: Sequence[str],
-              retweets, replies) -> InteractionGraph:
-    """Intern string columns to sorted integer ids, then build."""
-    ids = tuple(sorted(map(str, set(nodes).union(src, dst))))
-    index = {node: i for i, node in enumerate(ids)}
-    m = len(src)
-    return InteractionGraph(ids,
-                            np.fromiter(map(index.__getitem__, src), np.int64, m),
-                            np.fromiter(map(index.__getitem__, dst), np.int64, m),
-                            np.asarray(retweets, dtype=np.int64).reshape(m),
-                            np.asarray(replies, dtype=np.int64).reshape(m))
+def _indices(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
+    """The integers of ids in index; ids not yet in it get the next free ones."""
+    try:
+        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    except KeyError:
+        new = set(ids).difference(index)
+        index.update(zip(new, range(len(index), len(index) + len(new))))
+        return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+
+def _built(nodes: Iterable[str], chunks: Iterable[tuple]) -> InteractionGraph:
+    """Build from (src ids, dst ids, retweets, replies) column chunks.
+
+    Ids are interned chunk by chunk into provisional integers, which are
+    renumbered once at the end in sorted id order, so only the integer
+    columns of the chunks are kept."""
+    index = dict(zip(dict.fromkeys(map(str, nodes)), count()))
+    parts = [(_indices(index, src), _indices(index, dst), retweets, replies)
+             for src, dst, retweets, replies in chunks]
+    ids = tuple(sorted(map(str, index)))
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[_indices(index, ids)] = np.arange(len(ids))
+    del index
+    src, dst, retweets, replies = [np.concatenate(c) for c in zip(*parts)] or [_NO_EDGES] * 4
+    del parts
+    src, dst = rank[src], rank[dst]
+    return InteractionGraph(ids, src, dst, retweets, replies)
+
+
+def _is_int(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and t is not bool
+
+
+def _edge_chunks(edges: Iterable[tuple[str, str, int, int]]) -> Iterator[tuple]:
+    """Column chunks of up to _CHUNK_EDGES (src, dst, retweets, replies)
+    tuples, with int64 counts. The count types are checked once a chunk."""
+    edges = iter(edges)
+    while chunk := list(islice(edges, _CHUNK_EDGES)):
+        src, dst, retweets, replies = zip(*chunk)
+        if not all(map(_is_int, set(map(type, retweets + replies)))):
+            s, d, rt, rp = next(row for row in chunk
+                                if not (_is_int(type(row[2])) and _is_int(type(row[3]))))
+            raise ValueError(f"interaction count is not an int on ({s}, {d}): "
+                             f"retweets={rt!r}, replies={rp!r}")
+        yield (src, dst, np.fromiter(retweets, np.int64, len(chunk)),
+               np.fromiter(replies, np.int64, len(chunk)))
 
 
 def build_interaction_graph(tweets: Sequence[TweetRecord],
@@ -217,7 +263,7 @@ def build_interaction_graph(tweets: Sequence[TweetRecord],
     stats.resolved_retweets = sum(retweets)
     stats.resolved_replies = len(retweets) - stats.resolved_retweets
     retweets = np.asarray(retweets, dtype=np.int64)
-    g = _interned((t.author_id for t in tweets), src, dst, retweets, 1 - retweets)
+    g = _built((t.author_id for t in tweets), [(src, dst, retweets, 1 - retweets)])
     return g, stats
 
 
@@ -269,10 +315,27 @@ def write_node_list(g: InteractionGraph, path: str | Path) -> None:
 
 
 def read_edge_csv(edge_path: str | Path, node_path: str | Path) -> InteractionGraph:
-    """Rebuild a graph persisted by write_edge_csv and write_node_list."""
-    nodes = artifacts.read_column(node_path)
-    columns = artifacts.read_csv_columns(edge_path)
-    return _interned(
-        nodes, columns["src"], columns["dst"],
-        np.array(columns["retweets"], dtype=np.int64),
-        np.array(columns["replies"], dtype=np.int64))
+    """Rebuild a graph persisted by write_edge_csv and write_node_list, a
+    slice of the edge file at a time. An edge id missing from the node file
+    still becomes a node. A count cell that is not an integer is refused,
+    naming its line."""
+    def chunks():
+        for lines, columns in artifacts.read_csv_chunks(edge_path):
+            yield (columns["src"], columns["dst"],
+                   *(_count_cells(columns[name], lines, name, edge_path)
+                     for name in ("retweets", "replies")))
+    return _built(artifacts.read_column(node_path), chunks())
+
+
+def _count_cells(cells: list[str], lines: Sequence[int], name: str,
+                 path: str | Path) -> np.ndarray:
+    try:
+        return np.array(cells, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for cell, line in zip(cells, lines):
+            try:
+                np.int64(cell)
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path} line {line}: {name} {cell!r} is not an "
+                                 "integer") from None
+        raise

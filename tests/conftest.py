@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,15 @@ def clique_graph(*cliques, bridges=()):
     edges += [(src, dst, 1, 0) for src, dst in bridges]
     return InteractionGraph.from_weighted_edges(
         edges, nodes=[node for members in cliques for node in members])
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, bytes by which the traced peak rose above the allocations
+    live before the call)."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn(*args, **kwargs)
+    return result, tracemalloc.get_traced_memory()[1] - before
 
 
 @pytest.fixture

@@ -42,24 +42,46 @@ def test_failed_write_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["edges.csv"]
 
 
+def read_columns(path, names):
+    """The chunks of read_csv_chunks joined into whole columns, and the line
+    each row starts on."""
+    columns, lines = {name: [] for name in names}, []
+    for chunk_lines, chunk in artifacts.read_csv_chunks(path):
+        assert list(chunk) == list(names)
+        assert all(len(cells) == len(chunk_lines) for cells in chunk.values())
+        lines.extend(chunk_lines)
+        for name, cells in chunk.items():
+            columns[name].extend(cells)
+    return columns, lines
+
+
 @pytest.mark.parametrize("rows", [
     [],
     [["u1", "u2", 3], ["u1", "", 0]],
     [["a,b", 'say "hi"', 1], ["line\nbreak", "ü", 2]],
 ])
-def test_read_csv_columns_matches_row_reader(tmp_path, rows):
+def test_read_csv_chunks_matches_row_reader(tmp_path, rows):
     path = tmp_path / "t.csv"
     artifacts.write_csv(path, ["src", "dst", "n"], rows)
     by_row = list(artifacts.read_csv(path))
-    columns = artifacts.read_csv_columns(path)
+    columns, _ = read_columns(path, ("src", "dst", "n"))
     assert columns == {name: [row[name] for row in by_row] for name in ("src", "dst", "n")}
     assert columns["n"] == [str(row[2]) for row in rows]
 
 
-def test_read_csv_columns_skips_blank_lines_and_reads_last_unterminated_row(tmp_path):
+def test_read_csv_chunks_skips_blank_lines_and_reads_last_unterminated_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n\n\n3,4", encoding="utf-8")
-    assert artifacts.read_csv_columns(path) == {"a": ["1", "3"], "b": ["2", "4"]}
+    assert read_columns(path, "ab") == ({"a": ["1", "3"], "b": ["2", "4"]}, [2, 5])
+    path.write_text("a,b\n1,2\n3,4", encoding="utf-8")
+    assert read_columns(path, "ab") == ({"a": ["1", "3"], "b": ["2", "4"]}, [2, 3])
+
+
+def test_read_csv_chunks_names_a_ragged_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n3,4,5\n6,7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"t\.csv line 3: 3 fields, the header has 2$"):
+        read_columns(path, "ab")
 
 
 def _plain_csv(rows):
@@ -78,7 +100,7 @@ def test_lone_carriage_return_is_quoted_in_its_chunk_only(tmp_path, monkeypatch)
     plain = _plain_csv([["id", "n"]] + rows).decode()
     assert path.read_bytes() == plain.replace("a\rb,", '"a\rb",').encode()
     assert list(artifacts.read_csv(path)) == [{"id": a, "n": str(b)} for a, b in rows]
-    assert artifacts.read_csv_columns(path)["id"] == [a for a, _ in rows]
+    assert read_columns(path, ("id", "n"))[0]["id"] == [a for a, _ in rows]
 
     artifacts.write_column(tmp_path / "c.txt", ["\r", "", "a\r", "b"])
     assert (tmp_path / "c.txt").read_bytes() == b'"\r"\n""\n"a\r"\nb\n'
@@ -98,7 +120,7 @@ def test_csv_round_trips_and_keeps_bytes_without_carriage_returns(tmp_path_facto
         patch.setattr(artifacts, "_CHUNK_ROWS", chunk_rows)
         artifacts.write_csv(path, ["a", "b"], rows)
     assert [[row["a"], row["b"]] for row in artifacts.read_csv(path)] == rows
-    assert artifacts.read_csv_columns(path) == {"a": [r[0] for r in rows],
-                                               "b": [r[1] for r in rows]}
+    assert read_columns(path, "ab")[0] == {"a": [r[0] for r in rows],
+                                           "b": [r[1] for r in rows]}
     if not any("\r" in field for row in rows for field in row):
         assert path.read_bytes() == _plain_csv([["a", "b"]] + rows)

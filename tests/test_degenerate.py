@@ -1,17 +1,20 @@
 """Degenerate-input contracts of the graph kernels (a graph with nodes but no
-edges, and the empty graph) and of k-means (k above the number of distinct
-points, non-finite vectors). One test per contract."""
+edges, and the empty graph), of the graph builders (no tuples, a one-pass
+generator, a header-only edge file, an edge id the node file lacks) and of
+k-means (k above the number of distinct points, non-finite vectors). One test
+per contract."""
 
 import numpy as np
 import pytest
 
+from echolens import graph
 from echolens.community import label_propagation, node_importance
 from echolens.graph import (InteractionGraph, degree_stats, read_edge_csv,
                             write_edge_csv, write_node_list)
 from echolens.influence import pagerank
 from echolens.topics import cluster
 
-from _oracles import graphs_equal
+from _oracles import edge_table, graphs_equal
 
 NODES = [f"n{i}" for i in range(7)]
 
@@ -48,6 +51,50 @@ class TestEdgelessGraph:
         assert (tmp_path / "edges.csv").read_text() == "src,dst,weight,retweets,replies\n"
         back = read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
         assert graphs_equal(back, g) and list(back.ids) == NODES
+
+    def test_undirected_is_empty(self):
+        indptr, cols, weights = edgeless().undirected()
+        assert indptr.tolist() == [0] * (len(NODES) + 1)
+        assert cols.dtype == weights.dtype == np.int64
+        assert cols.size == weights.size == 0
+
+
+class TestGraphBuildersDegenerate:
+    def test_empty_iterable_gives_the_empty_graph(self):
+        for edges in ([], iter(()), (e for e in ())):
+            assert graphs_equal(InteractionGraph.from_weighted_edges(edges),
+                                InteractionGraph())
+
+    def test_single_pass_generator_is_read_once(self, monkeypatch):
+        # A generator has no len(), and a second pass over it is empty.
+        monkeypatch.setattr(graph, "_CHUNK_EDGES", 2)
+        rows = [("b", "a", 1, 0), ("c", "a", 0, 1), ("b", "a", 2, 0),
+                ("a", "c", 1, 1), ("c", "b", 1, 0)]
+        g = InteractionGraph.from_weighted_edges((row for row in rows), nodes=["d"])
+        assert g.ids == ("a", "b", "c", "d")
+        assert edge_table(g) == {("a", "c"): (1, 1), ("b", "a"): (3, 0),
+                                 ("c", "a"): (0, 1), ("c", "b"): (1, 0)}
+
+    def test_nodes_only(self):
+        g = InteractionGraph.from_weighted_edges([], nodes=["b", "a", "b"])
+        assert g.ids == ("a", "b") and g.indptr.tolist() == [0, 0, 0]
+        assert all(getattr(g, name).dtype == np.int64 and getattr(g, name).size == 0
+                   for name in ("indices", "retweets", "replies"))
+
+    @pytest.mark.parametrize("header", ["src,dst,weight,retweets,replies\n",
+                                        "src,dst,weight,retweets,replies", ""])
+    def test_header_only_edge_file_gives_the_nodes(self, tmp_path, header):
+        (tmp_path / "edges.csv").write_text(header)
+        (tmp_path / "nodes.txt").write_text("b\na\n")
+        g = read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
+        assert graphs_equal(g, InteractionGraph.from_weighted_edges([], nodes="ab"))
+
+    def test_edge_id_missing_from_node_file_becomes_a_node(self, tmp_path):
+        (tmp_path / "edges.csv").write_text("src,dst,weight,retweets,replies\n"
+                                            "x,a,2,2,0\n")
+        (tmp_path / "nodes.txt").write_text("a\nb\n")
+        g = read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
+        assert g.ids == ("a", "b", "x") and edge_table(g) == {("x", "a"): (2, 0)}
 
 
 class TestEmptyGraph:

@@ -1,16 +1,19 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from echolens import artifacts, graph
 from echolens.graph import (InteractionGraph, build_interaction_graph,
                             degree_stats, induced_subgraph, read_edge_csv,
                             weighted_in_degrees, write_edge_csv, write_node_list)
 
 from _oracles import (edge_table, graphs_equal, reference_degree_stats,
                       reference_induced_subgraph, reference_weighted_in_degrees)
-from conftest import make_tweet
+from conftest import make_tweet, traced_peak
 
 
 def interaction_fixture():
@@ -208,6 +211,98 @@ def test_negative_count_rejected_by_every_builder(builder, tmp_path):
     with pytest.raises(ValueError, match=r"negative interaction count on \(a, b\): "
                                          r"retweets=-1, replies=0$"):
         build()
+
+
+@pytest.mark.parametrize("builder,bad,message", [
+    ("from_weighted_edges", 1.5, r"retweets=1\.5"),
+    ("from_weighted_edges", "2", r"retweets='2'"),
+    ("from_weighted_edges", True, r"retweets=True"),
+    ("from_weighted_edges", np.float64(2.0), r"retweets=np\.float64\(2\.0\)"),
+    ("read_edge_csv", "1.5", r"'1\.5'"),
+    ("read_edge_csv", "", r"''"),
+    ("read_edge_csv", "99999999999999999999", r"'99999999999999999999'"),
+])
+def test_non_integer_count_rejected_by_every_builder(builder, bad, message, tmp_path):
+    # Unchecked, a retweet count of 1.5 built a count of 1, "2" one of 2, and
+    # the edge file's reader named no line.
+    rows = [("b", "c", 1, 0), ("a", "b", bad, 0), ("c", "a", 1, 0)]
+    if builder == "from_weighted_edges":
+        build = lambda: InteractionGraph.from_weighted_edges(rows)
+        want = rf"^interaction count is not an int on \(a, b\): {message}, replies=0$"
+    else:
+        (tmp_path / "edges.csv").write_text(
+            "src,dst,weight,retweets,replies\n"
+            + "".join(f"{s},{d},1,{rt},{rp}\n" for s, d, rt, rp in rows))
+        (tmp_path / "nodes.txt").write_text("a\nb\nc\n")
+        build = lambda: read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
+        want = rf"edges\.csv line 3: retweets {message} is not an integer$"
+    with pytest.raises(ValueError, match=want):
+        build()
+
+
+def test_bad_count_cell_named_by_the_line_its_row_starts_on(tmp_path):
+    # A quoted id spanning two lines sends the file through the csv module.
+    (tmp_path / "edges.csv").write_text(
+        'src,dst,weight,retweets,replies\n"b\nc",a,1,1,0\na,b,1,1,x\n')
+    (tmp_path / "nodes.txt").write_text("a\nb\n")
+    with pytest.raises(ValueError, match=r"edges\.csv line 4: replies 'x' is not an integer$"):
+        read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
+
+
+def test_chunked_read_and_build_cross_chunk_boundaries(tmp_path, monkeypatch):
+    # Slices of 64 bytes, csv chunks of 3 rows and edge chunks of 5 tuples.
+    # The plain ids sort first, so their rows fill several plain slices; the
+    # long quoted id spans a slice boundary, so the reader must restart that
+    # slice on the csv path.
+    monkeypatch.setattr(artifacts, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(artifacts, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(graph, "_CHUNK_EDGES", 5)
+    ids = [f"a{i:02d}" for i in range(12)] + ['z"q', "z,c", "z\nl", "z\rr",
+                                               "z" + "long\n" * 20 + "id"]
+    rows = [(src, ids[(k + j) % len(ids)], k % 3, j % 2)
+            for k, src in enumerate(ids) for j in (1, 2, 5)]
+    g = InteractionGraph.from_weighted_edges(iter(rows), nodes=ids)
+    assert list(g.ids) == sorted(ids) and edge_table(g) == summed(rows)
+
+    write_edge_csv(g, tmp_path / "edges.csv")
+    write_node_list(g, tmp_path / "nodes.txt")
+    text = (tmp_path / "edges.csv").read_bytes()
+    start = text.index(b'"zlong')
+    end = text.index(b'id"', start)
+    assert start // 64 < end // 64
+    plain = [isinstance(lines, range)
+             for lines, _ in artifacts.read_csv_chunks(tmp_path / "edges.csv")]
+    assert plain[:3] == [True] * 3 and plain[-3:] == [False] * 3
+    assert graphs_equal(read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt"), g)
+
+
+def test_graph_paths_hold_only_integer_arrays(tmp_path):
+    """At 20k nodes and 200k edges, building from a generator, reading the
+    edge files back and symmetrising each peak at <= 128 traced bytes per
+    edge. Holding every tuple, every field string or every doubled array at
+    once instead peaks at 168, 260 and 178 bytes."""
+    n, m = 20_000, 200_000
+    rng = np.random.default_rng(5)
+    src = rng.integers(0, n, m)
+    dst = ((src + rng.integers(1, n, m)) % n).tolist()
+    src = src.tolist()
+    names = [f"u{i:06d}" for i in range(n)]
+    def traced(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return traced_peak(fn, *args, **kwargs)
+        finally:
+            tracemalloc.stop()
+
+    g, build = traced(InteractionGraph.from_weighted_edges,
+                      ((names[s], names[d], 1, 0) for s, d in zip(src, dst)), nodes=names)
+    write_edge_csv(g, tmp_path / "edges.csv")
+    write_node_list(g, tmp_path / "nodes.txt")
+    back, read = traced(read_edge_csv, tmp_path / "edges.csv", tmp_path / "nodes.txt")
+    _, undirected = traced(g.undirected)
+    assert graphs_equal(back, g)
+    per_edge = {"build": build / m, "read": read / m, "undirected": undirected / m}
+    assert max(per_edge.values()) <= 128, per_edge
 
 
 @st.composite

@@ -51,7 +51,7 @@ def test_full_run_parses_no_file_it_wrote(fixture_config, tmp_path, monkeypatch)
             return fn(path, *args, **kwargs)
         return wrapper
 
-    for name in ("read_column", "read_csv", "read_csv_columns", "read_json",
+    for name in ("read_column", "read_csv", "read_csv_chunks", "read_json",
                  "read_ndjson", "read_lines"):
         monkeypatch.setattr(artifacts, name, counting(getattr(artifacts, name)))
     monkeypatch.setattr(ingest, "parse_corpus", counting(ingest.parse_corpus))

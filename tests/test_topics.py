@@ -12,6 +12,7 @@ from _oracles import (_reference_sq_dists, reference_embed,
                       reference_farthest_point_init, reference_kmeans,
                       reference_silhouette, reference_top_terms, reference_weights,
                       reference_word_idf)
+from conftest import traced_peak
 from echolens import pipeline, topics
 from echolens.config import load_config
 from echolens.synth import make_corpus, write_fixture
@@ -520,15 +521,6 @@ def test_silhouette_repr_equals_reference(seed, n, dim, labels):
     assignments = rng.choice(rng.integers(-50, 50, size=labels), size=n)
     got = silhouette(points, assignments)
     assert repr(got) == repr(reference_silhouette(points, assignments))
-
-
-def traced_peak(fn, *args, **kwargs):
-    """(result, bytes by which the traced peak rose above the allocations
-    live before the call)."""
-    tracemalloc.reset_peak()
-    before = tracemalloc.get_traced_memory()[0]
-    result = fn(*args, **kwargs)
-    return result, tracemalloc.get_traced_memory()[1] - before
 
 
 def test_topics_kernels_hold_one_matrix_of_their_input_size():
