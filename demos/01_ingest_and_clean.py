@@ -11,7 +11,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from echolens.ingest import (StreamSpec, engagement_filter, parse_corpus,
+from echolens.ingest import (StreamSpec, engagement_filter, iter_corpus, parse_corpus,
                              select_streams)
 from echolens.synth import write_fixture
 
@@ -32,9 +32,15 @@ streams = [
                window=(1_625_097_600, 1_625_097_600 + 90_000 * 60)),
 ]
 
-selected, kept_per_stream = select_streams(tweets, streams,
-                                           {u.user_id: u for u in users})
+user_index = {u.user_id: u for u in users}
+selected, kept_per_stream = select_streams(tweets, streams, user_index)
 cleaned = engagement_filter(selected)
+
+# The same selection in one streaming pass, as the ingest stage runs it: each
+# tweet is decided as its line is parsed, and only the caught ones are held.
+streamed, _ = select_streams(iter_corpus(workdir / "tweets.ndjson", "tweets", []),
+                             streams, user_index)
+assert streamed == selected
 
 print("per-stream hits:", kept_per_stream)
 print(f"selected {len(selected)}, kept {len(cleaned)} after engagement cleaning")

@@ -20,8 +20,8 @@ from .demographics import (DemographicAnnotation, Gazetteer, NameModel,
 from .graph import (InteractionGraph, build_interaction_graph, degree_stats,
                     induced_subgraph)
 from .influence import PageRankResult, pagerank, rank_tables, scale_scores
-from .ingest import (StreamSpec, TweetRecord, UserRecord, apply_stream,
-                     engagement_filter, parse_corpus)
+from .ingest import (StreamSpec, TweetRecord, UserRecord, engagement_filter,
+                     iter_corpus, parse_corpus, select_streams, stream_predicate)
 from .pipeline import (MissingInputError, StageError, review_sample,
                        run_pipeline, run_stage)
 from .topics import (BuiltinEmbedder, KMeansResult, NormalizedText, cluster,

@@ -16,7 +16,8 @@ the target with `os.replace`. If the writer raises, the temporary file is
 removed and any earlier file at the path is left untouched, so a reader never
 sees a half-written artifact. Readers of row formats stream rows lazily;
 `read_csv_chunks` streams a CSV file column-wise, a slice at a time, for
-callers that turn the columns into arrays.
+callers that turn the columns into arrays. `read_csv` refuses a row whose
+field count is not the header's, naming the file and the line.
 """
 
 from __future__ import annotations
@@ -117,9 +118,28 @@ def write_column(path: str | Path, values: Iterable[str]) -> None:
 
 
 def read_csv(path: str | Path) -> Iterator[dict[str, str]]:
-    """Yield each data row as a header-keyed dict."""
+    """Yield each data row as a header-keyed dict. Blank lines are skipped; a
+    row whose field count is not the header's is refused, naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        yield from csv.DictReader(fh)
+        yield from (dict(zip(names, row)) for names, _, row in _csv_rows(path, fh, None, 1))
+
+
+def _csv_rows(path: str | Path, fh, names: list[str] | None,
+              line: int) -> Iterator[tuple[list[str], int, list[str]]]:
+    """Yield (header names, start line, fields) for each non-blank data row of
+    the text file fh, read from its position, the start of `line`; the first
+    row is the header if names is None. A ragged row raises, naming its line."""
+    reader = csv.reader(fh)
+    start = line
+    for row in reader:
+        if row and names is None:
+            names = row
+        elif row:
+            if len(row) != len(names):
+                raise ValueError(f"{path} line {start}: {len(row)} fields, the header "
+                                 f"has {len(names)}")
+            yield names, start, row
+        start = line + reader.line_num
 
 
 _CHUNK_BYTES = 1 << 18
@@ -157,30 +177,10 @@ def read_csv_chunks(path: str | Path) -> Iterator[tuple[Sequence[int], dict[str,
                 line += rows
         else:
             fh.seek(0)
-        yield from _csv_chunks(path, fh, names, line)
-
-
-def _csv_chunks(path: str | Path, fh, names: list[str] | None,
-                line: int) -> Iterator[tuple[list[int], dict[str, list[str]]]]:
-    """read_csv_chunks through the csv module, from fh's position, which is
-    the start of `line`; the first row read is the header if names is None."""
-    reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
-    rows, lines, start = [], [], line
-    for row in reader:
-        if row and names is None:
-            names = row
-        elif row:
-            if len(row) != len(names):
-                raise ValueError(f"{path} line {start}: {len(row)} fields, the header "
-                                 f"has {len(names)}")
-            rows.append(row)
-            lines.append(start)
-            if len(rows) == _CHUNK_ROWS:
-                yield lines, dict(zip(names, map(list, zip(*rows))))
-                rows, lines = [], []
-        start = line + reader.line_num
-    if rows:
-        yield lines, dict(zip(names, map(list, zip(*rows))))
+        rows = _csv_rows(path, io.TextIOWrapper(fh, encoding="utf-8", newline=""), names, line)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            headers, lines, fields = zip(*chunk)
+            yield lines, dict(zip(headers[0], map(list, zip(*fields))))
 
 
 def read_column(path: str | Path) -> Iterator[str]:

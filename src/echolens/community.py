@@ -31,7 +31,7 @@ import numpy as np
 from . import artifacts
 from . import influence as _influence
 from .graph import InteractionGraph, weighted_in_degrees
-from .ingest import TweetRecord, UserRecord, match_text
+from .ingest import TweetRecord, UserRecord, keyword_needles, match_text
 
 __all__ = [
     "Community",
@@ -251,37 +251,23 @@ def flag_offtopic(assignment: CommunityAssignment, tweets: Sequence[TweetRecord]
     keyword, contains the anchor's handle, or mentions the anchor. Flagged
     communities are reported, never removed.
     """
-    keywords = [k for k in keywords if k.strip()]
-    if not keywords:
-        raise ValueError("flag_offtopic needs a nonempty keyword list")
-    needles = [match_text(k) for k in keywords]
+    needles = keyword_needles(keywords)
 
     by_author: dict[str, list[TweetRecord]] = {}
     for t in tweets:
         by_author.setdefault(t.author_id, []).append(t)
 
+    def on_topic(t: TweetRecord, anchor: str, handle: str | None) -> bool:
+        text = match_text(t.text)
+        return (any(n in text for n in needles) or (handle and handle in text)
+                or anchor in t.mentions)
+
     flags: list[tuple[int, str]] = []
     for community in assignment.communities:
         anchor = community.anchor
-        anchor_handle = None
-        if users and anchor in users:
-            anchor_handle = match_text(users[anchor].handle)
-        on_topic = False
-        for member in community.members:
-            for t in by_author.get(member, ()):
-                text = match_text(t.text)
-                if any(n in text for n in needles):
-                    on_topic = True
-                    break
-                if anchor_handle and anchor_handle in text:
-                    on_topic = True
-                    break
-                if anchor in t.mentions:
-                    on_topic = True
-                    break
-            if on_topic:
-                break
-        if not on_topic:
+        handle = match_text(users[anchor].handle) if users and anchor in users else None
+        if not any(on_topic(t, anchor, handle)
+                   for member in community.members for t in by_author.get(member, ())):
             flags.append((community.community_id,
                           "no keyword or anchor mention in member tweets"))
     return flags

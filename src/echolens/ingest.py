@@ -2,17 +2,19 @@
 
 Corpora are newline-delimited JSON, one record per line. Parsing never aborts
 on a bad line; malformed records are collected as line-numbered errors so a
-run can report exactly what was skipped.
+run can report exactly what was skipped. Each stream spec becomes one
+predicate, and select_streams decides each record as it is parsed.
 """
 
 from __future__ import annotations
 
 import json
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import artifacts
 
@@ -21,13 +23,16 @@ __all__ = [
     "UserRecord",
     "StreamSpec",
     "RecordError",
+    "iter_corpus",
     "parse_corpus",
     "parse_tweet",
     "parse_user",
     "write_ndjson",
     "record_dict",
-    "apply_stream",
+    "stream_predicate",
+    "select_streams",
     "engagement_filter",
+    "keyword_needles",
     "match_text",
 ]
 
@@ -121,11 +126,6 @@ class StreamSpec:
             start, end = self.window
             if not end > start:
                 raise ValueError("geo_window end must be after start")
-
-    def normalized_box(self) -> tuple[float, float, float, float]:
-        lat_a, lon_a, lat_b, lon_b = self.bounding_box
-        return (min(lat_a, lat_b), min(lon_a, lon_b),
-                max(lat_a, lat_b), max(lon_a, lon_b))
 
 
 def _require_str(obj: Mapping, key: str) -> str:
@@ -263,11 +263,13 @@ def write_ndjson(path: str | Path, records: Iterable[TweetRecord | UserRecord]) 
     artifacts.write_ndjson(path, map(record_dict, records))
 
 
-def parse_corpus(path: str | Path, schema: str):
-    """Parse an NDJSON corpus file.
+def iter_corpus(path: str | Path, schema: str,
+                errors: list[RecordError]) -> Iterator[TweetRecord | UserRecord]:
+    """Yield the records of an NDJSON corpus file in file order, each as its
+    line is parsed.
 
-    schema is "tweets" or "users". Returns (records, errors) where errors are
-    line-numbered RecordError entries for malformed lines and duplicate ids;
+    schema is "tweets" or "users". Malformed lines and duplicate ids are
+    appended to errors as line-numbered RecordError entries as they are met;
     the first occurrence of a duplicated id wins. An unreadable file raises.
     """
     if schema not in ("tweets", "users"):
@@ -275,8 +277,6 @@ def parse_corpus(path: str | Path, schema: str):
     parse_one = parse_tweet if schema == "tweets" else parse_user
     id_field = "tweet_id" if schema == "tweets" else "user_id"
 
-    records = []
-    errors: list[RecordError] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -290,17 +290,22 @@ def parse_corpus(path: str | Path, schema: str):
                 rec = parse_one(obj)
             except json.JSONDecodeError as exc:
                 errors.append(RecordError(line_no, f"{exc.msg} (column {exc.colno})"))
-                continue
             except ValueError as exc:
                 errors.append(RecordError(line_no, str(exc)))
-                continue
-            rec_id = getattr(rec, id_field)
-            if rec_id in seen:
-                errors.append(RecordError(line_no, f"duplicate {id_field} {rec_id!r}"))
-                continue
-            seen.add(rec_id)
-            records.append(rec)
-    return records, errors
+            else:
+                rec_id = getattr(rec, id_field)
+                if rec_id in seen:
+                    errors.append(RecordError(line_no, f"duplicate {id_field} {rec_id!r}"))
+                else:
+                    seen.add(rec_id)
+                    yield rec
+
+
+def parse_corpus(path: str | Path, schema: str):
+    """Parse an NDJSON corpus file whole: (records, errors), iter_corpus's
+    records as a list and the errors it met."""
+    errors: list[RecordError] = []
+    return list(iter_corpus(path, schema, errors)), errors
 
 
 def match_text(text: str) -> str:
@@ -310,59 +315,59 @@ def match_text(text: str) -> str:
     return " ".join(unicodedata.normalize("NFC", text).casefold().split())
 
 
+def keyword_needles(keywords: Iterable[str]) -> list[str]:
+    """The match_text forms of the non-blank keywords; ValueError if none."""
+    needles = [match_text(k) for k in keywords if k.strip()]
+    if not needles:
+        raise ValueError("needs at least one non-blank keyword")
+    return needles
+
+
 def _resolve_accounts(accounts: Sequence[str],
                       users: Mapping[str, UserRecord] | None) -> set[str]:
-    ids = set(accounts)
-    if users:
-        by_handle = {u.handle.casefold(): u.user_id for u in users.values()}
-        for acct in accounts:
-            hit = by_handle.get(acct.casefold())
-            if hit is not None:
-                ids.add(hit)
-    return ids
+    """The accounts, with the user id of each that is a known handle."""
+    by_handle = {u.handle.casefold(): u.user_id for u in (users or {}).values()}
+    return set(accounts).union(by_handle[a.casefold()] for a in accounts
+                               if a.casefold() in by_handle)
 
 
-def apply_stream(records: Sequence[TweetRecord], spec: StreamSpec,
-                 users: Mapping[str, UserRecord] | None = None) -> list[TweetRecord]:
-    """Select the records matched by one stream spec, preserving input order.
+def stream_predicate(spec: StreamSpec, users: Mapping[str, UserRecord] | None = None
+                     ) -> Callable[[TweetRecord], bool]:
+    """The test a record must pass to be caught by one stream spec, which is
+    validated once, here.
 
     The optional user index lets account/mention streams be configured with
-    handles as well as user ids.
+    handles as well as user ids; a geo_window box's corners may come in
+    either order.
     """
     spec.validate()
 
     if spec.kind == "keyword":
-        needles = [match_text(k) for k in spec.keywords if k.strip()]
-        if not needles:
-            raise ValueError("keyword stream needs at least one non-empty keyword")
-        texts = map(match_text, (t.text for t in records))
-        return [t for t, text in zip(records, texts) if any(n in text for n in needles)]
+        needles = keyword_needles(spec.keywords)
+        return lambda t: any(map(match_text(t.text).__contains__, needles))
 
     if spec.kind == "account":
         ids = _resolve_accounts(spec.accounts, users)
-        return [t for t in records if t.author_id in ids]
+        return lambda t: t.author_id in ids
 
     if spec.kind == "mention":
         ids = _resolve_accounts(spec.accounts, users)
-        return [t for t in records if ids.intersection(t.mentions)]
+        return lambda t: not ids.isdisjoint(t.mentions)
 
     # geo_window
-    lat_min, lon_min, lat_max, lon_max = spec.normalized_box()
+    lat_a, lon_a, lat_b, lon_b = spec.bounding_box
+    lat_min, lat_max = min(lat_a, lat_b), max(lat_a, lat_b)
+    lon_min, lon_max = min(lon_a, lon_b), max(lon_a, lon_b)
     start, end = spec.window
-    kept = []
-    for t in records:
-        if t.lat is None:
-            continue
-        if (lat_min <= t.lat <= lat_max and lon_min <= t.lon <= lon_max
-                and start <= t.created_at <= end):
-            kept.append(t)
-    return kept
+    return lambda t: (t.lat is not None and lat_min <= t.lat <= lat_max
+                      and lon_min <= t.lon <= lon_max and start <= t.created_at <= end)
 
 
-def select_streams(records: Sequence[TweetRecord], specs: Sequence[StreamSpec],
+def select_streams(records: Iterable[TweetRecord], specs: Sequence[StreamSpec],
                    users: Mapping[str, UserRecord] | None
                    ) -> tuple[list[TweetRecord], dict[str, int]]:
-    """Union of all stream selections, deduplicated, in original corpus order.
+    """The records that at least one stream catches, in corpus order, read
+    in one pass over any iterable.
 
     Returns (selected, kept_per_stream): the hits of stream i of kind k are
     counted under "stream_<i>_<k>", i from 1. With no specs configured the
@@ -370,13 +375,13 @@ def select_streams(records: Sequence[TweetRecord], specs: Sequence[StreamSpec],
     """
     if not specs:
         return list(records), {}
-    kept_ids: set[str] = set()
-    kept_per_stream: dict[str, int] = {}
-    for i, spec in enumerate(specs):
-        hits = apply_stream(records, spec, users)
-        kept_per_stream[f"stream_{i + 1}_{spec.kind}"] = len(hits)
-        kept_ids.update(t.tweet_id for t in hits)
-    return [t for t in records if t.tweet_id in kept_ids], kept_per_stream
+    tests = [stream_predicate(spec, users) for spec in specs]
+    hits, selected = Counter(), []
+    for t in records:
+        if caught := [i for i, test in enumerate(tests) if test(t)]:
+            hits.update(caught)
+            selected.append(t)
+    return selected, {f"stream_{i + 1}_{spec.kind}": hits[i] for i, spec in enumerate(specs)}
 
 
 def engagement_filter(records: Sequence[TweetRecord]) -> list[TweetRecord]:

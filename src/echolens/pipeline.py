@@ -143,18 +143,27 @@ def stage_ingest(cfg: RunConfig) -> dict:
     tweets_path = _require(Path(cfg.tweets))
     users_path = _require(Path(cfg.users))
 
-    tweets, tweet_errors = ingest.parse_corpus(tweets_path, schema="tweets")
     users, user_errors = ingest.parse_corpus(users_path, schema="users")
     user_index = {u.user_id: u for u in users}
 
-    selected, kept_per_stream = ingest.select_streams(tweets, cfg.streams, user_index)
+    # Each tweet is decided as it is parsed: one no stream keeps leaves only its ids.
+    tweet_index, tweet_errors = {}, []
+
+    def indexed(tweets):
+        for t in tweets:
+            tweet_index[t.tweet_id] = t.author_id
+            yield t
+
+    selected, kept_per_stream = ingest.select_streams(
+        indexed(ingest.iter_corpus(tweets_path, "tweets", tweet_errors)),
+        cfg.streams, user_index)
     cleaned = ingest.engagement_filter(selected)
     # records_read = records_kept + records_rejected + records_filtered
     stats = {
-        "records_read": len(tweets) + len(tweet_errors),
+        "records_read": len(tweet_index) + len(tweet_errors),
         "records_rejected": len(tweet_errors),
         "records_kept": len(cleaned),
-        "records_filtered": len(tweets) - len(cleaned),
+        "records_filtered": len(tweet_index) - len(cleaned),
         "records_kept_per_stream": kept_per_stream,
         "engagement_removed": len(selected) - len(cleaned),
         "tweet_parse_errors": [str(e) for e in tweet_errors[:20]],
@@ -167,11 +176,10 @@ def stage_ingest(cfg: RunConfig) -> dict:
                          f"{stats['records_rejected']} rejected, "
                          f"{stats['records_filtered']} filtered")
 
-    artifacts.write_csv(out / "tweet_index.csv", ["tweet_id", "author_id"],
-                        ([t.tweet_id, t.author_id] for t in tweets))
+    artifacts.write_csv(out / "tweet_index.csv", ["tweet_id", "author_id"], tweet_index.items())
     ingest.write_ndjson(out / "selected_tweets.ndjson", cleaned)
     ingest.write_ndjson(out / "users.ndjson", users)
-    return {"tweet_index": {t.tweet_id: t.author_id for t in tweets}, "tweets": cleaned,
+    return {"tweet_index": tweet_index, "tweets": cleaned,
             "users": user_index, "ingest_stats": _written_json(out / "ingest_stats.json", stats)}
 
 

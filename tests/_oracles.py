@@ -11,7 +11,8 @@ interned, block-summed one, per-row k-means seeding instead of the
 distinct-row one, a per-point silhouette loop instead of per-cluster
 column sums, term ranking by repeated selection instead of a sort, name
 posteriors counted from the training pairs instead of the fitted tables,
-and exact rationals instead of float shares.
+exact rationals instead of float shares, and one list per filter stream
+and a union by id instead of one predicate per stream in a single pass.
 """
 
 from __future__ import annotations
@@ -540,3 +541,45 @@ def reference_disproportionality(assignments, tweets, annotations, retweet_weigh
                              else "under" if ratio <= Fraction(tau_lo) else "")
                 rows[(axis, cluster_id, bucket)] = (ratio, direction)
     return rows
+
+
+def _reference_stream(records, spec, users):
+    """One stream's hits, as a list in corpus order."""
+    from echolens.ingest import match_text
+
+    spec.validate()
+    ids = set(spec.accounts)
+    for acct in spec.accounts:
+        for user in (users or {}).values():
+            if user.handle.casefold() == acct.casefold():
+                ids.add(user.user_id)
+    if spec.kind == "keyword":
+        needles = [match_text(k) for k in spec.keywords if k.strip()]
+        if not needles:
+            raise ValueError("keyword stream needs at least one non-empty keyword")
+        return [t for t in records if any(n in match_text(t.text) for n in needles)]
+    if spec.kind == "account":
+        return [t for t in records if t.author_id in ids]
+    if spec.kind == "mention":
+        return [t for t in records if ids.intersection(t.mentions)]
+    lat_a, lon_a, lat_b, lon_b = spec.bounding_box
+    start, end = spec.window
+    return [t for t in records if t.lat is not None
+            and min(lat_a, lat_b) <= t.lat <= max(lat_a, lat_b)
+            and min(lon_a, lon_b) <= t.lon <= max(lon_a, lon_b)
+            and start <= t.created_at <= end]
+
+
+def reference_select_streams(records, specs, users):
+    """Stream selection one whole-corpus list per stream: each stream's hits
+    are counted under "stream_<i>_<kind>", and the union of their ids is
+    kept in corpus order. No specs keep everything and count nothing."""
+    records = list(records)
+    if not specs:
+        return records, {}
+    kept_ids, kept_per_stream = set(), {}
+    for i, spec in enumerate(specs):
+        hits = _reference_stream(records, spec, users)
+        kept_per_stream[f"stream_{i + 1}_{spec.kind}"] = len(hits)
+        kept_ids.update(t.tweet_id for t in hits)
+    return [t for t in records if t.tweet_id in kept_ids], kept_per_stream

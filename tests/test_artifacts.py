@@ -84,6 +84,26 @@ def test_read_csv_chunks_names_a_ragged_row(tmp_path):
         read_columns(path, "ab")
 
 
+@pytest.mark.parametrize("text, line, fields", [
+    ("a,b\n1,2\n3,4,5\n", 3, 3),
+    ("a,b\n1,2\n\n3\n", 4, 1),
+    ('a,b\n"x\ny",2\n3,4,5\n', 4, 3),
+])
+def test_read_csv_names_a_ragged_row(tmp_path, text, line, fields):
+    # Blank lines are skipped but counted, and a quoted field may span lines.
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"t\.csv line {line}: {fields} fields, the header "
+                                         rf"has 2$"):
+        list(artifacts.read_csv(path))
+
+
+def test_read_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('\na,b\n1,2\n\n"x\ny",4', encoding="utf-8")
+    assert list(artifacts.read_csv(path)) == [{"a": "1", "b": "2"}, {"a": "x\ny", "b": "4"}]
+
+
 def _plain_csv(rows):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)

@@ -419,6 +419,27 @@ class TestExitCodes:
         assert code == 4
         assert "stage review-sample failed: 'cluster_id'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name, edit, fields", [
+        ("report", "influence.csv", lambda row: row + ",99", 4),
+        ("report", "influence.csv", lambda row: row.rsplit(",", 1)[0], 2),
+        ("review-sample", "topic_clusters.csv", lambda row: row + ",99", 4),
+    ])
+    def test_ragged_csv_intermediate_exit_4_names_file_and_line(
+            self, fixture_dir, tmp_path, capsys, command, name, edit, fields):
+        # csv.DictReader kept an extra field under the key None, and padded a
+        # short row with None.
+        _, config = fixture_dir
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / name).read_text(encoding="utf-8").split("\n")
+        lines[2] = edit(lines[2])
+        (out / name).write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert (f"stage {command} failed: {out / name} line 3: {fields} fields, "
+                f"the header has 3") in err
+
     def test_stage_without_prerequisite_exit_3_names_stage(self, fixture_dir,
                                                            tmp_path, capsys):
         _, config = fixture_dir

@@ -1,16 +1,20 @@
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echolens import ingest
-from echolens.config import RunConfig
-from echolens.ingest import (StreamSpec, apply_stream, engagement_filter,
+from echolens.community import CommunityAssignment, flag_offtopic
+from echolens.config import RunConfig, load_config
+from echolens.ingest import (STREAM_KINDS, StreamSpec, engagement_filter, keyword_needles,
                              match_text, parse_corpus, parse_tweet, parse_user,
-                             select_streams, write_ndjson)
+                             select_streams, stream_predicate, write_ndjson)
 from echolens.pipeline import run_stage
+from echolens.synth import write_fixture
 
+from _oracles import reference_select_streams
 from conftest import make_tweet, make_user
 
 FULL_TWEET = {
@@ -120,51 +124,71 @@ class TestSerializeParseProperty:
         assert back == records
 
 
+def selected_ids(records, spec, users=None):
+    """The ids one stream keeps, read by select_streams from a one-shot generator."""
+    selected, _ = select_streams((t for t in records), [spec], users)
+    return [t.tweet_id for t in selected]
+
+
 class TestApplyStream:
+    """Each stream kind, applied through stream_predicate and select_streams."""
+
     def test_keyword_case_insensitive(self):
         spec = StreamSpec(kind="keyword", keywords=["YOUNGO"])
-        kept = apply_stream([make_tweet("t1", text="proud of youngo today")], spec)
+        kept, kept_per_stream = select_streams(
+            iter([make_tweet("t1", text="proud of youngo today")]), [spec], None)
         assert len(kept) == 1
+        assert kept_per_stream == {"stream_1_keyword": 1}
 
     def test_multiword_keyword(self):
         spec = StreamSpec(kind="keyword", keywords=["UK Youth Climate Coalition"])
         tweets = [make_tweet("t1", text="joined the uk youth climate coalition rally"),
                   make_tweet("t2", text="climate coalition only")]
-        assert [t.tweet_id for t in apply_stream(tweets, spec)] == ["t1"]
+        assert selected_ids(tweets, spec) == ["t1"]
 
     def test_geo_window_48h_boundary(self):
         event = 1_700_000_000
-        spec = StreamSpec(kind="geo_window",
-                          bounding_box=(-5.0, 30.0, 5.0, 45.0),
-                          window=(event - 48 * 3600, event))
         inside = make_tweet("t1", created_at=event - 47 * 3600, lat=0.0, lon=36.0)
         too_early = make_tweet("t2", created_at=event - 49 * 3600, lat=0.0, lon=36.0)
         outside_box = make_tweet("t3", created_at=event - 1, lat=50.0, lon=36.0)
-        kept = apply_stream([inside, too_early, outside_box], spec)
-        assert [t.tweet_id for t in kept] == ["t1"]
+        unlocated = make_tweet("t4", created_at=event - 1)
+        # Either corner order gives the same box.
+        for box in ((-5.0, 30.0, 5.0, 45.0), (5.0, 45.0, -5.0, 30.0)):
+            caught = stream_predicate(StreamSpec(kind="geo_window", bounding_box=box,
+                                                 window=(event - 48 * 3600, event)))
+            assert [caught(t) for t in (inside, too_early, outside_box, unlocated)] == [
+                True, False, False, False]
 
     def test_account_non_membership_dropped(self):
         spec = StreamSpec(kind="account", accounts=["u7"])
-        kept = apply_stream([make_tweet("t1", author_id="u1", mentions=[])], spec)
-        assert kept == []
+        assert selected_ids([make_tweet("t1", author_id="u1", mentions=[])], spec) == []
 
     def test_account_handle_resolution(self):
         spec = StreamSpec(kind="account", accounts=["AminaHandle"])
         users = {"u1": make_user("u1", handle="aminahandle")}
-        kept = apply_stream([make_tweet("t1", author_id="u1")], spec, users)
-        assert len(kept) == 1
+        assert stream_predicate(spec, users)(make_tweet("t1", author_id="u1"))
+        assert not stream_predicate(spec)(make_tweet("t1", author_id="u1"))
 
     def test_mention_intersection(self):
         spec = StreamSpec(kind="mention", accounts=["u9"])
         tweets = [make_tweet("t1", mentions=["u9", "u2"]),
                   make_tweet("t2", mentions=["u2"])]
-        assert [t.tweet_id for t in apply_stream(tweets, spec)] == ["t1"]
+        assert selected_ids(tweets, spec) == ["t1"]
 
     def test_empty_spec_is_error(self):
-        with pytest.raises(ValueError):
-            apply_stream([make_tweet("t1")], StreamSpec(kind="keyword", keywords=[]))
-        with pytest.raises(ValueError):
-            apply_stream([make_tweet("t1")], StreamSpec(kind="geo_window"))
+        def unread():
+            raise AssertionError("an invalid spec must fail before any record is read")
+            yield
+
+        for spec in (StreamSpec(kind="keyword", keywords=[]),
+                     StreamSpec(kind="keyword", keywords=["  ", ""]),
+                     StreamSpec(kind="geo_window"),
+                     StreamSpec(kind="firehose")):
+            with pytest.raises(ValueError):
+                stream_predicate(spec)
+            with pytest.raises(ValueError):
+                select_streams(unread(), [StreamSpec(kind="account", accounts=["u1"]), spec],
+                               None)
 
     def test_keyword_stream_normalizes_each_record_once(self, monkeypatch):
         keywords = ["YOUNGO", "UK Youth Climate Coalition", "#FridaysForFuture",
@@ -184,8 +208,8 @@ class TestApplyStream:
             return match_text(text)
 
         monkeypatch.setattr(ingest, "match_text", counting)
-        kept = apply_stream(records, StreamSpec(kind="keyword", keywords=keywords))
-        assert [t.tweet_id for t in kept] == expected
+        kept = selected_ids(records, StreamSpec(kind="keyword", keywords=keywords))
+        assert kept == expected
         assert expected == ["t0", "t1", "t3", "t4", "t5", "t6"]
         assert calls[len(needles):] == texts
 
@@ -194,15 +218,132 @@ class TestApplyStream:
            st.lists(st.sampled_from(["hello", "world", "youngo", "zzz"]),
                     min_size=2, max_size=4, unique=True))
     def test_subset_and_keyword_partition_union(self, records, keywords):
-        spec = StreamSpec(kind="keyword", keywords=keywords)
-        kept = apply_stream(records, spec)
-        assert set(t.tweet_id for t in kept) <= set(t.tweet_id for t in records)
+        # Two streams that split the keywords keep what one stream with all
+        # of them keeps.
+        kept = selected_ids(records, StreamSpec(kind="keyword", keywords=keywords))
+        assert set(kept) <= {t.tweet_id for t in records}
         half = len(keywords) // 2
-        left = apply_stream(records, StreamSpec(kind="keyword", keywords=keywords[:half] or keywords))
-        right = apply_stream(records, StreamSpec(kind="keyword", keywords=keywords[half:] or keywords))
-        union = {t.tweet_id for t in left} | {t.tweet_id for t in right}
-        if keywords[:half] and keywords[half:]:
-            assert union == {t.tweet_id for t in kept}
+        split = [StreamSpec(kind="keyword", keywords=keywords[:half]),
+                 StreamSpec(kind="keyword", keywords=keywords[half:])]
+        union, kept_per_stream = select_streams(iter(records), split, None)
+        assert [t.tweet_id for t in union] == kept
+        assert max(kept_per_stream.values()) <= len(kept) <= sum(kept_per_stream.values())
+
+
+def test_keyword_needles_are_the_one_keyword_rule():
+    assert keyword_needles(["  YOUNGO ", "", "Climate\tStrike", "cafe\u0301"]) == [
+        "youngo", "climate strike", "caf\u00e9"]
+    for keywords in ([], ["", "  \n"]):
+        with pytest.raises(ValueError, match="non-blank keyword"):
+            keyword_needles(keywords)
+        # flag_offtopic refuses the same lists, through the same rule.
+        with pytest.raises(ValueError, match="non-blank keyword"):
+            flag_offtopic(CommunityAssignment(), [], keywords)
+
+
+USERS = {f"u{i}": make_user(f"u{i}", handle=handle)
+         for i, handle in enumerate(["amina", "BigVoice", "youngo", "h_u3"])}
+WORDS = ["youngo", "Climate", "strike", "caf\u00e9", "cafe\u0301", "COP26", "  "]
+
+
+@st.composite
+def stream_specs(draw):
+    kind = draw(st.sampled_from(STREAM_KINDS))
+    if kind == "keyword":
+        return StreamSpec(kind=kind, keywords=draw(
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).filter(
+                lambda keywords: any(k.strip() for k in keywords))))
+    if kind in ("account", "mention"):
+        # user ids, handles in any case, and names no user has
+        return StreamSpec(kind=kind, accounts=draw(st.lists(st.sampled_from(
+            ["u0", "u4", "AMINA", "bigvoice", "Youngo", "h_u3", "nobody"]),
+            min_size=1, max_size=3)))
+    corners = draw(st.lists(st.integers(-10, 10).map(float), min_size=4, max_size=4))
+    start = draw(st.integers(0, 90))
+    return StreamSpec(kind=kind, bounding_box=tuple(corners),
+                      window=(start, draw(st.integers(start + 1, 100))))
+
+
+@st.composite
+def stream_corpora(draw):
+    records = []
+    for i in range(draw(st.integers(0, 30))):
+        located = draw(st.booleans())
+        records.append(make_tweet(
+            f"t{i}", author_id=draw(st.sampled_from(["u0", "u1", "u2", "u3", "u4"])),
+            text=" ".join(draw(st.lists(st.sampled_from(WORDS), max_size=4))),
+            created_at=draw(st.integers(0, 100)),
+            mentions=draw(st.lists(st.sampled_from(["u0", "u2", "u4"]), max_size=2)),
+            lat=draw(st.integers(-10, 10).map(float)) if located else None,
+            lon=draw(st.integers(-10, 10).map(float)) if located else None))
+    # Specs may repeat, and none at all keeps everything.
+    pool = draw(st.lists(stream_specs(), min_size=1, max_size=3))
+    specs = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=5))]
+    return records, specs, draw(st.sampled_from([None, USERS]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream_corpora())
+def test_select_streams_matches_per_stream_lists(corpus):
+    records, specs, users = corpus
+    selected, kept_per_stream = select_streams((t for t in records), specs, users)
+    expected, expected_counts = reference_select_streams(records, specs, users)
+    assert selected == expected
+    assert list(kept_per_stream.items()) == list(expected_counts.items())
+
+
+def test_select_streams_holds_no_dropped_record():
+    # While the next record is produced, the one just decided may still be
+    # alive; no record dropped before it is.
+    specs = [StreamSpec(kind="keyword", keywords=["youngo"]),
+             StreamSpec(kind="account", accounts=["u7"]),
+             StreamSpec(kind="mention", accounts=["u9"]),
+             StreamSpec(kind="geo_window", bounding_box=(-5.0, 30.0, 5.0, 45.0),
+                        window=(0, 2_000_000_000))]
+    dropped, alive = [], []
+
+    def one_shot():
+        for i in range(200):
+            alive.append(sum(ref() is not None for ref in dropped))
+            t = make_tweet(f"t{i}", text="youngo rally" if i % 4 == 0 else "other news")
+            if i % 4:
+                dropped.append(weakref.ref(t))
+            yield t
+            del t
+
+    selected, kept_per_stream = select_streams(one_shot(), specs, None)
+    assert [t.tweet_id for t in selected] == [f"t{i}" for i in range(0, 200, 4)]
+    assert kept_per_stream["stream_1_keyword"] == 50
+    assert len(dropped) == 150 and max(alive) <= 1
+
+
+def test_ingest_stage_holds_only_the_tweets_it_keeps(tmp_path, monkeypatch):
+    # While the next tweet is parsed, no tweet that no stream caught is alive
+    # but the one just decided.
+    cfg = load_config(write_fixture(tmp_path / "fixture", seed=7, n_tweets=600))
+    cfg.out_dir = str(tmp_path / "out")
+    users = {u.user_id: u for u in parse_corpus(cfg.users, "users")[0]}
+    caught, _ = select_streams(parse_corpus(cfg.tweets, "tweets")[0], cfg.streams, users)
+    caught_ids = {t.tweet_id for t in caught}
+    del users, caught
+    parse = ingest.iter_corpus
+    refs, alive = [], []
+
+    def tracking(path, schema, errors):
+        records = parse(path, schema, errors)
+        if schema != "tweets":
+            yield from records
+            return
+        for t in records:
+            alive.append({ref().tweet_id for ref in refs if ref() is not None})
+            refs.append(weakref.ref(t))
+            yield t
+            del t
+
+    monkeypatch.setattr(ingest, "iter_corpus", tracking)
+    run_stage(cfg, "ingest")
+    assert len(refs) > len(caught_ids) > 0
+    assert max(len(ids - caught_ids) for ids in alive) <= 1
 
 
 class TestEngagementFilter:

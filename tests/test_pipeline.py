@@ -54,7 +54,9 @@ def test_full_run_parses_no_file_it_wrote(fixture_config, tmp_path, monkeypatch)
     for name in ("read_column", "read_csv", "read_csv_chunks", "read_json",
                  "read_ndjson", "read_lines"):
         monkeypatch.setattr(artifacts, name, counting(getattr(artifacts, name)))
-    monkeypatch.setattr(ingest, "parse_corpus", counting(ingest.parse_corpus))
+    # The one raw reader: parse_corpus reads through it, and ingest streams
+    # the tweets through it into select_streams.
+    monkeypatch.setattr(ingest, "iter_corpus", counting(ingest.iter_corpus))
 
     out = (tmp_path / "run").resolve()
     cfg = _config(fixture_config, out)
@@ -62,6 +64,7 @@ def test_full_run_parses_no_file_it_wrote(fixture_config, tmp_path, monkeypatch)
     assert [path.name for path in parses if out in path.parents] == []
     # The counters see the stages' reads: ingest parses the raw archive once.
     assert parses[Path(cfg.tweets).resolve()] == 1
+    assert parses[Path(cfg.users).resolve()] == 1
 
 
 def test_declared_readers_match_reads_and_bound_lifetimes(fixture_config, tmp_path,
