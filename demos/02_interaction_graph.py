@@ -11,7 +11,9 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from echolens.graph import build_interaction_graph, degree_stats, induced_subgraph
+import numpy as np
+
+from echolens.graph import build_interaction_graph
 from echolens.ingest import engagement_filter, parse_corpus
 from echolens.synth import write_fixture
 
@@ -24,15 +26,12 @@ cleaned = engagement_filter(tweets)
 index = {t.tweet_id: t.author_id for t in tweets}
 g, stats = build_interaction_graph(cleaned, index)
 print(f"{len(g)} nodes, {g.num_edges()} edges, total weight {g.total_weight()}")
-print(f"resolved: {stats.resolved_retweets} retweets, {stats.resolved_replies} replies; "
-      f"{stats.unresolved_targets} unresolved targets skipped")
+print(f"resolved: {stats['resolved_retweets']} retweets, {stats['resolved_replies']} replies; "
+      f"{stats['unresolved_targets']} unresolved targets skipped")
 
-# The hub accounts soak up most of the weighted in-degree.
-degrees = degree_stats(g)
-top = sorted(degrees, key=lambda n: -degrees[n].weighted_in)[:5]
-for node in top:
-    d = degrees[node]
-    print(f"  {node}: weighted in {d.weighted_in}, weighted out {d.weighted_out}")
-
-sub = induced_subgraph(g, set(top))
-print(f"subgraph on the top {len(top)} nodes keeps {sub.num_edges()} edges")
+# Per-node values are arrays aligned with g.ids. The hub accounts soak up
+# most of the weighted in-degree.
+weighted_in = g.in_weights()
+weighted_out = np.bincount(g.sources(), weights=g.weights(), minlength=len(g)).astype(int)
+for i in np.argsort(-weighted_in, kind="stable")[:5].tolist():
+    print(f"  {g.ids[i]}: weighted in {weighted_in[i]}, weighted out {weighted_out[i]}")

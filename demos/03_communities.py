@@ -27,7 +27,10 @@ users, _ = parse_corpus(workdir / "users.ndjson", schema="users")
 cleaned = engagement_filter(tweets)
 g, _ = build_interaction_graph(cleaned, {t.tweet_id: t.author_id for t in tweets})
 
+# Importance is an array aligned with g.ids: here each node's weighted in-degree.
 importance = node_importance(g, mode="weighted_in_degree")
+print(f"importance of {importance.size} nodes, largest {importance.max():.0f} "
+      f"at {g.ids[importance.argmax()]}")
 assignment = label_propagation(g, importance, seed=42, max_rounds=100)
 print(f"{len(assignment.communities)} raw communities after "
       f"{assignment.iterations_run} rounds (converged={assignment.converged})")

@@ -17,8 +17,7 @@ from .demographics import (DemographicAnnotation, Gazetteer, NameModel,
                            NgramNameClassifier, ProperNounLexicon,
                            classify_race, demographic_distribution,
                            eligibility_filter, geolocate_country)
-from .graph import (InteractionGraph, build_interaction_graph, degree_stats,
-                    induced_subgraph)
+from .graph import InteractionGraph, build_interaction_graph
 from .influence import PageRankResult, pagerank, rank_tables, scale_scores
 from .ingest import (StreamSpec, TweetRecord, UserRecord, engagement_filter,
                      iter_corpus, parse_corpus, select_streams, stream_predicate)

@@ -16,8 +16,8 @@ the target with `os.replace`. If the writer raises, the temporary file is
 removed and any earlier file at the path is left untouched, so a reader never
 sees a half-written artifact. Readers of row formats stream rows lazily;
 `read_csv_chunks` streams a CSV file column-wise, a slice at a time, for
-callers that turn the columns into arrays. `read_csv` refuses a row whose
-field count is not the header's, naming the file and the line.
+callers that turn the columns into arrays. Both CSV readers refuse a row
+whose field count is not the header's, naming the file and the line.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def write_column(path: str | Path, values: Iterable[str]) -> None:
 def read_csv(path: str | Path) -> Iterator[dict[str, str]]:
     """Yield each data row as a header-keyed dict. Blank lines are skipped; a
     row whose field count is not the header's is refused, naming its line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         yield from (dict(zip(names, row)) for names, _, row in _csv_rows(path, fh, None, 1))
 
 
@@ -128,21 +128,29 @@ def _csv_rows(path: str | Path, fh, names: list[str] | None,
               line: int) -> Iterator[tuple[list[str], int, list[str]]]:
     """Yield (header names, start line, fields) for each non-blank data row of
     the text file fh, read from its position, the start of `line`; the first
-    row is the header if names is None. A ragged row raises, naming its line."""
+    row is the header if names is None. fh splits lines at "\n" only, as
+    they are written, so a carriage return in a quoted field starts no line.
+    A ragged row, or an unquoted carriage return, raises, naming its line."""
     reader = csv.reader(fh)
     start = line
-    for row in reader:
-        if row and names is None:
-            names = row
-        elif row:
-            if len(row) != len(names):
-                raise ValueError(f"{path} line {start}: {len(row)} fields, the header "
-                                 f"has {len(names)}")
-            yield names, start, row
-        start = line + reader.line_num
+    try:
+        for row in reader:
+            if row and names is None:
+                names = row
+            elif row:
+                if len(row) != len(names):
+                    raise ValueError(f"{path} line {start}: {len(row)} fields, the header "
+                                     f"has {len(names)}")
+                yield names, start, row
+            start = line + reader.line_num
+    except csv.Error as exc:
+        raise ValueError(f"{path} line {start}: {exc}") from None
 
 
 _CHUNK_BYTES = 1 << 18
+
+# translate() deletes these, keeping only the separators "," and "\n".
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
 def read_csv_chunks(path: str | Path) -> Iterator[tuple[Sequence[int], dict[str, list[str]]]]:
@@ -152,8 +160,10 @@ def read_csv_chunks(path: str | Path) -> Iterator[tuple[Sequence[int], dict[str,
 
     Builds no object per row. Each slice of _CHUNK_BYTES, read on to the end
     of its line, is split on separators directly while it is plain: no quote,
-    carriage return or blank line, and a whole number of rows. From the first
-    slice that is not, the rest of the file goes through the csv module,
+    carriage return or blank line, and the header's number of commas on every
+    line. The commas are counted on the bytes, since in UTF-8 no byte of a
+    multi-byte character is a comma or a line feed. From the first slice that
+    is not plain, the rest of the file goes through the csv module,
     _CHUNK_ROWS rows at a time, since a quoted field may span lines; there a
     row whose field count is not the header's is refused, naming its line.
     """
@@ -162,22 +172,26 @@ def read_csv_chunks(path: str | Path) -> Iterator[tuple[Sequence[int], dict[str,
         names, line = None, 1
         if header.strip("\n") and not any(c in header for c in '"\r'):
             names, line = header.rstrip("\n").split(","), 2
+            row = b"," * (len(names) - 1) + b"\n"  # the separators of one row
             while data := fh.read(_CHUNK_BYTES) + fh.readline():
+                separators = data.translate(None, _NOT_SEPARATORS)
+                if not separators.endswith(b"\n"):  # the file's unterminated last line
+                    separators += b"\n"
+                rows = len(separators) // len(row)
+                if (separators != row * rows or data.startswith(b"\n") or b"\n\n" in data
+                        or b'"' in data or b"\r" in data):
+                    fh.seek(fh.tell() - len(data))
+                    break
                 text = data.decode("utf-8")
                 fields = text.replace("\n", ",").split(",")
                 if text.endswith("\n"):
                     fields.pop()
-                rows, ragged = divmod(len(fields), len(names))
-                if (ragged or text.startswith("\n") or "\n\n" in text
-                        or any(c in text for c in '"\r')):
-                    fh.seek(fh.tell() - len(data))
-                    break
                 yield range(line, line + rows), {
                     name: fields[i::len(names)] for i, name in enumerate(names)}
                 line += rows
         else:
             fh.seek(0)
-        rows = _csv_rows(path, io.TextIOWrapper(fh, encoding="utf-8", newline=""), names, line)
+        rows = _csv_rows(path, io.TextIOWrapper(fh, encoding="utf-8", newline="\n"), names, line)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             headers, lines, fields = zip(*chunk)
             yield lines, dict(zip(headers[0], map(list, zip(*fields))))

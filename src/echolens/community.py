@@ -30,7 +30,7 @@ import numpy as np
 
 from . import artifacts
 from . import influence as _influence
-from .graph import InteractionGraph, weighted_in_degrees
+from .graph import InteractionGraph
 from .ingest import TweetRecord, UserRecord, keyword_needles, match_text
 
 __all__ = [
@@ -71,8 +71,9 @@ class CommunityAssignment:
 
 
 def node_importance(g: InteractionGraph, mode: str = "weighted_in_degree",
-                    **pagerank_kwargs) -> dict[str, float]:
-    """Per-node influence weight used to scale propagation votes.
+                    **pagerank_kwargs) -> np.ndarray:
+    """Per-node influence weight used to scale propagation votes, as a
+    float64 array aligned with g.ids.
 
     weighted_in_degree reads the weight straight off the graph, so isolated
     nodes get 0.0; pagerank delegates to the influence module and returns raw
@@ -82,36 +83,36 @@ def node_importance(g: InteractionGraph, mode: str = "weighted_in_degree",
     if mode not in IMPORTANCE_MODES:
         raise ValueError(f"unknown importance mode {mode!r}")
     if len(g) == 0:
-        return {}
+        return np.zeros(0)
     if mode == "weighted_in_degree":
-        raw = weighted_in_degrees(g)
-    else:
-        raw = _influence.pagerank(g, **pagerank_kwargs).scores
-    return {node: float(w) for node, w in raw.items()}
+        return g.in_weights().astype(np.float64)
+    scores = _influence.pagerank(g, **pagerank_kwargs).scores
+    return np.fromiter(map(scores.__getitem__, g.ids), np.float64, len(g))
 
 
-def label_propagation(g: InteractionGraph, importance: Mapping[str, float],
+def label_propagation(g: InteractionGraph, importance: np.ndarray,
                       seed: int, max_rounds: int = 100) -> CommunityAssignment:
     """Run seeded asynchronous label propagation to a stable labeling.
 
-    Stops when a full round changes no label, or after max_rounds (reported
-    via converged=False, never fatal). Communities come back canonically
-    ordered by size descending then smallest member id, with ids 0..m-1.
+    importance holds one weight per node, aligned with g.ids, as
+    node_importance returns it. Stops when a full round changes no label, or
+    after max_rounds (reported via converged=False, never fatal). Communities
+    come back canonically ordered by size descending then smallest member
+    id, with ids 0..m-1.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     nodes = g.ids
     n = len(nodes)
+    imp = np.asarray(importance, dtype=np.float64)
+    if imp.shape != (n,):
+        raise ValueError(f"importance must hold one value per node: shape {imp.shape}, "
+                         f"{n} nodes")
     if n == 0:
         return CommunityAssignment(converged=True, iterations_run=0)
 
-    missing = [node for node in nodes if node not in importance]
-    if missing:
-        raise ValueError(f"importance missing for nodes: {missing[:5]}")
-
     # The vote rule below needs every vote finite and >= 0; the graph's
     # counts are >= 0 by construction.
-    imp = np.fromiter((float(importance[node]) for node in nodes), np.float64, n)
     bad = np.flatnonzero(~((imp >= 0) & (imp < np.inf)))
     if bad.size:
         raise ValueError("importance negative or not finite for nodes: "

@@ -10,13 +10,12 @@ is `ids[i]`, and the out-edges of node i are positions `indptr[i]` to
 `replies` (int64), ordered by target. String ids become integers only where
 a graph is built (`from_weighted_edges`, `build_interaction_graph`,
 `read_edge_csv`) and turn back into strings only where results leave a
-kernel. Every graph kernel reads these arrays.
+kernel. Every graph kernel reads these arrays, and kernels hand each other
+per-node values as arrays aligned with `ids`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -28,33 +27,12 @@ from .ingest import TweetRecord
 
 __all__ = [
     "InteractionGraph",
-    "GraphBuildStats",
-    "DegreeStats",
     "build_interaction_graph",
-    "degree_stats",
-    "weighted_in_degrees",
-    "induced_subgraph",
     "write_edge_csv",
     "read_edge_csv",
 ]
 
 _EDGE_HEADER = ["src", "dst", "weight", "retweets", "replies"]
-
-
-@dataclass
-class GraphBuildStats:
-    resolved_retweets: int = 0
-    resolved_replies: int = 0
-    unresolved_targets: int = 0
-    self_interactions: int = 0
-
-
-@dataclass
-class DegreeStats:
-    in_degree: int = 0
-    out_degree: int = 0
-    weighted_in: int = 0
-    weighted_out: int = 0
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -111,7 +89,7 @@ class InteractionGraph:
     split into retweet and reply counts. Self-loops are rejected.
 
     An immutable value: build it with `from_weighted_edges`,
-    `build_interaction_graph`, `read_edge_csv` or `induced_subgraph`.
+    `build_interaction_graph` or `read_edge_csv`.
     `InteractionGraph()` is the empty graph. Its arrays are read-only, so
     every kernel can share them.
     """
@@ -141,11 +119,6 @@ class InteractionGraph:
         once, a chunk at a time. A count that is not an int (a float, str or
         bool) is refused, naming its pair."""
         return _built(nodes, _edge_chunks(edges))
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """Node id -> integer index."""
-        return {node: i for i, node in enumerate(self.ids)}
 
     def sources(self) -> np.ndarray:
         """Source node of every edge, aligned with `indices`."""
@@ -236,15 +209,17 @@ def _edge_chunks(edges: Iterable[tuple[str, str, int, int]]) -> Iterator[tuple]:
 
 
 def build_interaction_graph(tweets: Sequence[TweetRecord],
-                            tweet_index: Mapping[str, str]):
+                            tweet_index: Mapping[str, str]) -> tuple[InteractionGraph, dict]:
     """Build the interaction graph from cleaned tweets.
 
     tweet_index maps tweet_id -> author_id and is used to resolve retweet and
     reply targets; unresolvable targets and self-interactions are counted in
     the returned stats, never raised. Every tweet author becomes a node even
-    when isolated. Returns (graph, stats).
+    when isolated. Returns (graph, stats), stats a dict of the counts
+    resolved_retweets, resolved_replies, unresolved_targets and
+    self_interactions.
     """
-    stats = GraphBuildStats()
+    unresolved = self_interactions = 0
     src, dst, retweets = [], [], []
     for t in tweets:
         for target_id, is_retweet in ((t.retweet_of, 1), (t.reply_to, 0)):
@@ -252,53 +227,21 @@ def build_interaction_graph(tweets: Sequence[TweetRecord],
                 continue
             target_author = tweet_index.get(target_id)
             if target_author is None:
-                stats.unresolved_targets += 1
+                unresolved += 1
                 continue
             if target_author == t.author_id:
-                stats.self_interactions += 1
+                self_interactions += 1
                 continue
             src.append(t.author_id)
             dst.append(target_author)
             retweets.append(is_retweet)
-    stats.resolved_retweets = sum(retweets)
-    stats.resolved_replies = len(retweets) - stats.resolved_retweets
+    resolved_retweets = sum(retweets)
+    stats = {"resolved_retweets": resolved_retweets,
+             "resolved_replies": len(retweets) - resolved_retweets,
+             "unresolved_targets": unresolved, "self_interactions": self_interactions}
     retweets = np.asarray(retweets, dtype=np.int64)
     g = _built((t.author_id for t in tweets), [(src, dst, retweets, 1 - retweets)])
     return g, stats
-
-
-def degree_stats(g: InteractionGraph) -> dict[str, DegreeStats]:
-    """Per-node degree summary; weighted in-degrees and out-degrees both sum
-    to the total edge weight."""
-    n = len(g)
-    columns = (np.bincount(g.indices, minlength=n), np.diff(g.indptr),
-               g.in_weights(),
-               np.bincount(g.sources(), weights=g.weights(), minlength=n).astype(np.int64))
-    return {node: DegreeStats(*row)
-            for node, row in zip(g.ids, zip(*(c.tolist() for c in columns)))}
-
-
-def weighted_in_degrees(g: InteractionGraph, kind: str | None = None) -> dict[str, int]:
-    """Weighted in-degree per node, optionally restricted to one edge kind."""
-    return dict(zip(g.ids, g.in_weights(kind).tolist()))
-
-
-def induced_subgraph(g: InteractionGraph, nodes: Iterable[str]) -> InteractionGraph:
-    """Subgraph on the given nodes, keeping exactly the edges with both
-    endpoints inside the set. Unknown nodes raise."""
-    nodes, index = set(nodes), g.index
-    unknown = nodes - index.keys()
-    if unknown:
-        raise ValueError(f"nodes not in graph: {sorted(unknown)[:5]}")
-    inside = np.zeros(len(g), dtype=bool)
-    inside[[index[node] for node in nodes]] = True
-    src, dst = g.sources(), g.indices
-    edge_mask = inside[src] & inside[dst]
-    renumber = np.cumsum(inside) - 1
-    return InteractionGraph(
-        tuple(node for node, kept in zip(g.ids, inside.tolist()) if kept),
-        renumber[src[edge_mask]], renumber[dst[edge_mask]],
-        g.retweets[edge_mask], g.replies[edge_mask])
 
 
 def write_edge_csv(g: InteractionGraph, path: str | Path) -> None:

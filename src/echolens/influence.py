@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import InteractionGraph, weighted_in_degrees
+from .graph import InteractionGraph
 from .ingest import TweetRecord, UserRecord
 
 __all__ = [
@@ -126,12 +126,12 @@ def rank_tables(g: InteractionGraph, scaled_scores: Mapping[str, float],
     column shorter than the table is padded with "". With privacy on,
     individual accounts render as "Individual".
     """
-    retweeted = weighted_in_degrees(g, kind="retweet")
+    retweeted = zip(g.ids, g.in_weights("retweet").tolist())
     volume: dict[str, int] = {}
     for t in tweets:
         volume[t.author_id] = volume.get(t.author_id, 0) + 1
     columns = [[_render(user_id, users, privacy) for user_id, _ in
-                sorted(metric.items(), key=lambda kv: (-kv[1], kv[0]))[:k]]
-               for metric in (retweeted, scaled_scores, volume)]
+                sorted(pairs, key=lambda kv: (-kv[1], kv[0]))[:k]]
+               for pairs in (retweeted, scaled_scores.items(), volume.items())]
     return [(i + 1, *(column[i] if i < len(column) else "" for column in columns))
             for i in range(max(map(len, columns)))]

@@ -193,10 +193,7 @@ def stage_graph(cfg: RunConfig, tweets, tweet_index) -> dict:
         "nodes": len(g),
         "edges": g.num_edges(),
         "total_weight": g.total_weight(),
-        "resolved_retweets": stats.resolved_retweets,
-        "resolved_replies": stats.resolved_replies,
-        "unresolved_targets": stats.unresolved_targets,
-        "self_interactions": stats.self_interactions,
+        **stats,
     })}
 
 

@@ -153,6 +153,11 @@ def _distinct_texts(texts: Sequence[NormalizedText]) -> tuple[np.ndarray, np.nda
     return np.asarray(firsts, dtype=np.intp), inverse
 
 
+def _idf(n_docs: int, df: int) -> float:
+    """ln((1 + N) / (1 + df)) + 1, the one IDF formula of this module."""
+    return math.log((1 + n_docs) / (1 + df)) + 1.0
+
+
 class BuiltinEmbedder:
     """Hashed TF-IDF embedding over a fixed corpus.
 
@@ -204,7 +209,7 @@ class BuiltinEmbedder:
     def idf(self, feature: str) -> float:
         fid = self._table.ids.get(feature, self._df.size)
         df = int(self._df[fid]) if fid < self._df.size else 0
-        return math.log((1 + self.n_docs) / (1 + df)) + 1.0
+        return _idf(self.n_docs, df)
 
     def _signed_idfs(self, first_id: int) -> np.ndarray:
         """sign * idf of every feature from id first_id on, with math.log
@@ -213,7 +218,7 @@ class BuiltinEmbedder:
         fitted = self._df[first_id:]
         df[:fitted.size] = fitted
         values, which = np.unique(df, return_inverse=True)
-        idf = np.array([math.log((1 + self.n_docs) / (1 + d)) + 1.0 for d in values.tolist()])
+        idf = np.array([_idf(self.n_docs, d) for d in values.tolist()])
         # sign * idf is exact: negation does not round.
         return np.asarray(self._table.signs[first_id:]) * idf[which]
 
@@ -511,7 +516,7 @@ def word_idf(texts: Sequence[NormalizedText]) -> dict[str, float]:
     for text in texts:
         for token in set(text.tokens):
             df[token] = df.get(token, 0) + 1
-    return {t: math.log((1 + n) / (1 + d)) + 1.0 for t, d in df.items()}
+    return {t: _idf(n, d) for t, d in df.items()}
 
 
 def top_terms(cluster_texts: Sequence[NormalizedText], idf: Mapping[str, float],

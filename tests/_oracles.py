@@ -235,12 +235,6 @@ def reference_weighted_in_degrees(nodes, kind_edges, kind=None):
             for node in nodes}
 
 
-def reference_induced_subgraph(kind_edges, keep):
-    """The edges of kind_edges with both endpoints in keep."""
-    return {(s, d): counts for (s, d), counts in kind_edges.items()
-            if s in keep and d in keep}
-
-
 def edge_table(g):
     """{(src, dst): (retweets, replies)} read off a graph's CSR arrays, in
     CSR order."""

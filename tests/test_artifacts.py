@@ -88,9 +88,12 @@ def test_read_csv_chunks_names_a_ragged_row(tmp_path):
     ("a,b\n1,2\n3,4,5\n", 3, 3),
     ("a,b\n1,2\n\n3\n", 4, 1),
     ('a,b\n"x\ny",2\n3,4,5\n', 4, 3),
+    ('a,b\n"x\ry",2\n3,4,5\n', 3, 3),
 ])
 def test_read_csv_names_a_ragged_row(tmp_path, text, line, fields):
     # Blank lines are skipped but counted, and a quoted field may span lines.
+    # Lines end at "\n" only: read with universal newlines, the quoted
+    # carriage return moved the last row to line 4.
     path = tmp_path / "t.csv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=rf"t\.csv line {line}: {fields} fields, the header "
@@ -144,3 +147,54 @@ def test_csv_round_trips_and_keeps_bytes_without_carriage_returns(tmp_path_facto
                                            "b": [r[1] for r in rows]}
     if not any("\r" in field for row in rows for field in row):
         assert path.read_bytes() == _plain_csv([["a", "b"]] + rows)
+
+
+def test_unquoted_carriage_return_refused_naming_its_line(tmp_path):
+    # Read with universal newlines, line 3 "b,x\rc,d" came back as two rows
+    # of the 2-field file without an error.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\n1,2\nb,x\rc,d\n")
+    for read in (artifacts.read_csv, artifacts.read_csv_chunks):
+        with pytest.raises(ValueError, match=r"t\.csv line 3: new-line character seen in "
+                                             r"unquoted field"):
+            list(read(path))
+
+
+plain_fields = st.text(alphabet=st.sampled_from(list("ab é")), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([plain_fields, fields]).flatmap(
+           lambda cells: st.integers(1, 4).flatmap(
+               lambda k: st.lists(st.lists(cells, min_size=k, max_size=k),
+                                  min_size=1, max_size=8))),
+       st.data())
+def test_read_csv_chunks_round_trips_and_names_a_ragged_row(tmp_path_factory, rows, data):
+    # One row gains or loses a field, or one gains and another loses one, so
+    # that the file as a whole still holds a multiple of the header's fields.
+    # Plain fields keep every slice on the plain path unless a row is ragged;
+    # the others send the file through the csv module. Slices of 16 bytes and
+    # chunks of 2 rows put a ragged row in any slice or chunk.
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    names = [f"c{i}" for i in range(len(rows[0]))]
+    starts = [2 + sum(1 + sum(f.count("\n") for f in row) for row in rows[:j])
+              for j in range(len(rows))]
+    pair = len(names) > 1 and len(rows) > 1 and data.draw(st.booleans())
+    changed = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1 + pair,
+                                 max_size=1 + pair, unique=True))
+    longer = len(names) == 1 or data.draw(st.booleans())
+    edited = list(rows)
+    for j, grows in zip(changed, (longer, not longer)):
+        edited[j] = rows[j] + ["x"] if grows else rows[j][:-1]
+    first = min(changed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(artifacts, "_CHUNK_BYTES", 16)
+        patch.setattr(artifacts, "_CHUNK_ROWS", 2)
+        artifacts.write_csv(path, names, rows)
+        assert read_columns(path, names) == (
+            {name: [row[i] for row in rows] for i, name in enumerate(names)}, starts)
+        artifacts.write_csv(path, names, edited)
+        with pytest.raises(ValueError, match=rf"t\.csv line {starts[first]}: "
+                                             rf"{len(edited[first])} fields, "
+                                             rf"the header has {len(names)}$"):
+            read_columns(path, names)

@@ -440,6 +440,18 @@ class TestExitCodes:
         assert (f"stage {command} failed: {out / name} line 3: {fields} fields, "
                 f"the header has 3") in err
 
+    def test_edge_rows_balanced_only_as_a_slice_exit_4_names_file_and_line(
+            self, fixture_dir, tmp_path, capsys):
+        _, config = fixture_dir
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        (out / "graph_edges.csv").write_text(
+            "src,dst,weight,retweets,replies\n11,12,1,1\n12,13,1,1,0,0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["communities", "--config", str(config), "--out", str(out)]) == 4
+        assert (f"stage communities failed: {out / 'graph_edges.csv'} line 2: 4 fields, "
+                "the header has 5") in capsys.readouterr().err
+
     def test_stage_without_prerequisite_exit_3_names_stage(self, fixture_dir,
                                                            tmp_path, capsys):
         _, config = fixture_dir

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -31,32 +32,49 @@ def member_sets(assignment):
     return {frozenset(c.members) for c in assignment.communities}
 
 
+def by_node(g, importance):
+    """The importance array of g from a {node: value} mapping."""
+    return np.array([importance[node] for node in g.ids], dtype=np.float64)
+
+
 class TestNodeImportance:
     def test_weighted_in_degree_read_off(self):
         g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)])
         imp = node_importance(g, mode="weighted_in_degree")
-        assert imp == {"A": 3, "B": 0}
+        assert imp.tolist() == [3.0, 0.0]
 
     def test_empty_graph(self):
-        assert node_importance(InteractionGraph()) == {}
+        imp = node_importance(InteractionGraph())
+        assert imp.dtype == np.float64 and imp.shape == (0,)
 
     def test_isolated_node_gets_zero(self):
         g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)], nodes=["solo"])
         imp = node_importance(g)
-        assert imp == {"A": 3.0, "B": 0.0, "solo": 0.0}
-        assert all(type(w) is float for w in imp.values())
+        assert g.ids == ("A", "B", "solo") and imp.tolist() == [3.0, 0.0, 0.0]
+        assert imp.dtype == np.float64
 
     def test_pagerank_mode_returns_raw_scores(self):
         g = InteractionGraph.from_weighted_edges([("B", "A", 3, 0)], nodes=["solo"])
-        assert node_importance(g, mode="pagerank") == pagerank(g).scores
+        scores = pagerank(g).scores
+        assert node_importance(g, mode="pagerank").tolist() == [scores[node] for node in g.ids]
 
     def test_pagerank_mode_cycle_symmetric(self):
         g = InteractionGraph.from_weighted_edges(
             [(f"n{i}", f"n{(i + 1) % 3}", 0, 1) for i in range(3)])
         imp = node_importance(g, mode="pagerank")
-        values = list(imp.values())
-        assert max(values) - min(values) < 1e-12
-        assert abs(sum(values) - 1.0) < 1e-9
+        assert imp.max() - imp.min() < 1e-12
+        assert abs(imp.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("mode", ["weighted_in_degree", "pagerank"])
+    @pytest.mark.parametrize("graph", [
+        InteractionGraph(),
+        InteractionGraph.from_weighted_edges([], nodes=["a", "b"]),
+        clique_graph(("a", "b", "c"), ("solo",)),
+    ], ids=["empty", "edgeless", "clique"])
+    def test_float64_array_aligned_with_ids(self, mode, graph):
+        imp = node_importance(graph, mode=mode)
+        assert isinstance(imp, np.ndarray)
+        assert imp.dtype == np.float64 and imp.shape == (len(graph),)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -123,9 +141,15 @@ class TestLabelPropagation:
         assert assignment.iterations_run == 1
 
     def test_missing_importance_rejected(self):
+        # Importance is aligned with g.ids, so its length must be the graph's.
         g = clique_graph(("m", "n"))
-        with pytest.raises(ValueError):
-            label_propagation(g, {"m": 1.0}, seed=0)
+        for importance in (np.ones(1), np.ones(3), np.ones((2, 1)), np.ones(0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"importance must hold one value per node: shape {importance.shape}, "
+                    "2 nodes")):
+                label_propagation(g, importance, seed=0)
+        with pytest.raises(ValueError, match="one value per node"):
+            label_propagation(InteractionGraph(), np.ones(1), seed=0)
 
     @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
     def test_nan_negative_or_infinite_importance_rejected(self, value):
@@ -134,7 +158,7 @@ class TestLabelPropagation:
         g = InteractionGraph.from_weighted_edges(
             [("a", "b", 1, 0), ("b", "c", 1, 0), ("c", "d", 1, 0), ("d", "a", 1, 0),
              ("e", "f", 1, 0)])
-        importance = dict.fromkeys(g.ids, value)
+        importance = np.full(len(g), value)
         with pytest.raises(ValueError, match=r"negative or not finite for nodes: "
                                              r"\['a', 'b', 'c', 'd', 'e'\]"):
             label_propagation(g, importance, seed=0)
@@ -142,7 +166,7 @@ class TestLabelPropagation:
     def test_one_negative_importance_named(self):
         g = clique_graph(("m", "n", "o"))
         with pytest.raises(ValueError, match=r"\['n'\]"):
-            label_propagation(g, {"m": 1.0, "n": -0.0001, "o": 0.0}, seed=0)
+            label_propagation(g, np.array([1.0, -0.0001, 0.0]), seed=0)
 
     def test_negative_interaction_weight_rejected(self):
         # The vote rule needs non-negative votes; the graph refuses a
@@ -206,7 +230,7 @@ class TestGateCommunities:
 
 def anchor_of(g, members):
     """community._anchor over the members' within-community in-weights."""
-    idx = np.sort([g.index[m] for m in members])
+    idx = np.sort([g.ids.index(m) for m in members])
     win = g.in_weights(edge_mask=np.isin(g.sources(), idx) & np.isin(g.indices, idx))
     return _anchor(g.ids, idx, win)
 
@@ -216,7 +240,7 @@ class TestAnchorUser:
     # in-degree; ties go to the smallest id.
     def test_unique_maximum(self):
         g = InteractionGraph.from_weighted_edges([("B", "A", 2, 0)])
-        assignment = label_propagation(g, {"A": 1.0, "B": 1.0}, seed=0)
+        assignment = label_propagation(g, np.ones(2), seed=0)
         assert [(c.members, c.anchor) for c in assignment.communities] == [(("A", "B"), "A")]
 
     def test_all_isolated_lexicographic(self):
@@ -307,11 +331,15 @@ def random_lp_graph(seed):
 
 def assert_matches_reference(edges, importance, seed, max_rounds, nodes=()):
     """label_propagation on the graph of edges ((src, dst) -> weight) equals
-    the dict-of-dicts reference exactly, float-order-sensitive ties included."""
+    the dict-of-dicts reference exactly, float-order-sensitive ties included.
+    importance is {node: value}, or a function of the graph that returns
+    either that or the importance array."""
     g = InteractionGraph.from_weighted_edges(
         ((s, d, w, 0) for (s, d), w in edges.items()), nodes=nodes)
     importance = importance(g) if callable(importance) else importance
-    got = label_propagation(g, importance, seed=seed, max_rounds=max_rounds)
+    if isinstance(importance, np.ndarray):
+        importance = dict(zip(g.ids, importance.tolist()))
+    got = label_propagation(g, by_node(g, importance), seed=seed, max_rounds=max_rounds)
     want = reference_label_propagation(g.ids, edges, importance,
                                        seed, max_rounds)
     assert got.labels == want["labels"], seed
@@ -349,7 +377,7 @@ def test_label_propagation_sums_votes_in_neighbour_order():
                   "x": 0.0}
     g = InteractionGraph.from_weighted_edges((s, d, w, 0) for (s, d), w in edges.items())
     for seed in range(5):
-        assignment = label_propagation(g, importance, seed=seed)
+        assignment = label_propagation(g, by_node(g, importance), seed=seed)
         assert [c.members for c in assignment.communities] == [
             ("a", "b", "c", "h", "x"), ("d", "g")]
         assert_matches_reference(edges, importance, seed, 100)

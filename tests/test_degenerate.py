@@ -9,8 +9,7 @@ import pytest
 
 from echolens import graph
 from echolens.community import label_propagation, node_importance
-from echolens.graph import (InteractionGraph, degree_stats, read_edge_csv,
-                            write_edge_csv, write_node_list)
+from echolens.graph import InteractionGraph, read_edge_csv, write_edge_csv, write_node_list
 from echolens.influence import pagerank
 from echolens.topics import cluster
 
@@ -36,13 +35,16 @@ class TestEdgelessGraph:
         assert assignment.converged and assignment.iterations_run == 1
 
     def test_node_importance_is_zero(self):
-        assert node_importance(edgeless()) == dict.fromkeys(NODES, 0.0)
+        imp = node_importance(edgeless())
+        assert imp.dtype == np.float64 and imp.tolist() == [0.0] * len(NODES)
 
     def test_degree_stats_all_zero(self):
-        stats = degree_stats(edgeless())
-        assert list(stats) == NODES
-        assert all((s.in_degree, s.out_degree, s.weighted_in, s.weighted_out)
-                   == (0, 0, 0, 0) for s in stats.values())
+        g = edgeless()
+        assert list(g.ids) == NODES
+        for degrees in (np.bincount(g.indices, minlength=len(g)), np.diff(g.indptr),
+                        g.in_weights(),
+                        np.bincount(g.sources(), weights=g.weights(), minlength=len(g))):
+            assert degrees.tolist() == [0] * len(NODES)
 
     def test_edge_file_round_trip_keeps_isolated_nodes(self, tmp_path):
         g = edgeless()
@@ -103,12 +105,14 @@ class TestEmptyGraph:
             pagerank(InteractionGraph())
 
     def test_label_propagation_empty_converged(self):
-        assignment = label_propagation(InteractionGraph(), {}, seed=0)
+        assignment = label_propagation(InteractionGraph(), np.zeros(0), seed=0)
         assert assignment.labels == {} and assignment.communities == []
         assert assignment.converged
 
     def test_node_importance_empty(self):
-        assert node_importance(InteractionGraph()) == {}
+        for mode in ("weighted_in_degree", "pagerank"):
+            imp = node_importance(InteractionGraph(), mode=mode)
+            assert imp.dtype == np.float64 and imp.shape == (0,)
 
 
 class TestKMeansFewDistinctPoints:

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echolens import artifacts, graph
-from echolens.graph import (InteractionGraph, build_interaction_graph,
-                            degree_stats, induced_subgraph, read_edge_csv,
-                            weighted_in_degrees, write_edge_csv, write_node_list)
+from echolens.graph import (InteractionGraph, build_interaction_graph, read_edge_csv,
+                            write_edge_csv, write_node_list)
 
 from _oracles import (edge_table, graphs_equal, reference_degree_stats,
-                      reference_induced_subgraph, reference_weighted_in_degrees)
+                      reference_weighted_in_degrees)
 from conftest import make_tweet, traced_peak
 
 
@@ -35,7 +34,8 @@ class TestBuildGraph:
                   make_tweet("b1", author_id="B", retweet_of="a1")]
         g, stats = build_interaction_graph(tweets, {t.tweet_id: t.author_id for t in tweets})
         assert edge_table(g) == {("B", "A"): (1, 0)}
-        assert stats.resolved_retweets == 1
+        assert stats == {"resolved_retweets": 1, "resolved_replies": 0,
+                         "unresolved_targets": 0, "self_interactions": 0}
 
     def test_no_interactions_isolated_nodes(self):
         tweets = [make_tweet(f"t{i}", author_id=f"u{i}") for i in range(5)]
@@ -48,26 +48,26 @@ class TestBuildGraph:
         g, stats = build_interaction_graph(tweets, index)
         assert edge_table(g) == {("B", "A"): (2, 0), ("C", "A"): (0, 1)}
         assert g.num_edges() == 2
-        assert "D" in g.index
-        assert stats.resolved_retweets == 2 and stats.resolved_replies == 1
+        assert g.ids == ("A", "B", "C", "D")
+        assert stats["resolved_retweets"] == 2 and stats["resolved_replies"] == 1
 
     def test_self_interaction_dropped_and_counted(self):
         tweets = [make_tweet("a1", author_id="A"),
                   make_tweet("a2", author_id="A", retweet_of="a1")]
         g, stats = build_interaction_graph(tweets, {t.tweet_id: t.author_id for t in tweets})
         assert g.num_edges() == 0
-        assert stats.self_interactions == 1
+        assert stats["self_interactions"] == 1
 
     def test_unresolvable_target_counted_not_fatal(self):
         tweets = [make_tweet("b1", author_id="B", retweet_of="ghost")]
         g, stats = build_interaction_graph(tweets, {"b1": "B"})
         assert g.num_edges() == 0
-        assert stats.unresolved_targets == 1
+        assert stats["unresolved_targets"] == 1
 
     def test_total_weight_equals_resolvable_interactions(self):
         tweets, index = interaction_fixture()
         g, stats = build_interaction_graph(tweets, index)
-        assert g.total_weight() == stats.resolved_retweets + stats.resolved_replies
+        assert g.total_weight() == stats["resolved_retweets"] + stats["resolved_replies"]
 
     @settings(max_examples=30, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -80,57 +80,41 @@ class TestBuildGraph:
         assert graphs_equal(g1, g2)
 
 
+def out_weights(g):
+    """Weighted out-degree per node, in id order."""
+    return np.bincount(g.sources(), weights=g.weights(), minlength=len(g)).astype(np.int64)
+
+
 class TestDegreeStats:
+    # Weighted degrees are node-indexed arrays, aligned with g.ids.
     def test_single_edge(self):
         g = InteractionGraph.from_weighted_edges([("B", "A", 2, 0)])
-        stats = degree_stats(g)
-        assert stats["A"].weighted_in == 2 and stats["A"].weighted_out == 0
-        assert stats["B"].weighted_out == 2 and stats["B"].weighted_in == 0
+        assert g.ids == ("A", "B")
+        assert g.in_weights().tolist() == [2, 0]
+        assert out_weights(g).tolist() == [0, 2]
 
     def test_empty_graph_all_zero(self):
-        assert degree_stats(InteractionGraph()) == {}
+        g = InteractionGraph()
+        for weights in (g.in_weights(), out_weights(g)):
+            assert weights.dtype == np.int64 and weights.size == 0
 
     def test_fixture_weighted_in(self):
         tweets, index = interaction_fixture()
         g, _ = build_interaction_graph(tweets, index)
-        assert degree_stats(g)["A"].weighted_in == 3
+        assert g.in_weights().tolist() == [3, 0, 0, 0]
 
     def test_weighted_degree_sums_balance(self):
         tweets, index = interaction_fixture()
         g, _ = build_interaction_graph(tweets, index)
-        stats = degree_stats(g)
         total = g.total_weight()
-        assert sum(s.weighted_in for s in stats.values()) == total
-        assert sum(s.weighted_out for s in stats.values()) == total
+        assert g.in_weights().sum() == total
+        assert out_weights(g).sum() == total
 
     def test_weighted_in_degrees_by_kind(self):
         tweets, index = interaction_fixture()
         g, _ = build_interaction_graph(tweets, index)
-        assert weighted_in_degrees(g, kind="retweet")["A"] == 2
-        assert weighted_in_degrees(g, kind="reply")["A"] == 1
-
-
-class TestInducedSubgraph:
-    def test_identity_on_full_node_set(self):
-        tweets, index = interaction_fixture()
-        g, _ = build_interaction_graph(tweets, index)
-        assert graphs_equal(induced_subgraph(g, g.ids), g)
-
-    def test_single_endpoint_drops_edge(self):
-        g = InteractionGraph.from_weighted_edges([("B", "A", 1, 0)])
-        sub = induced_subgraph(g, {"B"})
-        assert sub.num_edges() == 0 and len(sub) == 1
-
-    def test_two_node_community_hand_count(self):
-        g = InteractionGraph.from_weighted_edges(
-            [("B", "A", 2, 0), ("C", "A", 0, 1), ("D", "C", 1, 0)])
-        sub = induced_subgraph(g, {"A", "B"})
-        assert edge_table(sub) == {("B", "A"): (2, 0)}
-
-    def test_unknown_node_is_error(self):
-        g = InteractionGraph.from_weighted_edges([], nodes=["A"])
-        with pytest.raises(ValueError):
-            induced_subgraph(g, {"A", "Z"})
+        assert g.in_weights("retweet").tolist() == [2, 0, 0, 0]
+        assert g.in_weights("reply").tolist() == [1, 0, 0, 0]
 
 
 def test_edge_csv_round_trip(tmp_path):
@@ -178,8 +162,7 @@ def test_arrays_read_only_after_every_builder(tmp_path):
     graphs = [InteractionGraph(),
               InteractionGraph.from_weighted_edges([("B", "A", 2, 0)], nodes=["C"]),
               built,
-              read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt"),
-              induced_subgraph(built, {"A", "B"})]
+              read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")]
     for g in graphs:
         for name in ("indptr", "indices", "retweets", "replies"):
             with pytest.raises(ValueError, match="read-only"):
@@ -189,9 +172,8 @@ def test_arrays_read_only_after_every_builder(tmp_path):
 @pytest.mark.parametrize("builder", ["constructor", "from_weighted_edges", "read_edge_csv"])
 def test_negative_count_rejected_by_every_builder(builder, tmp_path):
     # Unchecked, a->b (-1), b->c (1), c->a (1) gave every node PageRank 1/3,
-    # reported as converged. build_interaction_graph counts interactions and
-    # induced_subgraph keeps a built graph's counts, so neither can go
-    # negative.
+    # reported as converged. build_interaction_graph counts interactions, so
+    # its counts cannot go negative.
     rows = [("b", "c", 1, 0), ("a", "b", -1, 0), ("c", "a", 1, 0)]
     if builder == "constructor":
         ids = ("a", "b", "c")
@@ -247,6 +229,18 @@ def test_bad_count_cell_named_by_the_line_its_row_starts_on(tmp_path):
     (tmp_path / "nodes.txt").write_text("a\nb\n")
     with pytest.raises(ValueError, match=r"edges\.csv line 4: replies 'x' is not an integer$"):
         read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
+
+
+def test_rows_that_balance_only_as_a_slice_are_refused(tmp_path):
+    # A short row then a long one hold five fields each on average: read as
+    # one slice, they came back as a graph with a node "1" and a replies
+    # count of 12, with no error.
+    (tmp_path / "graph_edges.csv").write_text(
+        "src,dst,weight,retweets,replies\n11,12,1,1\n12,13,1,1,0,0\n")
+    (tmp_path / "graph_nodes.txt").write_text("11\n12\n13\n")
+    with pytest.raises(ValueError, match=r"graph_edges\.csv line 2: 4 fields, the header "
+                                         r"has 5$"):
+        read_edge_csv(tmp_path / "graph_edges.csv", tmp_path / "graph_nodes.txt")
 
 
 def test_chunked_read_and_build_cross_chunk_boundaries(tmp_path, monkeypatch):
@@ -334,8 +328,9 @@ class TestAgainstOracles:
         nodes, rows = graph
         g = InteractionGraph.from_weighted_edges(rows, nodes=nodes)
         want = reference_degree_stats(nodes, summed(rows))
-        got = {node: (s.in_degree, s.out_degree, s.weighted_in, s.weighted_out)
-               for node, s in degree_stats(g).items()}
+        columns = (np.bincount(g.indices, minlength=len(g)), np.diff(g.indptr),
+                   g.in_weights(), out_weights(g))
+        got = dict(zip(g.ids, zip(*(c.tolist() for c in columns))))
         assert got == want
 
     @settings(max_examples=60, deadline=None)
@@ -343,21 +338,8 @@ class TestAgainstOracles:
     def test_weighted_in_degrees(self, graph, kind):
         nodes, rows = graph
         g = InteractionGraph.from_weighted_edges(rows, nodes=nodes)
-        assert weighted_in_degrees(g, kind) == reference_weighted_in_degrees(
+        assert dict(zip(g.ids, g.in_weights(kind).tolist())) == reference_weighted_in_degrees(
             nodes, summed(rows), kind)
-
-    @settings(max_examples=60, deadline=None)
-    @given(raw_edge_lists(), st.randoms(use_true_random=False))
-    def test_induced_subgraph(self, graph, rng):
-        nodes, rows = graph
-        g = InteractionGraph.from_weighted_edges(rows, nodes=nodes)
-        keep = {node for node in nodes if rng.random() < 0.6}
-        sub = induced_subgraph(g, keep)
-        want = reference_induced_subgraph(summed(rows), keep)
-        assert list(sub.ids) == sorted(keep)
-        assert edge_table(sub) == want
-        assert graphs_equal(sub, InteractionGraph.from_weighted_edges(
-            ((s, d, rt, rp) for (s, d), (rt, rp) in want.items()), nodes=keep))
 
     @settings(max_examples=60, deadline=None)
     @given(raw_edge_lists())

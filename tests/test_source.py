@@ -4,7 +4,9 @@ import ast
 import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "echolens"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "echolens"
+BENCH = ROOT / "bench"
 
 
 def test_no_assert_statements():
@@ -30,3 +32,30 @@ def test_all_lists_resolve_and_package_reexports_only_them():
                 if isinstance(node, ast.ImportFrom) for alias in node.names
                 if alias.name not in getattr(modules[node.module], "__all__", ())]
     assert unlisted == []
+
+
+def _names_read(tree):
+    """Every name a module reads, as a Name or an Attribute, not counting a
+    top-level function's reads of its own name inside its own def."""
+    names = set()
+    for top in tree.body:
+        read = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+        if isinstance(top, ast.FunctionDef):
+            read.discard(top.name)
+        names |= read
+    return names
+
+
+def test_every_listed_function_is_used():
+    # A function in `__all__` that no module and no benchmark job calls
+    # changes no output; demos and tests do not count as use.
+    modules = sorted(path for path in SRC.glob("*.py") if path.stem != "__init__")
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in modules + sorted(BENCH.glob("*.py"))}
+    used = set().union(*map(_names_read, trees.values()))
+    unused = [f"{path.stem}.{node.name}" for path in modules for node in trees[path].body
+              if isinstance(node, ast.FunctionDef) and node.name not in used
+              and node.name in getattr(importlib.import_module(f"echolens.{path.stem}"),
+                                       "__all__", ())]
+    assert unused == []
