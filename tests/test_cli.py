@@ -23,6 +23,7 @@ REPORT_FILES = ("rank_table.csv", "continent_distribution.csv",
 # BLAS call touches and that do not depend on the absolute input path. The
 # topic files are left out: their bytes go through BLAS gemm.
 SEED7_SHA256 = {
+    "annotations.ndjson": "ff711c9e919b78fb0065054b6ac112958733bd57470646e65586fe2064eff1e7",
     "ingest_stats.json": "c18e3207def8927abcd2f732b8f09bb0bc8f069de5f413ba7b5b58032509d0f6",
     "continent_distribution.csv": "4a1746e14d7f098860838ec2c07b6a80c0f5b21cbc4507b706d328828a58f6bf",
     "continent_distribution.json": "d519e158a75f761df1461ca1cef6127cbd6185fdf8365a4c9cb6ce741e974d39",
