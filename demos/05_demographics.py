@@ -49,8 +49,8 @@ annotations = annotate_users(users, tweets, gaz, continents, model, lexicon)
 eligible = sum(a.eligible_youth for a in annotations.values())
 print(f"\n{eligible} of {len(annotations)} users are youth-eligible")
 
-dist = demographic_distribution(annotations, axis="continent")
+buckets, missing = demographic_distribution(annotations, axis="continent")
 print("continent distribution (count, share):")
-for bucket, (count, share) in dist.buckets.items():
+for bucket, (count, share) in buckets.items():
     print(f"  {bucket:<14}{count:>4}  {share:.3f}")
-print(f"  (missing)     {dist.missing:>4}")
+print(f"  (missing)     {missing:>4}")

@@ -16,7 +16,7 @@ from .config import ConfigError, RunConfig, derive_seed, load_config
 from .demographics import (DemographicAnnotation, Gazetteer, NameModel,
                            NgramNameClassifier, ProperNounLexicon,
                            classify_race, demographic_distribution,
-                           eligibility_filter, geolocate_country)
+                           geolocate_country)
 from .graph import InteractionGraph, build_interaction_graph
 from .influence import PageRankResult, pagerank, rank_tables, scale_scores
 from .ingest import (StreamSpec, TweetRecord, UserRecord, engagement_filter,

@@ -13,12 +13,12 @@ files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import artifacts
-from .demographics import DemographicAnnotation, DistributionResult
+from .demographics import DemographicAnnotation
 from .ingest import TweetRecord
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "topic_engagement",
     "disproportionality_report",
     "emit_reports",
-    "ReportBundle",
 ]
 
 
@@ -115,40 +114,29 @@ def disproportionality_report(
 # Report emission
 
 
-@dataclass
-class ReportBundle:
-    """Everything the report stage writes, already computed upstream."""
-
-    rank_table: list[tuple[int, str, str, str]]
-    continent_distribution: DistributionResult
-    ethnicity_distribution: DistributionResult
-    representation: list[RepresentationRow]
-    tau_hi: float
-    tau_lo: float
-    config_hash: str = ""
-    seed: int = 0
-    stage_counts: dict[str, int] = field(default_factory=dict)
-    data_fixtures: dict[str, str] = field(default_factory=dict)
-
-
-def _distribution_report(dist: DistributionResult):
-    rows = [[bucket, count, repr(share)] for bucket, (count, share) in dist.buckets.items()]
-    rows.append(["(missing)", dist.missing, ""])
+def _distribution_report(buckets: Mapping[str, tuple[int, float]], missing: int):
+    rows = [[bucket, count, repr(share)] for bucket, (count, share) in buckets.items()]
+    rows.append(["(missing)", missing, ""])
     value = {
-        "buckets": {b: {"count": c, "share": s} for b, (c, s) in dist.buckets.items()},
-        "missing": dist.missing,
+        "buckets": {b: {"count": c, "share": s} for b, (c, s) in buckets.items()},
+        "missing": missing,
     }
     return ["bucket", "count", "share"], rows, value
 
 
-def emit_reports(bundle: ReportBundle, out_dir: str | Path,
-                 formats: set[str] = frozenset({"csv"})) -> list[str]:
+def emit_reports(out_dir: str | Path, formats: set[str],
+                 rank_table: Sequence[tuple[int, str, str, str]],
+                 continent_distribution: tuple[Mapping, int],
+                 ethnicity_distribution: tuple[Mapping, int],
+                 representation: Sequence[RepresentationRow], tau_hi: float, tau_lo: float,
+                 manifest: Mapping) -> list[str]:
     """Write the report set and its manifest into out_dir.
 
     Emits the ranked-account table, the continent and ethnicity
-    distributions, the disproportionality report, and manifest.json carrying
-    the config hash, seed, per-stage record counts, bundled-fixture hashes,
-    and a checksum for every emitted file. Returns the manifest's file list.
+    distributions as demographic_distribution gives them, the
+    disproportionality report, and manifest.json: the manifest's entries
+    (config hash, seed, per-stage record counts, bundled-fixture hashes) and
+    a checksum for every emitted file. Returns the manifest's file list.
     Rerunning with identical inputs produces byte-identical files.
     """
     out = Path(out_dir)
@@ -157,20 +145,19 @@ def emit_reports(bundle: ReportBundle, out_dir: str | Path,
     if unknown:
         raise ValueError(f"unknown report formats: {sorted(unknown)}")
 
-    table, representation = bundle.rank_table, bundle.representation
     # (file stem, CSV header, CSV rows, JSON value) per report.
     reports = [
-        ("rank_table", ["rank", "retweeted", "pagerank", "tweet_volume"], table,
+        ("rank_table", ["rank", "retweeted", "pagerank", "tweet_volume"], rank_table,
          [{"rank": rank, "retweeted": rt, "pagerank": pr, "tweet_volume": tv}
-          for rank, rt, pr, tv in table]),
-        ("continent_distribution", *_distribution_report(bundle.continent_distribution)),
-        ("ethnicity_distribution", *_distribution_report(bundle.ethnicity_distribution)),
+          for rank, rt, pr, tv in rank_table]),
+        ("continent_distribution", *_distribution_report(*continent_distribution)),
+        ("ethnicity_distribution", *_distribution_report(*ethnicity_distribution)),
         ("disproportionality",
          ["axis", "cluster_id", "bucket", "topic_share", "corpus_share", "ratio",
           "direction"],
          [[r.axis, r.cluster_id, r.bucket, repr(r.topic_share), repr(r.corpus_share),
            repr(r.ratio), r.direction] for r in representation],
-         {"tau_hi": bundle.tau_hi, "tau_lo": bundle.tau_lo,
+         {"tau_hi": tau_hi, "tau_lo": tau_lo,
           "rows": [vars(r) for r in representation]}),
     ]
     written: list[Path] = []
@@ -182,13 +169,7 @@ def emit_reports(bundle: ReportBundle, out_dir: str | Path,
             written.append(out / f"{stem}.json")
             artifacts.write_json(written[-1], value)
 
-    manifest = {
-        "config_hash": bundle.config_hash,
-        "seed": bundle.seed,
-        "stage_counts": bundle.stage_counts,
-        "data_fixtures": bundle.data_fixtures,
-        "files": {p.name: artifacts.sha256(p) for p in sorted(written)},
-    }
-    manifest["files"]["manifest.json"] = None
-    artifacts.write_json(out / "manifest.json", manifest)
-    return sorted(manifest["files"])
+    files = {p.name: artifacts.sha256(p) for p in sorted(written)}
+    files["manifest.json"] = None
+    artifacts.write_json(out / "manifest.json", {**manifest, "files": files})
+    return sorted(files)

@@ -17,7 +17,8 @@ removed and any earlier file at the path is left untouched, so a reader never
 sees a half-written artifact. Readers of row formats stream rows lazily;
 `read_csv_chunks` streams a CSV file column-wise, a slice at a time, for
 callers that turn the columns into arrays. Both CSV readers refuse a row
-whose field count is not the header's, naming the file and the line.
+whose field count is not the header's, and the NDJSON reader a line that is
+not an object of the expected fields and types, naming the file and the line.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import os
 from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "write_csv",
@@ -208,13 +209,30 @@ def read_json(path: str | Path) -> Any:
         return json.load(fh)
 
 
-def read_ndjson(path: str | Path) -> Iterator[Any]:
-    """Yield the object on each non-blank line."""
+def read_ndjson(path: str | Path, fields: Mapping[str, tuple[type, ...]]) -> Iterator[dict]:
+    """Yield the object on each non-blank line. A line is refused, naming the
+    file and the line, unless it is a JSON object whose keys are exactly the
+    fields and whose value for each field has one of that field's types
+    (exactly: a bool is no int)."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for n, line in enumerate(fh, 1):
+            line = line.rstrip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {n} column {exc.colno}: {exc.msg}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path} line {n}: not a JSON object")
+            if obj.keys() != fields.keys():
+                raise ValueError(f"{path} line {n}: keys {sorted(obj)}, "
+                                 f"expected {sorted(fields)}")
+            for key, types in fields.items():
+                if type(obj[key]) not in types:
+                    raise ValueError(f"{path} line {n}: {key} {json.dumps(obj[key])} is not "
+                                     f"{' or '.join(t.__name__ for t in types)}")
+            yield obj
 
 
 def read_lines(path: str | Path) -> Iterator[str]:

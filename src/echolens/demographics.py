@@ -28,15 +28,12 @@ __all__ = [
     "NameModel",
     "ProperNounLexicon",
     "DemographicAnnotation",
-    "DistributionResult",
     "load_gazetteer",
     "load_name_lists",
     "load_training_names",
     "geolocate_country",
     "load_continents",
-    "continent_of",
     "classify_race",
-    "eligibility_filter",
     "annotate_users",
     "demographic_distribution",
     "write_annotations",
@@ -146,12 +143,6 @@ def load_continents(path: str | Path) -> dict[str, str]:
             for row in artifacts.read_csv(path)}
 
 
-def continent_of(country: str | None, continents: Mapping[str, str]) -> str | None:
-    if country is None:
-        return None
-    return continents.get(country.upper())
-
-
 # ---------------------------------------------------------------------------
 # Name classification
 
@@ -238,17 +229,9 @@ class NameModel:
     """Census lists (ordered; earlier lists take precedence) plus the n-gram
     classifier and its confidence threshold."""
 
-    census_lists: list[tuple[str, set[str]]] = field(default_factory=list)
-    classifier: NgramNameClassifier | None = None
-    tau: float = 0.6
-
-    def list_lookup(self, display_name: str) -> str | None:
-        tokens = normalize_name(display_name).split()
-        for category, names in self.census_lists:
-            for token in tokens:
-                if token in names:
-                    return category
-        return None
+    census_lists: list[tuple[str, set[str]]]
+    classifier: NgramNameClassifier
+    tau: float
 
 
 def load_name_lists(path: str | Path) -> list[tuple[str, set[str]]]:
@@ -280,13 +263,12 @@ def classify_race(display_name: str, model: NameModel) -> str:
     Precedence: census-list hit, then classifier posterior above tau, then
     Inconclusive. A posterior tie at the max resolves in fixed category order.
     """
-    if not normalize_name(display_name):
+    tokens = normalize_name(display_name).split()
+    if not tokens:
         return "Inconclusive"
-    hit = model.list_lookup(display_name)
-    if hit is not None:
-        return hit
-    if model.classifier is None:
-        return "Inconclusive"
+    for category, names in model.census_lists:
+        if not names.isdisjoint(tokens):
+            return category
     posterior = model.classifier.posterior(display_name)
     best = max(posterior.values())
     if best >= model.tau:
@@ -336,28 +318,6 @@ YOUTH_AGE_MIN = 13
 YOUTH_AGE_MAX = 25
 
 
-def _youth_age_ok(age: int | None) -> bool:
-    return age is None or YOUTH_AGE_MIN <= age <= YOUTH_AGE_MAX
-
-
-def eligibility_filter(users: Sequence[UserRecord],
-                       lexicon: ProperNounLexicon) -> list[str]:
-    """User ids eligible for race/topic analyses, in input order.
-
-    Excludes users older than the youth bound (or younger than 13) and users
-    whose display name carries no proper-noun token. The profile-photo rules
-    do not remove anyone here; they only gate age/gender fields downstream.
-    """
-    eligible = []
-    for user in users:
-        if not _youth_age_ok(user.age_estimate):
-            continue
-        if not lexicon.has_proper_noun(user.display_name):
-            continue
-        eligible.append(user.user_id)
-    return eligible
-
-
 @dataclass
 class DemographicAnnotation:
     user_id: str
@@ -367,6 +327,13 @@ class DemographicAnnotation:
     age: int | None = None
     gender: str | None = None
     eligible_youth: bool = False
+
+
+_OPTIONAL_STR = (str, type(None))
+# The JSON types of each annotation field, which read_annotations checks.
+_ANNOTATION_TYPES = {"user_id": (str,), "country": _OPTIONAL_STR, "continent": _OPTIONAL_STR,
+                     "race": (str,), "age": (int, type(None)), "gender": _OPTIONAL_STR,
+                     "eligible_youth": (bool,)}
 
 
 def _user_country(tweets: Sequence[TweetRecord], gaz: Gazetteer) -> str | None:
@@ -388,43 +355,41 @@ def annotate_users(users: Sequence[UserRecord], tweets: Sequence[TweetRecord],
     """Full demographic annotation for every user record.
 
     Age/gender carry over only for accounts with a usable single-face profile
-    photo; race and country are computed for everyone.
+    photo; race and country are computed for everyone. A user is eligible
+    youth, in the race and topic analyses, unless the age estimate lies
+    outside YOUTH_AGE_MIN..YOUTH_AGE_MAX or the display name carries no
+    proper-noun token; the photo rules remove no one from those analyses.
     """
     by_author: dict[str, list[TweetRecord]] = {}
     for t in tweets:
         by_author.setdefault(t.author_id, []).append(t)
-    eligible = set(eligibility_filter(users, lexicon))
 
     annotations: dict[str, DemographicAnnotation] = {}
     for user in users:
         face_ok = user.has_profile_photo and user.face_count == 1
+        age = user.age_estimate
         country = _user_country(by_author.get(user.user_id, ()), gaz)
         annotations[user.user_id] = DemographicAnnotation(
             user_id=user.user_id,
             country=country,
-            continent=continent_of(country, continents),
+            continent=None if country is None else continents.get(country.upper()),
             race=classify_race(user.display_name, model),
-            age=user.age_estimate if face_ok else None,
+            age=age if face_ok else None,
             gender=user.gender_estimate if face_ok else None,
-            eligible_youth=user.user_id in eligible,
+            eligible_youth=((age is None or YOUTH_AGE_MIN <= age <= YOUTH_AGE_MAX)
+                            and lexicon.has_proper_noun(user.display_name)),
         )
     return annotations
-
-
-@dataclass
-class DistributionResult:
-    buckets: dict[str, tuple[int, float]] = field(default_factory=dict)
-    missing: int = 0
 
 
 DISTRIBUTION_AXES = ("continent", "race", "gender")
 
 
 def demographic_distribution(annotations: Mapping[str, DemographicAnnotation],
-                             axis: str) -> DistributionResult:
-    """Counts and shares per bucket along one axis; shares sum to 1 over the
-    non-missing buckets, and missing values are counted separately. No
-    annotations give the empty distribution."""
+                             axis: str) -> tuple[dict[str, tuple[int, float]], int]:
+    """(buckets, missing): {bucket: (count, share)} along one axis, in bucket
+    order, and the number of missing values. Shares sum to 1 over the
+    non-missing buckets. No annotations give ({}, 0)."""
     if axis not in DISTRIBUTION_AXES:
         raise ValueError(f"unknown axis {axis!r}")
     counts: dict[str, int] = {}
@@ -436,8 +401,7 @@ def demographic_distribution(annotations: Mapping[str, DemographicAnnotation],
         else:
             counts[value] = counts.get(value, 0) + 1
     total = sum(counts.values())
-    buckets = {b: (c, c / total) for b, c in sorted(counts.items())}
-    return DistributionResult(buckets=buckets, missing=missing)
+    return {b: (c, c / total) for b, c in sorted(counts.items())}, missing
 
 
 def write_annotations(path: str | Path,
@@ -447,8 +411,9 @@ def write_annotations(path: str | Path,
 
 
 def read_annotations(path: str | Path) -> dict[str, DemographicAnnotation]:
+    """Refuses a line that is not an annotation object, naming its line."""
     return {obj["user_id"]: DemographicAnnotation(**obj)
-            for obj in artifacts.read_ndjson(path)}
+            for obj in artifacts.read_ndjson(path, _ANNOTATION_TYPES)}
 
 
 def default_data_path(name: str) -> Path:

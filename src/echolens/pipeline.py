@@ -321,7 +321,7 @@ def stage_report(cfg: RunConfig, tweets, annotations, assignments, graph, scaled
                                   k=cfg.table_rows, privacy=cfg.privacy)
 
     by_id = {t.tweet_id: t for t in tweets}
-    studied_users = sorted({by_id[tid].author_id for tid in assignments if tid in by_id})
+    studied_users = {by_id[tid].author_id for tid in assignments if tid in by_id}
     studied_annotations = {uid: annotations[uid] for uid in studied_users
                            if uid in annotations}
     engagement = analysis.topic_engagement(assignments, tweets, annotations,
@@ -338,21 +338,14 @@ def stage_report(cfg: RunConfig, tweets, annotations, assignments, graph, scaled
     fixtures = {key: artifacts.sha256(cfg.data_file(key)) for key in cfg.DATA_FILES}
     fixtures["continents"] = artifacts.sha256(_CONTINENTS_CSV)
 
-    bundle = analysis.ReportBundle(
-        rank_table=table,
-        continent_distribution=demographics.demographic_distribution(
-            studied_annotations, "continent"),
-        ethnicity_distribution=demographics.demographic_distribution(studied_annotations, "race"),
-        representation=analysis.disproportionality_report(
-            engagement, tau_hi=cfg.tau_hi, tau_lo=cfg.tau_lo),
-        tau_hi=cfg.tau_hi,
-        tau_lo=cfg.tau_lo,
-        config_hash=cfg.config_hash(),
-        seed=cfg.seed,
-        stage_counts=stage_counts,
-        data_fixtures=fixtures,
-    )
-    analysis.emit_reports(bundle, out, formats=cfg.formats)
+    analysis.emit_reports(
+        out, cfg.formats, table,
+        demographics.demographic_distribution(studied_annotations, "continent"),
+        demographics.demographic_distribution(studied_annotations, "race"),
+        analysis.disproportionality_report(engagement, tau_hi=cfg.tau_hi, tau_lo=cfg.tau_lo),
+        cfg.tau_hi, cfg.tau_lo,
+        {"config_hash": cfg.config_hash(), "seed": cfg.seed, "stage_counts": stage_counts,
+         "data_fixtures": fixtures})
     return {}
 
 

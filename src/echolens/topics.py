@@ -590,5 +590,6 @@ def write_assignments(path: str | Path, assignment_map: Mapping[str, int]) -> No
 
 
 def read_assignments(path: str | Path) -> dict[str, int]:
-    return {obj["tweet_id"]: int(obj["cluster_id"])
-            for obj in artifacts.read_ndjson(path)}
+    """Refuses a line that is not an assignment object, naming its line."""
+    return {obj["tweet_id"]: obj["cluster_id"]
+            for obj in artifacts.read_ndjson(path, {"tweet_id": (str,), "cluster_id": (int,)})}

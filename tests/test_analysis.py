@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echolens import demographics, ingest, topics
-from echolens.analysis import (ReportBundle, disproportionality_report, emit_reports,
-                               topic_engagement)
+from echolens.analysis import disproportionality_report, emit_reports, topic_engagement
 from echolens.config import load_config
-from echolens.demographics import DemographicAnnotation, DistributionResult
+from echolens.demographics import DemographicAnnotation
 from echolens.pipeline import run_pipeline
 from echolens.synth import write_fixture
 
@@ -176,52 +175,52 @@ class TestTopicEngagement:
 
 
 def tiny_bundle():
-    return ReportBundle(
+    """emit_reports's arguments after out_dir and formats, by name."""
+    return dict(
         rank_table=[(1, "Hub Org", "Hub Org", "Individual")],
-        continent_distribution=DistributionResult(buckets={"Africa": (2, 1.0)}),
-        ethnicity_distribution=DistributionResult(buckets={"White": (1, 0.5),
-                                                           "Asian": (1, 0.5)}),
+        continent_distribution=({"Africa": (2, 1.0)}, 0),
+        ethnicity_distribution=({"White": (1, 0.5), "Asian": (1, 0.5)}, 0),
         representation=[],
         tau_hi=1.25,
         tau_lo=0.8,
-        config_hash="cafe" * 16,
-        seed=7,
-        stage_counts={"records_read": 10},
-        data_fixtures={"gazetteer": "00" * 32},
+        manifest={"config_hash": "cafe" * 16, "seed": 7,
+                  "stage_counts": {"records_read": 10},
+                  "data_fixtures": {"gazetteer": "00" * 32}},
     )
 
 
 class TestEmitReports:
     def test_two_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        emit_reports(tiny_bundle(), a)
-        emit_reports(tiny_bundle(), b)
+        emit_reports(a, {"csv"}, **tiny_bundle())
+        emit_reports(b, {"csv"}, **tiny_bundle())
         for name in ("rank_table.csv", "continent_distribution.csv",
                      "ethnicity_distribution.csv", "disproportionality.csv",
                      "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_csv_only_writes_no_json_reports(self, tmp_path):
-        emit_reports(tiny_bundle(), tmp_path, formats={"csv"})
+        emit_reports(tmp_path, {"csv"}, **tiny_bundle())
         assert not (tmp_path / "rank_table.json").exists()
         assert not (tmp_path / "disproportionality.json").exists()
         assert (tmp_path / "manifest.json").exists()  # manifest is always json
 
     def test_manifest_lists_exactly_five_files(self, tmp_path):
-        files = emit_reports(tiny_bundle(), tmp_path, formats={"csv"})
+        args = tiny_bundle()
+        files = emit_reports(tmp_path, {"csv"}, **args)
         assert len(files) == 5
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert sorted(manifest["files"]) == sorted(files)
-        assert manifest["config_hash"] == "cafe" * 16
-        assert manifest["seed"] == 7
+        assert sorted(manifest.pop("files")) == sorted(files)
+        # The given entries, as given; the caller's dict gains no "files".
+        assert manifest == args["manifest"] == tiny_bundle()["manifest"]
 
     def test_both_formats_listed(self, tmp_path):
-        files = emit_reports(tiny_bundle(), tmp_path, formats={"csv", "json"})
+        files = emit_reports(tmp_path, {"csv", "json"}, **tiny_bundle())
         assert len(files) == 9
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_reports(tiny_bundle(), tmp_path, formats={"parquet"})
+            emit_reports(tmp_path, {"parquet"}, **tiny_bundle())
 
 
 @pytest.fixture(scope="module")

@@ -11,18 +11,20 @@ from echolens import artifacts
 def test_formats_are_utf8_with_newline_endings(tmp_path):
     artifacts.write_csv(tmp_path / "a.csv", ["id", "text"], [["1", "é, ok"], [2, 0.5]])
     artifacts.write_json(tmp_path / "a.json", {"b": "é", "a": [1]})
-    artifacts.write_ndjson(tmp_path / "a.ndjson", [{"b": "é", "a": 1}, {}])
+    artifacts.write_ndjson(tmp_path / "a.ndjson", [{"b": "é", "a": 1}, {"a": 2, "b": ""}])
     artifacts.write_column(tmp_path / "a.txt", ["x", "y"])
     assert (tmp_path / "a.csv").read_bytes() == 'id,text\n1,"é, ok"\n2,0.5\n'.encode()
     assert (tmp_path / "a.json").read_bytes() == (
         '{\n  "a": [\n    1\n  ],\n  "b": "é"\n}\n'.encode())
-    assert (tmp_path / "a.ndjson").read_bytes() == '{"a": 1, "b": "é"}\n{}\n'.encode()
+    assert (tmp_path / "a.ndjson").read_bytes() == (
+        '{"a": 1, "b": "é"}\n{"a": 2, "b": ""}\n'.encode())
     assert (tmp_path / "a.txt").read_bytes() == b"x\ny\n"
 
     assert list(artifacts.read_csv(tmp_path / "a.csv")) == [
         {"id": "1", "text": "é, ok"}, {"id": "2", "text": "0.5"}]
     assert artifacts.read_json(tmp_path / "a.json") == {"a": [1], "b": "é"}
-    assert list(artifacts.read_ndjson(tmp_path / "a.ndjson")) == [{"a": 1, "b": "é"}, {}]
+    assert list(artifacts.read_ndjson(tmp_path / "a.ndjson", {"a": (int,), "b": (str,)})) == [
+        {"a": 1, "b": "é"}, {"a": 2, "b": ""}]
     assert list(artifacts.read_column(tmp_path / "a.txt")) == ["x", "y"]
     assert list(artifacts.read_lines(tmp_path / "a.txt")) == ["x", "y"]
 

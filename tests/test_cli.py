@@ -441,6 +441,42 @@ class TestExitCodes:
         assert (f"stage {command} failed: {out / name} line 3: {fields} fields, "
                 f"the header has 3") in err
 
+    @pytest.mark.parametrize("command, name, line, edit, reason", [
+        # A truncated last line: json.loads named line 1 and a column, not the file.
+        ("report", "annotations.ndjson", -1, lambda text: text[:text.index('"user_id"')],
+         "Expecting property name enclosed in double quotes"),
+        # Read back with the defaults, and the report exited 0.
+        ("report", "annotations.ndjson", 3,
+         lambda text: json.dumps({key: value for key, value in json.loads(text).items()
+                                  if key not in ("race", "continent")}),
+         "keys ['age', 'country', 'eligible_youth', 'gender', 'user_id'], expected "
+         "['age', 'continent', 'country', 'eligible_youth', 'gender', 'race', 'user_id']"),
+        # int() read 1.7 as cluster 1, and True as cluster 1.
+        ("review-sample", "topic_assignments.ndjson", 3,
+         lambda text: json.dumps({**json.loads(text), "cluster_id": 1.7}),
+         "cluster_id 1.7 is not int"),
+        ("review-sample", "topic_assignments.ndjson", 3,
+         lambda text: json.dumps({**json.loads(text), "cluster_id": True}),
+         "cluster_id true is not int"),
+        ("report", "topic_assignments.ndjson", 3,
+         lambda text: json.dumps({**json.loads(text), "tweet_id": 5}),
+         "tweet_id 5 is not str"),
+    ])
+    def test_malformed_ndjson_record_exit_4_names_file_and_line(
+            self, fixture_dir, tmp_path, capsys, command, name, line, edit, reason):
+        _, config = fixture_dir
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / name).read_text(encoding="utf-8").split("\n")[:-1]
+        line = line if line > 0 else len(lines)
+        lines[line - 1] = edit(lines[line - 1])
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"stage {command} failed: {out / name} line {line}" in err
+        assert reason in err
+
     def test_edge_rows_balanced_only_as_a_slice_exit_4_names_file_and_line(
             self, fixture_dir, tmp_path, capsys):
         _, config = fixture_dir

@@ -3,11 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echolens.demographics import (RACE_CATEGORIES, DemographicAnnotation,
-                                   DistributionResult, Gazetteer, NameModel, NgramNameClassifier,
-                                   ProperNounLexicon, annotate_users,
-                                   classify_race, continent_of,
+                                   Gazetteer, NameModel, NgramNameClassifier,
+                                   ProperNounLexicon, annotate_users, classify_race,
                                    default_data_path, demographic_distribution,
-                                   eligibility_filter, geolocate_country,
+                                   geolocate_country,
                                    load_continents, load_gazetteer, load_name_lists,
                                    load_training_names, normalize_name,
                                    read_annotations, write_annotations)
@@ -52,19 +51,32 @@ class TestGeolocation:
         t = make_tweet("t1", lat=51.5, lon=-0.12, place_name="Nairobi")
         assert geolocate_country(t, gaz) == "GB"
 
-    def test_continent_lookup(self, continents):
-        assert continent_of("KE", continents) == "Africa"
-        assert continent_of("br", continents) == "South America"
-        assert continent_of(None, continents) is None
-        assert continent_of("ZZ", continents) is None
+    def test_continent_lookup(self, continents, name_model, lexicon):
+        assert continents_of({"KE": "ke", "br": "br", "ZZ": "zz", None: None}, continents,
+                             name_model, lexicon) == {
+            "KE": "Africa", "br": "South America", "ZZ": None, None: None}
 
-    def test_continent_table_is_the_one_passed(self, tmp_path):
+    def test_continent_table_is_the_one_passed(self, tmp_path, name_model, lexicon):
         path = tmp_path / "continents.csv"
         path.write_text("country,continent\n ke , Atlantis \n", encoding="utf-8")
         table = load_continents(path)
         assert table == {"KE": "Atlantis"}
-        assert continent_of("ke", table) == "Atlantis"
-        assert continent_of("BR", table) is None
+        assert continents_of({"ke": "ke", "BR": "br"}, table, name_model, lexicon) == {
+            "ke": "Atlantis", "BR": None}
+
+
+def continents_of(countries, continents, model, lexicon):
+    """{country: the continent annotate_users gives a user whose one tweet
+    is placed there}, from {country: place name}; a place of None leaves the
+    user unlocated. The gazetteer maps each place name to its country."""
+    gaz = Gazetteer(entries={place: country for country, place in countries.items()
+                             if place is not None})
+    users = [make_user(f"u{i}") for i in range(len(countries))]
+    tweets = [make_tweet(f"t{i}", author_id=f"u{i}", place_name=place)
+              for i, place in enumerate(countries.values())]
+    annotations = annotate_users(users, tweets, gaz, continents, model, lexicon)
+    assert [annotations[f"u{i}"].country for i in range(len(countries))] == list(countries)
+    return {country: annotations[f"u{i}"].continent for i, country in enumerate(countries)}
 
 
 class TestNgramClassifier:
@@ -178,11 +190,13 @@ class TestClassifyRace:
                      "Lucia Moreno", "Unusualword"):
             assert classify_race(name, name_model) in RACE_CATEGORIES
 
-    def test_list_order_gives_precedence(self):
+    def test_list_order_gives_precedence(self, name_model):
         lists_a = [("Hispanic", {"cruz"}), ("African", {"cruz"})]
         lists_b = [("African", {"cruz"}), ("Hispanic", {"cruz"})]
-        assert NameModel(census_lists=lists_a).list_lookup("Cruz") == "Hispanic"
-        assert NameModel(census_lists=lists_b).list_lookup("Cruz") == "African"
+        for lists, expected in ((lists_a, "Hispanic"), (lists_b, "African")):
+            model = NameModel(census_lists=lists, classifier=name_model.classifier, tau=0.0)
+            assert classify_race("Cruz", model) == expected
+            assert classify_race("Ana Cruz", model) == expected
 
 
 @pytest.fixture(scope="module")
@@ -191,37 +205,50 @@ def lexicon():
                                         default_data_path("stopwords.txt"))
 
 
+def eligible(users, lexicon, name_model):
+    """The ids annotate_users marks eligible youth, in input order."""
+    annotations = annotate_users(users, [], Gazetteer(), {}, name_model, lexicon)
+    return [user.user_id for user in users if annotations[user.user_id].eligible_youth]
+
+
 class TestEligibility:
-    def test_over_25_excluded(self, lexicon):
+    def test_over_25_excluded(self, lexicon, name_model):
         user = make_user("u1", display_name="Amina Diallo",
                          has_profile_photo=True, face_count=1, age_estimate=26)
-        assert eligibility_filter([user], lexicon) == []
+        assert eligible([user], lexicon, name_model) == []
 
-    def test_under_13_excluded(self, lexicon):
+    def test_under_13_excluded(self, lexicon, name_model):
         user = make_user("u1", has_profile_photo=True, face_count=1,
                          age_estimate=12)
-        assert eligibility_filter([user], lexicon) == []
+        assert eligible([user], lexicon, name_model) == []
 
-    def test_no_proper_noun_excluded(self, lexicon):
+    def test_no_proper_noun_excluded(self, lexicon, name_model):
         user = make_user("u1", display_name="sunflower vibes")
-        assert eligibility_filter([user], lexicon) == []
+        assert eligible([user], lexicon, name_model) == []
         capped = make_user("u2", display_name="Sunflower Vibes")
-        assert eligibility_filter([capped], lexicon) == []
+        assert eligible([capped], lexicon, name_model) == []
 
-    def test_boundary_age_with_face_included(self, lexicon):
+    def test_boundary_age_with_face_included(self, lexicon, name_model):
         user = make_user("u1", display_name="Amina Diallo",
                          has_profile_photo=True, face_count=1, age_estimate=25)
-        assert eligibility_filter([user], lexicon) == ["u1"]
+        assert eligible([user], lexicon, name_model) == ["u1"]
 
-    def test_unannotated_age_still_eligible(self, lexicon):
+    def test_unannotated_age_still_eligible(self, lexicon, name_model):
         user = make_user("u1", display_name="Amina Diallo")
-        assert eligibility_filter([user], lexicon) == ["u1"]
+        assert eligible([user], lexicon, name_model) == ["u1"]
 
-    def test_monotone_under_additions(self, lexicon):
+    def test_monotone_under_additions(self, lexicon, name_model):
         a = make_user("u1", display_name="Amina Diallo")
         b = make_user("u2", display_name="sunflower vibes")
-        assert "u1" in eligibility_filter([a], lexicon)
-        assert "u1" in eligibility_filter([a, b], lexicon)
+        assert "u1" in eligible([a], lexicon, name_model)
+        assert "u1" in eligible([a, b], lexicon, name_model)
+
+    def test_age_rule_reads_the_estimate_the_photo_rules_drop(self, lexicon, name_model):
+        # Without a single-face photo the annotation carries no age, yet an
+        # over-25 estimate still excludes the user.
+        user = make_user("u1", display_name="Amina Diallo", age_estimate=40)
+        annotation = annotate_users([user], [], Gazetteer(), {}, name_model, lexicon)["u1"]
+        assert annotation.age is None and not annotation.eligible_youth
 
 
 class TestAnnotations:
@@ -259,29 +286,27 @@ class TestDistribution:
                 for i, r in enumerate(races)}
 
     def test_hand_worked_shares(self):
-        dist = demographic_distribution(
+        buckets, missing = demographic_distribution(
             self.make(["White", "White", "Asian", "African"]), axis="race")
-        assert dist.buckets["White"] == (2, 0.5)
-        assert dist.buckets["Asian"] == (1, 0.25)
-        assert dist.buckets["African"] == (1, 0.25)
+        assert buckets == {"African": (1, 0.25), "Asian": (1, 0.25), "White": (2, 0.5)}
+        assert list(buckets) == ["African", "Asian", "White"]
+        assert missing == 0
 
     def test_single_user_full_share(self):
-        dist = demographic_distribution(self.make(["Asian"]), axis="race")
-        assert dist.buckets == {"Asian": (1, 1.0)}
+        assert demographic_distribution(self.make(["Asian"]), axis="race") == (
+            {"Asian": (1, 1.0)}, 0)
 
     def test_all_missing(self):
         anns = {uid: DemographicAnnotation(user_id=uid) for uid in ("u1", "u2")}
-        dist = demographic_distribution(anns, axis="continent")
-        assert dist.buckets == {}
-        assert dist.missing == 2
+        assert demographic_distribution(anns, axis="continent") == ({}, 2)
 
     def test_empty_gives_empty_distribution(self):
         # The report stage relies on this when no studied user is annotated.
         for axis in ("continent", "race", "gender"):
-            assert demographic_distribution({}, axis=axis) == DistributionResult()
+            assert demographic_distribution({}, axis=axis) == ({}, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(RACE_CATEGORIES), min_size=1, max_size=40))
     def test_shares_sum_to_one(self, races):
-        dist = demographic_distribution(self.make(races), axis="race")
-        assert abs(sum(share for _, share in dist.buckets.values()) - 1.0) < 1e-9
+        buckets, _ = demographic_distribution(self.make(races), axis="race")
+        assert abs(sum(share for _, share in buckets.values()) - 1.0) < 1e-9

@@ -6,7 +6,9 @@ parse(write(x)) == x for every format, and hold every value a full run hands
 against a parse of its file."""
 
 import functools
+import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -102,12 +104,30 @@ def test_users_round_trip_in_file_order(tmp_path_factory, records):
     assert same(records, parse("users", out))
 
 
+def assert_key_change_refused(out, name, path, data):
+    """Add a key to, or remove one from, one record of the NDJSON file at
+    path: parsing intermediate `name` is then refused, naming the file and
+    the record's line."""
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[i])
+    if data.draw(st.booleans()):
+        record[data.draw(texts.filter(lambda key: key not in record))] = data.draw(
+            st.none() | texts | counts)
+    else:
+        del record[data.draw(st.sampled_from(sorted(record)))]
+    lines[i] = json.dumps(record, ensure_ascii=False, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path} line {i + 1}: keys ")):
+        parse(name, out)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(ids, st.builds(
     DemographicAnnotation, user_id=st.just(""), country=st.none() | texts,
     continent=st.none() | texts, race=texts, age=st.none() | st.integers(0, 99),
-    gender=st.none() | texts, eligible_youth=st.booleans()), max_size=6))
-def test_annotations_round_trip_sorted_by_user_id(tmp_path_factory, drawn):
+    gender=st.none() | texts, eligible_youth=st.booleans()), max_size=6), st.data())
+def test_annotations_round_trip_sorted_by_user_id(tmp_path_factory, drawn, data):
     annotations = {}
     for user_id, annotation in drawn.items():
         annotation.user_id = user_id
@@ -116,6 +136,8 @@ def test_annotations_round_trip_sorted_by_user_id(tmp_path_factory, drawn):
     write_annotations(out / "annotations.ndjson", annotations)
     handed = {user_id: annotations[user_id] for user_id in sorted(annotations)}
     assert same(handed, parse("annotations", out))
+    if annotations:
+        assert_key_change_refused(out, "annotations", out / "annotations.ndjson", data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,12 +153,14 @@ def test_influence_round_trips_scaled_scores(tmp_path_factory, scores):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(ids, st.integers(0, 500), max_size=8))
-def test_assignments_round_trip_sorted_by_tweet_id(tmp_path_factory, assignments):
+@given(st.dictionaries(ids, st.integers(0, 500), max_size=8), st.data())
+def test_assignments_round_trip_sorted_by_tweet_id(tmp_path_factory, assignments, data):
     out = tmp_path_factory.mktemp("assignments")
     topics.write_assignments(out / "topic_assignments.ndjson", assignments)
     handed = {tweet_id: assignments[tweet_id] for tweet_id in sorted(assignments)}
     assert same(handed, parse("assignments", out))
+    if assignments:
+        assert_key_change_refused(out, "assignments", out / "topic_assignments.ndjson", data)
 
 
 @settings(max_examples=60, deadline=None)
