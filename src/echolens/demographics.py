@@ -411,9 +411,10 @@ def write_annotations(path: str | Path,
 
 
 def read_annotations(path: str | Path) -> dict[str, DemographicAnnotation]:
-    """Refuses a line that is not an annotation object, naming its line."""
+    """Refuses a line that is not an annotation object, or repeats a user,
+    naming its line."""
     return {obj["user_id"]: DemographicAnnotation(**obj)
-            for obj in artifacts.read_ndjson(path, _ANNOTATION_TYPES)}
+            for obj in artifacts.read_ndjson(path, _ANNOTATION_TYPES, key="user_id")}
 
 
 def default_data_path(name: str) -> Path:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import count, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class InteractionGraph:
         """Bulk constructor from (src, dst, retweets, replies) tuples, read
         once, a chunk at a time. A count that is not an int (a float, str or
         bool) is refused, naming its pair."""
-        return _built(nodes, _edge_chunks(edges))
+        return _built(nodes, _interned(_edge_chunks(edges)))
 
     def sources(self) -> np.ndarray:
         """Source node of every edge, aligned with `indices`."""
@@ -170,15 +170,16 @@ def _indices(index: dict[str, int], ids: Sequence[str]) -> np.ndarray:
         return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
 
-def _built(nodes: Iterable[str], chunks: Iterable[tuple]) -> InteractionGraph:
-    """Build from (src ids, dst ids, retweets, replies) column chunks.
+def _built(nodes: Iterable[str],
+           parts: Callable[[dict[str, int]], Iterable[tuple]]) -> InteractionGraph:
+    """Build from (src, dst, retweets, replies) int64 column chunks.
 
-    Ids are interned chunk by chunk into provisional integers, which are
-    renumbered once at the end in sorted id order, so only the integer
-    columns of the chunks are kept."""
+    parts(index) yields the chunks. index gives each id a provisional
+    integer, the nodes first, and parts may add ids to it as it goes. The
+    integers are renumbered once at the end in sorted id order, so only the
+    integer columns of the chunks are kept."""
     index = dict(zip(dict.fromkeys(map(str, nodes)), count()))
-    parts = [(_indices(index, src), _indices(index, dst), retweets, replies)
-             for src, dst, retweets, replies in chunks]
+    parts = list(parts(index))
     ids = tuple(sorted(map(str, index)))
     rank = np.empty(len(ids), dtype=np.int64)
     rank[_indices(index, ids)] = np.arange(len(ids))
@@ -187,6 +188,12 @@ def _built(nodes: Iterable[str], chunks: Iterable[tuple]) -> InteractionGraph:
     del parts
     src, dst = rank[src], rank[dst]
     return InteractionGraph(ids, src, dst, retweets, replies)
+
+
+def _interned(chunks: Iterable[tuple]) -> Callable[[dict[str, int]], Iterator[tuple]]:
+    """The parts of _built for chunks of (src ids, dst ids, retweets, replies)."""
+    return lambda index: ((_indices(index, src), _indices(index, dst), retweets, replies)
+                          for src, dst, retweets, replies in chunks)
 
 
 def _is_int(t: type) -> bool:
@@ -240,16 +247,27 @@ def build_interaction_graph(tweets: Sequence[TweetRecord],
              "resolved_replies": len(retweets) - resolved_retweets,
              "unresolved_targets": unresolved, "self_interactions": self_interactions}
     retweets = np.asarray(retweets, dtype=np.int64)
-    g = _built((t.author_id for t in tweets), [(src, dst, retweets, 1 - retweets)])
+    g = _built((t.author_id for t in tweets), _interned([(src, dst, retweets, 1 - retweets)]))
     return g, stats
 
 
 def write_edge_csv(g: InteractionGraph, path: str | Path) -> None:
-    """Dump edges as `src,dst,weight,retweets,replies` in (src, dst) order."""
-    ids = g.ids
-    artifacts.write_csv(path, _EDGE_HEADER, zip(
-        [ids[i] for i in g.sources().tolist()], [ids[i] for i in g.indices.tolist()],
-        g.weights().tolist(), g.retweets.tolist(), g.replies.tolist()))
+    """Dump edges as `src,dst,weight,retweets,replies` in (src, dst) order.
+    Each id and each distinct count is formatted once."""
+    artifacts.write_coded_csv(path, _EDGE_HEADER, [
+        (g.ids, g.sources()), (g.ids, g.indices),
+        *map(_coded_counts, (g.weights(), g.retweets, g.replies))])
+
+
+def _coded_counts(counts: np.ndarray) -> tuple[Sequence[int], np.ndarray]:
+    """(distinct cells, codes) of a count column: while the largest count is
+    no more than the number of rows, every count up to it, each coded by
+    itself; otherwise the distinct counts."""
+    top = int(counts.max(initial=0))
+    if top <= counts.size:
+        return range(top + 1), counts
+    cells, codes = np.unique(counts, return_inverse=True)
+    return cells.tolist(), codes
 
 
 def write_node_list(g: InteractionGraph, path: str | Path) -> None:
@@ -259,23 +277,40 @@ def write_node_list(g: InteractionGraph, path: str | Path) -> None:
 
 def read_edge_csv(edge_path: str | Path, node_path: str | Path) -> InteractionGraph:
     """Rebuild a graph persisted by write_edge_csv and write_node_list, a
-    slice of the edge file at a time. An edge id missing from the node file
+    slice of the edge file at a time. Each id cell is looked up by its bytes
+    among the node file's ids; only one missing there is decoded, and it
     still becomes a node. A count cell that is not an integer is refused,
     naming its line."""
-    def chunks():
+    def parts(index: dict[str, int]) -> Iterator[tuple]:
+        nodes = artifacts.CellIndex(list(index))
+
+        def indices(cells: artifacts.Cells) -> np.ndarray:
+            found = nodes.find(cells)
+            missing = np.flatnonzero(found < 0)
+            if missing.size:
+                found[missing] = _indices(index, cells[missing].strings())
+            return found
+
         for lines, columns in artifacts.read_csv_chunks(edge_path):
-            yield (columns["src"], columns["dst"],
+            yield (indices(columns["src"]), indices(columns["dst"]),
                    *(_count_cells(columns[name], lines, name, edge_path)
                      for name in ("retweets", "replies")))
-    return _built(artifacts.read_column(node_path), chunks())
+
+    return _built(artifacts.read_column(node_path), parts)
 
 
-def _count_cells(cells: list[str], lines: Sequence[int], name: str,
+def _count_cells(cells: artifacts.Cells, lines: Sequence[int], name: str,
                  path: str | Path) -> np.ndarray:
+    """Count cells as int64: cells of plain digits from their bytes, others as
+    numpy converts their strings, which refuses a non-integer."""
+    values = cells.integers()
+    if values is not None:
+        return values
+    strings = cells.strings()
     try:
-        return np.array(cells, dtype=np.int64)
+        return np.array(strings, dtype=np.int64)
     except (ValueError, OverflowError):
-        for cell, line in zip(cells, lines):
+        for cell, line in zip(strings, lines):
             try:
                 np.int64(cell)
             except (ValueError, OverflowError):

@@ -89,15 +89,16 @@ _INTERMEDIATES = {
     "community_stats": (("community_stats.json",), "communities",
                         lambda path: artifacts.read_json(path)),
     "scaled_influence": (("influence.csv",), "influence",
-                         lambda path: {row["user_id"]: float(row["scaled"])
-                                       for row in artifacts.read_csv(path)}),
+                         lambda path: {row["user_id"]: row["scaled"]
+                                       for row in artifacts.read_csv(path, {"scaled": float})}),
     "annotations": (("annotations.ndjson",), "demographics",
                     lambda path: demographics.read_annotations(path)),
     "assignments": (("topic_assignments.ndjson",), "topics",
                     lambda path: topics.read_assignments(path)),
     "clusters": (("topic_clusters.csv",), "topics",
-                 lambda path: [(int(row["cluster_id"]), int(row["size"]), row["top_terms"])
-                               for row in artifacts.read_csv(path)]),
+                 lambda path: [(row["cluster_id"], row["size"], row["top_terms"])
+                               for row in artifacts.read_csv(path, {"cluster_id": int,
+                                                                    "size": int})]),
     "topic_stats": (("topic_stats.json",), "topics", lambda path: artifacts.read_json(path)),
 }
 

@@ -590,6 +590,8 @@ def write_assignments(path: str | Path, assignment_map: Mapping[str, int]) -> No
 
 
 def read_assignments(path: str | Path) -> dict[str, int]:
-    """Refuses a line that is not an assignment object, naming its line."""
+    """Refuses a line that is not an assignment object, or repeats a tweet,
+    naming its line."""
     return {obj["tweet_id"]: obj["cluster_id"]
-            for obj in artifacts.read_ndjson(path, {"tweet_id": (str,), "cluster_id": (int,)})}
+            for obj in artifacts.read_ndjson(path, {"tweet_id": (str,), "cluster_id": (int,)},
+                                             key="tweet_id")}

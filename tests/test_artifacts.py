@@ -1,6 +1,7 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,15 +46,15 @@ def test_failed_write_keeps_previous_file(tmp_path):
 
 
 def read_columns(path, names):
-    """The chunks of read_csv_chunks joined into whole columns, and the line
-    each row starts on."""
+    """The chunks of read_csv_chunks joined into whole columns of strings,
+    and the line each row starts on."""
     columns, lines = {name: [] for name in names}, []
     for chunk_lines, chunk in artifacts.read_csv_chunks(path):
         assert list(chunk) == list(names)
         assert all(len(cells) == len(chunk_lines) for cells in chunk.values())
         lines.extend(chunk_lines)
         for name, cells in chunk.items():
-            columns[name].extend(cells)
+            columns[name].extend(cells.strings())
     return columns, lines
 
 
@@ -160,6 +161,43 @@ def test_unquoted_carriage_return_refused_naming_its_line(tmp_path):
         with pytest.raises(ValueError, match=r"t\.csv line 3: new-line character seen in "
                                              r"unquoted field"):
             list(read(path))
+
+
+def test_cell_index_finds_fields_by_their_bytes():
+    # The long strings share their first 8 bytes, and "語" is 3 bytes. "\x00"
+    # and "a\x00" share their zero-padded keys with "" and "a", so they are
+    # not found, and neither are strings that are not in the index.
+    strings = ["", "a", "b", "é", "1234567890123456789", "1234567890123456788",
+               "語" * 4, "語" * 3, "\x00", "a\x00"]
+    index = artifacts.CellIndex(strings)
+    fields = strings[::-1] + ["a\x00\x00", "123456789012345678", "x"]
+    cells = artifacts.Cells.of(fields)
+    assert index.find(cells).tolist() == [-1, -1, 7, 6, 5, 4, 3, 2, 1, 0, -1, -1, -1]
+    assert cells.strings() == fields
+    assert artifacts.CellIndex([]).find(cells).tolist() == [-1] * len(fields)
+
+
+def test_cell_index_compares_long_fields_whose_keys_collide(monkeypatch):
+    # Mixed with 0, a long field's key is its last word alone.
+    monkeypatch.setattr(artifacts, "_MIX", np.uint64(0))
+    a, b = "aaaaaaaa12345678", "bbbbbbbb12345678"
+    keys = artifacts.Cells.of([a, b]).keys()
+    assert keys[0] == keys[1]
+    assert artifacts.CellIndex([a]).find(artifacts.Cells.of([b, a])).tolist() == [-1, 0]
+
+
+@pytest.mark.parametrize("strings, values", [
+    (["0", "7", "12", "999999999999999999"], [0, 7, 12, 999999999999999999]),
+    ([], []),
+    (["1", ""], None),
+    (["1", "1.5"], None),
+    (["1", " 1"], None),
+    (["1", "١"], None),  # an Arabic-Indic digit
+    (["1", "9999999999999999999"], None),
+])
+def test_cells_read_as_integers_only_when_plain_digits(strings, values):
+    got = artifacts.Cells.of(strings).integers()
+    assert (got if got is None else got.tolist()) == values
 
 
 plain_fields = st.text(alphabet=st.sampled_from(list("ab é")), min_size=1, max_size=4)

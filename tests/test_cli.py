@@ -477,6 +477,49 @@ class TestExitCodes:
         assert f"stage {command} failed: {out / name} line {line}" in err
         assert reason in err
 
+    @pytest.mark.parametrize("command, name, key", [
+        # Read into a dict, the later line won: report exited 0 with a
+        # changed disproportionality.csv.
+        ("report", "topic_assignments.ndjson", "tweet_id"),
+        ("review-sample", "topic_assignments.ndjson", "tweet_id"),
+        ("report", "annotations.ndjson", "user_id"),
+    ])
+    def test_repeated_ndjson_id_exit_4_names_file_and_both_lines(
+            self, fixture_dir, tmp_path, capsys, command, name, key):
+        _, config = fixture_dir
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / name).read_text(encoding="utf-8").split("\n")[:-1]
+        record = json.loads(lines[2])
+        lines.append(json.dumps({**record, "cluster_id": 0} if "cluster_id" in record
+                                else record, sort_keys=True))
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out)]) == 4
+        assert (f"stage {command} failed: {out / name} line {len(lines)}: {key} "
+                f"{json.dumps(record[key])} repeats line 3") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, column, cell, reason", [
+        # int() and float() named neither the file nor the line.
+        ("review-sample", "topic_clusters.csv", 0, "1.5", "cluster_id '1.5' is not int"),
+        ("review-sample", "topic_clusters.csv", 1, "", "size '' is not int"),
+        ("report", "influence.csv", 2, "abc", "scaled 'abc' is not float"),
+    ])
+    def test_unconvertible_csv_cell_exit_4_names_file_and_line(
+            self, fixture_dir, tmp_path, capsys, command, name, column, cell, reason):
+        _, config = fixture_dir
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / name).read_text(encoding="utf-8").split("\n")
+        fields = lines[2].split(",", 2)
+        fields[column] = cell
+        lines[2] = ",".join(fields)
+        (out / name).write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out)]) == 4
+        assert (f"stage {command} failed: {out / name} line 3: {reason}"
+                in capsys.readouterr().err)
+
     def test_edge_rows_balanced_only_as_a_slice_exit_4_names_file_and_line(
             self, fixture_dir, tmp_path, capsys):
         _, config = fixture_dir

@@ -274,7 +274,9 @@ def test_graph_paths_hold_only_integer_arrays(tmp_path):
     """At 20k nodes and 200k edges, building from a generator, reading the
     edge files back and symmetrising each peak at <= 128 traced bytes per
     edge. Holding every tuple, every field string or every doubled array at
-    once instead peaks at 168, 260 and 178 bytes."""
+    once instead peaks at 168, 260 and 178 bytes. Writing the edge file
+    peaks at <= 40: formatting every field of every row as a string, a chunk
+    of rows at a time, peaked at 56."""
     n, m = 20_000, 200_000
     rng = np.random.default_rng(5)
     src = rng.integers(0, n, m)
@@ -290,13 +292,54 @@ def test_graph_paths_hold_only_integer_arrays(tmp_path):
 
     g, build = traced(InteractionGraph.from_weighted_edges,
                       ((names[s], names[d], 1, 0) for s, d in zip(src, dst)), nodes=names)
-    write_edge_csv(g, tmp_path / "edges.csv")
+    _, write = traced(write_edge_csv, g, tmp_path / "edges.csv")
     write_node_list(g, tmp_path / "nodes.txt")
     back, read = traced(read_edge_csv, tmp_path / "edges.csv", tmp_path / "nodes.txt")
     _, undirected = traced(g.undirected)
     assert graphs_equal(back, g)
-    per_edge = {"build": build / m, "read": read / m, "undirected": undirected / m}
-    assert max(per_edge.values()) <= 128, per_edge
+    per_edge = {"build": build / m, "read": read / m, "undirected": undirected / m,
+                "write": write / m}
+    assert max(per_edge.values()) <= 128 and per_edge["write"] <= 40, per_edge
+
+
+# Ids the edge writer must format as the row writer does and the reader must
+# find by their bytes: empty, NUL, separators, quotes, carriage returns and
+# line feeds, spaces at either end, non-ASCII text, ids longer than 8 bytes
+# and 19-digit numbers.
+edge_file_ids = st.one_of(
+    st.text(alphabet=st.sampled_from(list('\x00,"\r\n a1é語')), max_size=10),
+    st.integers(10 ** 18, 10 ** 19 - 1).map(str))
+# Small counts are formatted from a table of every count up to the largest;
+# large ones from the distinct counts.
+edge_counts = st.one_of(st.integers(0, 3), st.integers(0, 10 ** 15))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(edge_file_ids, min_size=1, max_size=10, unique=True), st.data())
+def test_edge_file_bytes_match_the_row_writer_and_read_back(tmp_path_factory, ids, data):
+    # Slices of 16 bytes, csv chunks of 2 rows, gathers of 3 rows and edge
+    # chunks of 3 tuples.
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids), edge_counts, edge_counts)
+    rows = [r for r in data.draw(st.lists(pairs, max_size=30)) if r[0] != r[1]]
+    tmp = tmp_path_factory.mktemp("edges")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(artifacts, "_CHUNK_BYTES", 16)
+        patch.setattr(artifacts, "_CHUNK_ROWS", 2)
+        patch.setattr(artifacts, "_GATHER_ROWS", 3)
+        patch.setattr(graph, "_CHUNK_EDGES", 3)
+        g = InteractionGraph.from_weighted_edges(rows, nodes=ids)
+        write_edge_csv(g, tmp / "edges.csv")
+        artifacts.write_csv(tmp / "rows.csv", ["src", "dst", "weight", "retweets", "replies"], zip(
+            [g.ids[i] for i in g.sources().tolist()], [g.ids[i] for i in g.indices.tolist()],
+            g.weights().tolist(), g.retweets.tolist(), g.replies.tolist()))
+        assert (tmp / "edges.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+        write_node_list(g, tmp / "nodes.txt")
+        assert graphs_equal(read_edge_csv(tmp / "edges.csv", tmp / "nodes.txt"), g)
+        # Without the node file every id is decoded from its cell, and the
+        # isolated nodes are gone.
+        artifacts.write_column(tmp / "none.txt", [])
+        assert graphs_equal(read_edge_csv(tmp / "edges.csv", tmp / "none.txt"),
+                            InteractionGraph.from_weighted_edges(rows))
 
 
 @st.composite
