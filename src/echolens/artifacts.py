@@ -58,13 +58,13 @@ __all__ = [
 
 
 @contextmanager
-def _replace_atomically(path: str | Path, newline: str | None):
-    """Yield a UTF-8 text file with this newline translation, or with newline
-    None a binary file, that replaces path once the block ends."""
+def _replace_atomically(path: str | Path, newline: str = "", binary: bool = False):
+    """Yield a file, UTF-8 text with this newline translation or binary, that
+    replaces path once the block ends."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with (open(tmp, "wb") if newline is None
+        with (open(tmp, "wb") if binary
               else open(tmp, "w", encoding="utf-8", newline=newline)) as fh:
             yield fh
         os.replace(tmp, path)
@@ -125,19 +125,8 @@ def _cell_bytes(cells: Sequence[Any]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """(bytes, starts, lengths): the UTF-8 bytes of each cell as write_csv
     formats it in a row of several fields, followed by a ",".
 
-    The cells are formatted as one row, with an empty field after them. If
-    the writer quoted none, and no carriage return calls for quotes, every
-    comma of that row ends a cell. Otherwise each cell is formatted as the
-    row [cell, ""], and the line feed is cut; alone in its row, an empty cell
-    would be quoted."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([*cells, ""])
-    text = buf.getvalue()
-    if '"' not in text and "\r" not in text:
-        data = np.frombuffer(text.encode("utf-8"), np.uint8)
-        ends = np.flatnonzero(data == ord(",")) + 1
-        starts = np.append(0, ends[:-1])
-        return data, starts, ends - starts
+    Each cell is formatted as the row [cell, ""], and the line feed is cut;
+    alone in its row, an empty cell would be quoted."""
     texts, lengths = [], []
     for text, n in _formatted(zip(cells, repeat(""))):
         texts.append(text)
@@ -182,7 +171,7 @@ def write_coded_csv(path: str | Path, header: Sequence[str],
             size += table.size
         where.append((*placed[id(cells)], codes))
     data = np.concatenate(tables)
-    with _replace_atomically(path, newline=None) as fh:
+    with _replace_atomically(path, binary=True) as fh:
         fh.write(next(_formatted([header]))[0].encode("utf-8"))
         for a in range(0, rows, _GATHER_ROWS):
             span = slice(a, a + _GATHER_ROWS)

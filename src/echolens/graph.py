@@ -262,7 +262,8 @@ def write_edge_csv(g: InteractionGraph, path: str | Path) -> None:
 def _coded_counts(counts: np.ndarray) -> tuple[Sequence[int], np.ndarray]:
     """(distinct cells, codes) of a count column: while the largest count is
     no more than the number of rows, every count up to it, each coded by
-    itself; otherwise the distinct counts."""
+    itself, which spares np.unique's sort and its array of codes; otherwise
+    the distinct counts."""
     top = int(counts.max(initial=0))
     if top <= counts.size:
         return range(top + 1), counts
