@@ -22,7 +22,8 @@ bytes, which callers turn into arrays without an object per field. Both CSV
 readers refuse a row whose field count is not the header's, `read_csv` a
 field its converter refuses, and the NDJSON reader a line that is not an
 object of the expected fields and types, or that repeats a key field, naming
-the file and the line.
+the file and the line; the JSON reader likewise refuses an object whose keys
+or value types are not the expected ones, naming the file and the key.
 """
 
 from __future__ import annotations
@@ -413,9 +414,23 @@ def read_column(path: str | Path) -> Iterator[str]:
         yield from (row[0] for row in csv.reader(fh) if row)
 
 
-def read_json(path: str | Path) -> Any:
+def read_json(path: str | Path, fields: Mapping[str, tuple[type, ...]]) -> dict:
+    """The JSON object in the file. It is refused, naming the file and the
+    key, unless its keys are exactly the fields and its value for each field
+    has one of that field's types (exactly: a bool is no int)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    if missing := sorted(fields.keys() - obj.keys()):
+        raise ValueError(f"{path}: key {missing[0]} is missing")
+    if extra := sorted(obj.keys() - fields.keys()):
+        raise ValueError(f"{path}: key {extra[0]} is not expected")
+    _check_types(path, obj, fields)
+    return obj
 
 
 def read_ndjson(path: str | Path, fields: Mapping[str, tuple[type, ...]],
@@ -440,14 +455,18 @@ def read_ndjson(path: str | Path, fields: Mapping[str, tuple[type, ...]],
             if obj.keys() != fields.keys():
                 raise ValueError(f"{path} line {n}: keys {sorted(obj)}, "
                                  f"expected {sorted(fields)}")
-            for name, types in fields.items():
-                if type(obj[name]) not in types:
-                    raise ValueError(f"{path} line {n}: {name} {json.dumps(obj[name])} is not "
-                                     f"{' or '.join(t.__name__ for t in types)}")
+            _check_types(f"{path} line {n}", obj, fields)
             if key is not None and first.setdefault(obj[key], n) != n:
                 raise ValueError(f"{path} line {n}: {key} {json.dumps(obj[key])} repeats "
                                  f"line {first[obj[key]]}")
             yield obj
+
+
+def _check_types(where: str | Path, obj: dict, fields: Mapping[str, tuple[type, ...]]) -> None:
+    for name, types in fields.items():
+        if type(obj[name]) not in types:
+            raise ValueError(f"{where}: {name} {json.dumps(obj[name])} is not "
+                             f"{' or '.join(t.__name__ for t in types)}")
 
 
 def read_lines(path: str | Path) -> Iterator[str]:

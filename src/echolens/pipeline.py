@@ -80,14 +80,16 @@ _INTERMEDIATES = {
     "tweet_index": (("tweet_index.csv",), "ingest",
                     lambda path: {row["tweet_id"]: row["author_id"]
                                   for row in artifacts.read_csv(path)}),
-    "ingest_stats": (("ingest_stats.json",), "ingest", lambda path: artifacts.read_json(path)),
+    "ingest_stats": (("ingest_stats.json",), "ingest",
+                     lambda path: artifacts.read_json(path, _INGEST_STATS)),
     "graph": (("graph_edges.csv", "graph_nodes.txt"), "graph",
               lambda edges, nodes: read_edge_csv(edges, nodes)),
-    "graph_stats": (("graph_stats.json",), "graph", lambda path: artifacts.read_json(path)),
+    "graph_stats": (("graph_stats.json",), "graph",
+                    lambda path: artifacts.read_json(path, _GRAPH_STATS)),
     "community_members": (("community_labels.csv",), "communities",
                           lambda path: {row["user_id"] for row in artifacts.read_csv(path)}),
     "community_stats": (("community_stats.json",), "communities",
-                        lambda path: artifacts.read_json(path)),
+                        lambda path: artifacts.read_json(path, _COMMUNITY_STATS)),
     "scaled_influence": (("influence.csv",), "influence",
                          lambda path: {row["user_id"]: row["scaled"]
                                        for row in artifacts.read_csv(path, {"scaled": float})}),
@@ -99,7 +101,8 @@ _INTERMEDIATES = {
                  lambda path: [(row["cluster_id"], row["size"], row["top_terms"])
                                for row in artifacts.read_csv(path, {"cluster_id": int,
                                                                     "size": int})]),
-    "topic_stats": (("topic_stats.json",), "topics", lambda path: artifacts.read_json(path)),
+    "topic_stats": (("topic_stats.json",), "topics",
+                    lambda path: artifacts.read_json(path, _TOPIC_STATS)),
 }
 
 # Bundled, not configurable; its sha256 goes into the manifest with the data files.
@@ -136,6 +139,15 @@ def _written_json(path: Path, value):
 
 # ---------------------------------------------------------------------------
 # Stage implementations
+
+
+# The fields of ingest_stats.json, as stage_ingest writes them.
+_INGEST_STATS = {
+    "records_read": (int,), "records_rejected": (int,), "records_kept": (int,),
+    "records_filtered": (int,), "records_kept_per_stream": (dict,),
+    "engagement_removed": (int,), "tweet_parse_errors": (list,),
+    "user_parse_errors": (list,), "users_read": (int,), "users_kept": (int,),
+}
 
 
 @_stage
@@ -184,6 +196,13 @@ def stage_ingest(cfg: RunConfig) -> dict:
             "users": user_index, "ingest_stats": _written_json(out / "ingest_stats.json", stats)}
 
 
+# The fields of graph_stats.json, as stage_graph writes them.
+_GRAPH_STATS = {
+    "nodes": (int,), "edges": (int,), "total_weight": (int,), "resolved_retweets": (int,),
+    "resolved_replies": (int,), "unresolved_targets": (int,), "self_interactions": (int,),
+}
+
+
 @_stage
 def stage_graph(cfg: RunConfig, tweets, tweet_index) -> dict:
     out = _out(cfg)
@@ -196,6 +215,13 @@ def stage_graph(cfg: RunConfig, tweets, tweet_index) -> dict:
         "total_weight": g.total_weight(),
         **stats,
     })}
+
+
+# The fields of community_stats.json, as stage_communities writes them.
+_COMMUNITY_STATS = {
+    "iterations_run": (int,), "converged": (bool,), "communities_pre_gate": (int,),
+    "communities_post_gate": (int,), "dropped_members": (int,), "flagged": (int,),
+}
 
 
 @_stage
@@ -263,6 +289,13 @@ def stage_demographics(cfg: RunConfig, users, tweets) -> dict:
         list(users.values()), tweets, gaz, continents, model, lexicon)
     demographics.write_annotations(out / "annotations.ndjson", annotations)
     return {"annotations": {user_id: annotations[user_id] for user_id in sorted(annotations)}}
+
+
+# The fields of topic_stats.json, as stage_topics writes them.
+_TOPIC_STATS = {
+    "clustered_tweets": (int,), "iterations": (int,), "converged": (bool,),
+    "final_sse": (float,), "silhouette": (float, type(None)),
+}
 
 
 @_stage

@@ -18,9 +18,10 @@ per-row computation bit for bit.
 
 The embedder interns features as integers: a token's word and trigram
 features get ids, buckets and signs the first time the embedder sees the
-token, and a text's features are counted with Counter over their ids. A block
-of distinct texts is folded by one np.add.at, which adds in input order into
-the zeroed output, as the per-feature `vec[bucket] += tf * signed_idf` does.
+token. A block of distinct texts becomes one array of (text, feature id)
+occurrences, which np.unique counts; in order of first occurrence, the
+block is folded by one np.add.at, which adds in input order into the zeroed
+output, as the per-feature `vec[bucket] += tf * signed_idf` does.
 
 Besides its input, each kernel holds at most one matrix of the input's size:
 the embedding, one n x k distance buffer, or the n x n silhouette distances.
@@ -35,7 +36,6 @@ import math
 import random
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -134,11 +134,6 @@ class _FeatureTable(dict):
         self[token] = ids = tuple(ids)
         return ids
 
-    def counts(self, text: NormalizedText) -> Counter:
-        """Each feature id of a text with its raw count, in order of first
-        occurrence."""
-        return Counter(chain.from_iterable(map(self.__getitem__, text.tokens)))
-
 
 def _distinct_texts(texts: Sequence[NormalizedText]) -> tuple[np.ndarray, np.ndarray]:
     """Group texts by token list: the index of each group's first text, in
@@ -181,64 +176,58 @@ class BuiltinEmbedder:
         firsts, inverse = _distinct_texts(texts)
         repeats = np.bincount(inverse)
         self.n_docs = len(texts)
-        self._df = np.zeros(0, dtype=np.int64)
+        self._df = np.zeros(self._interned(texts, firsts), dtype=np.int64)
         for start in range(0, firsts.size, _BLOCK_ROWS):
-            block = firsts[start:start + _BLOCK_ROWS]
-            ids, _, lens = self._block_counts(texts, block)
-            df = np.zeros(len(self._table.buckets), dtype=np.int64)
-            df[:self._df.size] = self._df
-            np.add.at(df, ids, np.repeat(repeats[start:start + block.size], lens))
-            self._df = df
+            rows, ids, _ = self._block_features(texts, firsts[start:start + _BLOCK_ROWS])
+            np.add.at(self._df, ids, repeats[start + rows])
         return self
 
-    def _block_counts(self, texts: Sequence[NormalizedText],
-                      block: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """The feature ids and raw counts of the texts at block, text after
-        text, each text's in order of first occurrence; and how many
-        features each text has."""
-        ids: list[int] = []
-        tf: list[int] = []
-        lens: list[int] = []
-        for i in block.tolist():
-            counts = self._table.counts(texts[i])
-            ids += counts
-            tf += counts.values()
-            lens.append(len(counts))
-        return np.array(ids, dtype=np.intp), np.array(tf, dtype=float), lens
+    def _interned(self, texts: Sequence[NormalizedText], firsts: np.ndarray) -> int:
+        """Intern every token of the texts at firsts; returns the number of
+        features the embedder knows."""
+        for token in chain.from_iterable(texts[i].tokens for i in firsts.tolist()):
+            self._table[token]
+        return len(self._table.buckets)
+
+    def _block_features(self, texts: Sequence[NormalizedText],
+                        block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each distinct (text, feature) pair of the texts at block: the
+        text's position in block, the feature id and its raw count; text
+        after text, each text's features in order of first occurrence."""
+        tokens = [texts[i].tokens for i in block.tolist()]
+        features = list(map(self._table.__getitem__, chain.from_iterable(tokens)))
+        token_rows = np.repeat(np.arange(block.size), list(map(len, tokens)))
+        n_features = len(self._table.buckets)
+        keys = np.repeat(token_rows * n_features, list(map(len, features)))
+        keys += np.fromiter(chain.from_iterable(features), np.intp, keys.size)
+        pairs, firsts, counts = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(firsts)
+        rows, ids = np.divmod(pairs[order], n_features)
+        return rows, ids, counts[order]
 
     def idf(self, feature: str) -> float:
         fid = self._table.ids.get(feature, self._df.size)
         df = int(self._df[fid]) if fid < self._df.size else 0
         return _idf(self.n_docs, df)
 
-    def _signed_idfs(self, first_id: int) -> np.ndarray:
-        """sign * idf of every feature from id first_id on, with math.log
-        once per distinct df."""
-        df = np.zeros(len(self._table.buckets) - first_id, dtype=np.int64)
-        fitted = self._df[first_id:]
-        df[:fitted.size] = fitted
-        values, which = np.unique(df, return_inverse=True)
-        idf = np.array([_idf(self.n_docs, d) for d in values.tolist()])
-        # sign * idf is exact: negation does not round.
-        return np.asarray(self._table.signs[first_id:]) * idf[which]
-
     def transform_many(self, texts: Sequence[NormalizedText]) -> np.ndarray:
         firsts, inverse = _distinct_texts(texts)
         dim = self.dim
+        df = np.zeros(self._interned(texts, firsts), dtype=np.int64)
+        df[:self._df.size] = self._df
+        values, which = np.unique(df, return_inverse=True)  # math.log once per distinct df
+        idf = np.array([_idf(self.n_docs, d) for d in values.tolist()])
+        # sign * idf is exact: negation does not round.
+        signed_idf = np.asarray(self._table.signs) * idf[which]
+        buckets = np.asarray(self._table.buckets, dtype=np.intp)
         out = np.zeros((len(texts), dim))
-        buckets = np.zeros(0, dtype=np.intp)
-        signed_idf = np.zeros(0)
         for start in range(0, firsts.size, _BLOCK_ROWS):
             block = firsts[start:start + _BLOCK_ROWS]
-            ids, tf, lens = self._block_counts(texts, block)
-            if buckets.size < len(self._table.buckets):  # features first seen here
-                buckets = np.concatenate([buckets, self._table.buckets[buckets.size:]])
-                signed_idf = np.concatenate([signed_idf, self._signed_idfs(signed_idf.size)])
+            rows, ids, tf = self._block_features(texts, block)
             # add.at adds each entry's weight in input order into the zeroed
             # output, as `vec[bucket] += tf * signed_idf` does feature by
             # feature, and needs no block-sized buffer.
-            np.add.at(out.reshape(-1), np.repeat(block * dim, lens) + buckets[ids],
-                      tf * signed_idf[ids])
+            np.add.at(out.reshape(-1), block[rows] * dim + buckets[ids], tf * signed_idf[ids])
             for first in block.tolist():
                 vec = out[first]
                 norm = np.linalg.norm(vec)
@@ -421,10 +410,19 @@ def _farthest_point_init(points: np.ndarray, sq_norms: np.ndarray, k: int,
         np.minimum(screen, sq + sq[nxt] - 2.0 * dots, out=screen)
         near = np.flatnonzero(screen >= screen.max() - 2.0 * tol)
         if near.size > 1:
-            for i in near.tolist():
-                d = np.sum((points[firsts[i]] - centres[seen[i]:t]) ** 2, axis=1)
-                exact[i] = min(exact[i], d.min())
-                seen[i] = t
+            # Rows that last saw the same centre take their exact distances
+            # to the centres since as C-contiguous blocks of at most
+            # _BLOCK_ROWS^2 entries (or one row); each distance still sums
+            # one row's contiguous dim values, as for a lone row.
+            for s in np.unique(seen[near]).tolist():
+                group = near[seen[near] == s]
+                step = max(1, _BLOCK_ROWS * _BLOCK_ROWS // ((t - s) * dim))
+                for start in range(0, group.size, step):
+                    rows = group[start:start + step]
+                    diff = points[firsts[rows]][:, None, :] - centres[None, s:t]
+                    d = np.sum(diff ** 2, axis=2).min(axis=1)
+                    exact[rows] = np.minimum(exact[rows], d)
+            seen[near] = t
             nxt = int(near[np.argmax(exact[near])])
         else:
             nxt = int(near[0])

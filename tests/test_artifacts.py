@@ -23,7 +23,8 @@ def test_formats_are_utf8_with_newline_endings(tmp_path):
 
     assert list(artifacts.read_csv(tmp_path / "a.csv")) == [
         {"id": "1", "text": "é, ok"}, {"id": "2", "text": "0.5"}]
-    assert artifacts.read_json(tmp_path / "a.json") == {"a": [1], "b": "é"}
+    assert artifacts.read_json(tmp_path / "a.json", {"a": (list,), "b": (str,)}) == {
+        "a": [1], "b": "é"}
     assert list(artifacts.read_ndjson(tmp_path / "a.ndjson", {"a": (int,), "b": (str,)})) == [
         {"a": 1, "b": "é"}, {"a": 2, "b": ""}]
     assert list(artifacts.read_column(tmp_path / "a.txt")) == ["x", "y"]

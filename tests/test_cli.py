@@ -499,6 +499,28 @@ class TestExitCodes:
         assert (f"stage {command} failed: {out / name} line {len(lines)}: {key} "
                 f"{json.dumps(record[key])} repeats line 3") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, edit, reason", [
+        # Read loosely, the string went into manifest.json and report exited 0.
+        ("topic_stats.json", lambda stats: {**stats, "clustered_tweets": "1138"},
+         'clustered_tweets "1138" is not int'),
+        # Read loosely, report failed with the bare KeyError 'clustered_tweets'.
+        ("topic_stats.json", lambda stats: {key: value for key, value in stats.items()
+                                            if key != "clustered_tweets"},
+         "key clustered_tweets is missing"),
+        ("ingest_stats.json", lambda stats: {**stats, "records_read": True},
+         "records_read true is not int"),
+    ])
+    def test_malformed_json_stats_exit_4_names_file_and_key(
+            self, fixture_dir, tmp_path, capsys, name, edit, reason):
+        _, config = fixture_dir
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        stats = json.loads((out / name).read_text(encoding="utf-8"))
+        (out / name).write_text(json.dumps(edit(stats)), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--config", str(config), "--out", str(out)]) == 4
+        assert f"stage report failed: {out / name}: {reason}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, name, column, cell, reason", [
         # int() and float() named neither the file nor the line.
         ("review-sample", "topic_clusters.csv", 0, "1.5", "cluster_id '1.5' is not int"),

@@ -180,6 +180,47 @@ def test_graph_and_members_round_trip(tmp_path_factory, nodes, data):
     assert same({user_id for user_id, _ in labels}, parse("community_members", out))
 
 
+# A value of each type a JSON stats field may declare.
+json_values = {int: counts, bool: st.booleans(), float: finite, type(None): st.none(),
+               str: texts, list: st.lists(texts, max_size=3),
+               dict: st.dictionaries(texts, counts, max_size=3)}
+
+
+@pytest.mark.parametrize("name, fields", [
+    ("ingest_stats", pipeline._INGEST_STATS), ("graph_stats", pipeline._GRAPH_STATS),
+    ("community_stats", pipeline._COMMUNITY_STATS), ("topic_stats", pipeline._TOPIC_STATS),
+])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_json_stats_round_trip_and_refuse_key_changes(tmp_path_factory, name, fields, data):
+    """A stats file written with values of its declared types reads back
+    equal; with one key removed, added or given a value of another type, its
+    parse is refused, naming the file and the key."""
+    stats = {key: data.draw(st.one_of(*map(json_values.get, types)))
+             for key, types in fields.items()}
+    out = tmp_path_factory.mktemp(name)
+    (path,), _, _ = pipeline._INTERMEDIATES[name]
+    artifacts.write_json(out / path, stats)
+    assert same(dict(sorted(stats.items())), parse(name, out))
+
+    key = data.draw(st.sampled_from(sorted(stats)))
+    change = data.draw(st.sampled_from(["remove", "add", "retype"]))
+    if change == "remove":
+        del stats[key]
+        reason = f"key {key} is missing"
+    elif change == "add":
+        key = data.draw(texts.filter(lambda extra: extra not in stats))
+        stats[key] = data.draw(counts)
+        reason = f"key {key} is not expected"
+    else:
+        other = data.draw(st.sampled_from([t for t in json_values if t not in fields[key]]))
+        stats[key] = data.draw(json_values[other])
+        reason = f"{key} {json.dumps(stats[key], sort_keys=True)} is not "
+    artifacts.write_json(out / path, stats)
+    with pytest.raises(ValueError, match=re.escape(f"{out / path}: {reason}")):
+        parse(name, out)
+
+
 @pytest.fixture(scope="module")
 def shuffled_config(tmp_path_factory):
     """The seed-7 fixture with its tweet and user lines shuffled, so that no

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -426,8 +427,9 @@ def texts_of(*token_lists):
 
 
 class TestInternedEmbedderOracle:
-    """The embedder interns features and sums each block with one bincount;
-    its vectors must equal the per-text oracle's bit for bit."""
+    """The embedder interns features, counts each block's (text, feature)
+    occurrences with np.unique and folds the block with one np.add.at; its
+    vectors must equal the per-text oracle's bit for bit."""
 
     def assert_same(self, texts, dim, fit_texts=None):
         fit = texts if fit_texts is None else fit_texts
@@ -478,6 +480,14 @@ def test_embedder_equals_reference_on_any_tokens(fit_tokens, tokens, dim):
     fit_texts, texts = texts_of(*fit_tokens), texts_of(*tokens)
     got = BuiltinEmbedder(dim).fit(fit_texts).transform_many(texts)
     assert got.tobytes() == reference_embed(texts, dim, fit_texts).tobytes()
+
+
+def test_embedder_equals_reference_across_blocks_of_two(monkeypatch):
+    """The same property with two texts to a block, so features first seen
+    in a later block are interned before fit or transform folds any block,
+    and a block's occurrences span texts of every length."""
+    monkeypatch.setattr(topics, "_BLOCK_ROWS", 2)
+    test_embedder_equals_reference_on_any_tokens()
 
 
 def block_edge_corpus(seed):
@@ -617,6 +627,23 @@ class TestSeedingTieOracle:
         for seed in range(4):
             for k in (10, 40):
                 self.assert_same_init(points, k, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_seeding_equals_reference_on_one_hot_rows(dim, data):
+    """One-hot rows, repeated: every distance to a centre is 0, 1 or 2, so
+    most steps rank many exact ties, grouped by the centre each row last
+    saw. The centres must equal the per-row oracle's bit for bit for any k
+    up to the number of distinct rows, also with blocks so small that a
+    group is split into several."""
+    hot = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=40))
+    points = np.eye(dim)[hot]
+    k = data.draw(st.integers(1, len(set(hot))))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    with mock.patch.object(topics, "_BLOCK_ROWS", data.draw(st.sampled_from([2, 3, 256]))):
+        got = topics._farthest_point_init(points, np.sum(points ** 2, axis=1), k, seed)
+    assert got.tobytes() == reference_farthest_point_init(points, k, seed).tobytes()
 
 
 # ---------------------------------------------------------------------------
