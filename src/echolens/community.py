@@ -14,9 +14,14 @@ round's order to the later one gives a DAG; its Kahn fronts hold no two
 neighbours, and every earlier neighbour of a node lies in an earlier front,
 every later one in a later front. A front's nodes, evaluated together, thus
 read the labels and pending flags the one-by-one visit reads, so the result
-is the sequential one bit for bit. That vote rule needs every vote finite
-and >= 0. Interaction counts are >= 0 in every graph, so importance must
-be finite and >= 0; anything else is rejected.
+is the sequential one bit for bit. Each round keeps those forward edges as a
+CSR of their own: a front's later neighbours are one slice gather, and the
+next front is those whose count of earlier neighbours reaches zero, each
+taken once through a scratch slot per node rather than a sort. The order of
+a front changes no vote sum, since each node's votes are summed in
+neighbour order. That vote rule needs every vote finite and >= 0.
+Interaction counts are >= 0 in every graph, so importance must be finite
+and >= 0; anything else is rejected.
 """
 
 from __future__ import annotations
@@ -117,12 +122,12 @@ def label_propagation(g: InteractionGraph, importance: np.ndarray,
     if bad.size:
         raise ValueError("importance negative or not finite for nodes: "
                          f"{[nodes[i] for i in bad[:5].tolist()]}")
-    indptr, cols, und = g.undirected()
+    indptr, cols, votes = g.undirected()
     owners = np.repeat(np.arange(n), np.diff(indptr))
 
     # Static vote weights: und_weight(u, v) * importance(v), each node's
     # neighbours in index order so float summation order is reproducible.
-    votes = und * imp[cols]
+    votes = votes * imp[cols]
 
     labels = np.arange(n)
     rng = random.Random(seed)
@@ -132,28 +137,42 @@ def label_propagation(g: InteractionGraph, importance: np.ndarray,
     # skip is result-identical to evaluating everyone but makes late rounds
     # nearly free on large graphs.
     pending = np.ones(n, dtype=bool)
+    slot = np.empty(n, dtype=np.int64)
     converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         rng.shuffle(order)
         rank[order] = np.arange(n)
-        # Peel the edges, each pointing from its endpoint earlier in `order`,
+        # Point every edge from its endpoint earlier in `order` to the later
+        # one, keep those forward edges as a CSR of their own, and peel them
         # into Kahn fronts: a node joins once all its earlier neighbours have.
         forward = rank[cols] > rank[owners]
-        waiting = np.bincount(cols[forward], minlength=n)
+        forward_cols = cols[forward]
+        # Row starts of the forward CSR: the forward entries before each row.
+        later = np.zeros(forward.size + 1, dtype=np.int64)
+        np.cumsum(forward, out=later[1:])
+        later = later[indptr]
+        waiting = np.bincount(forward_cols, minlength=n)
         front = np.flatnonzero(waiting == 0)
         changed = False
         while front.size:
-            entries = _row_entries(indptr, front)
-            due = entries[pending[owners[entries]]]
+            due = _row_entries(indptr, front[pending[front]])
             pending[front] = False
             if due.size:
                 moved = _relabel(due, owners, cols, votes, labels)
                 pending[cols[_row_entries(indptr, moved)]] = True
                 changed = changed or moved.size > 0
-            after = cols[entries[forward[entries]]]
+            after = forward_cols[_row_entries(later, front)]
             np.subtract.at(waiting, after, 1)
-            front = np.unique(after[waiting[after] == 0])
+            # The nodes whose last earlier neighbour was in this front, each
+            # once: the one position that a node's slot keeps.
+            ready = after[waiting[after] == 0]
+            positions = np.arange(ready.size)
+            slot[ready] = positions
+            front = ready[slot[ready] == positions]
+        # Freed before the next round's gathers, which would otherwise
+        # peak with it still held.
+        del forward_cols
         if not changed:
             converged = True
             break

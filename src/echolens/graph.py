@@ -12,11 +12,18 @@ a graph is built (`from_weighted_edges`, `build_interaction_graph`,
 `read_edge_csv`) and turn back into strings only where results leave a
 kernel. Every graph kernel reads these arrays, and kernels hand each other
 per-node values as arrays aligned with `ids`.
+
+Every builder makes the arrays in one sort of the keys src * n + dst, which
+sums repeated pairs. The keys are ordered by stable LSD passes of numpy's
+16-bit radix sort, as many as n * n needs, and not sorted at all when they
+are already non-decreasing, as an edge file's always are. Tuples are taken
+apart a column at a time, so a build makes no Python object per edge.
 """
 
 from __future__ import annotations
 
 from itertools import count, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -51,10 +58,10 @@ def _summed(rows: np.ndarray, cols: np.ndarray, n: int, *values: np.ndarray,
             both_ways: bool = False) -> tuple[np.ndarray, ...]:
     """CSR (indptr, cols, *sums) of (row, col) entries, one per distinct pair
     in row-then-column order, the values of repeated pairs summed in input
-    order and in their dtype (the entries are sorted stably by row * n + col).
-    With both_ways, entry i also stands for (cols[i], rows[i]), after all the
-    (row, col) entries; its values are read in place, not doubled. Each
-    temporary is freed as soon as it is used."""
+    order and in their dtype (the entries are ordered stably by row * n + col,
+    see _key_order). With both_ways, entry i also stands for (cols[i],
+    rows[i]), after all the (row, col) entries; its values are read in place,
+    not doubled. Each temporary is freed as soon as it is used."""
     m = rows.size
     key = np.empty(2 * m if both_ways else m, dtype=np.int64)
     np.multiply(rows, n, out=key[:m], dtype=np.int64)
@@ -63,7 +70,7 @@ def _summed(rows: np.ndarray, cols: np.ndarray, n: int, *values: np.ndarray,
         np.multiply(cols, n, out=key[m:], dtype=np.int64)
         key[m:] += rows
     del rows, cols
-    order = np.argsort(key, kind="stable")
+    order = _key_order(key, n * n)
     key = key[order]
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
@@ -82,6 +89,20 @@ def _summed(rows: np.ndarray, cols: np.ndarray, n: int, *values: np.ndarray,
     del order
     return (indptr, cols, *(np.add.reduceat(t, starts) if starts.size else t
                             for t in taken))
+
+
+def _key_order(key: np.ndarray, top: int) -> np.ndarray:
+    """np.argsort(key, kind="stable") of int64 keys in [0, top), without a
+    comparison sort: the identity when the keys are already non-decreasing
+    (as an edge file's are), else LSD passes of numpy's radix sort over
+    16-bit digits, as many as top needs."""
+    if not np.any(key[1:] < key[:-1]):
+        return np.arange(key.size)
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    for shift in range(16, (top - 1).bit_length(), 16):
+        digit = (key >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 class InteractionGraph:
@@ -205,8 +226,8 @@ def _edge_chunks(edges: Iterable[tuple[str, str, int, int]]) -> Iterator[tuple]:
     tuples, with int64 counts. The count types are checked once a chunk."""
     edges = iter(edges)
     while chunk := list(islice(edges, _CHUNK_EDGES)):
-        src, dst, retweets, replies = zip(*chunk)
-        if not all(map(_is_int, set(map(type, retweets + replies)))):
+        src, dst, retweets, replies = (list(map(itemgetter(i), chunk)) for i in range(4))
+        if not all(map(_is_int, set(map(type, retweets)) | set(map(type, replies)))):
             s, d, rt, rp = next(row for row in chunk
                                 if not (_is_int(type(row[2])) and _is_int(type(row[3]))))
             raise ValueError(f"interaction count is not an int on ({s}, {d}): "

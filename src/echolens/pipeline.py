@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -130,6 +131,11 @@ def _parse(out: Path, name: str):
     return parse(*(_require(out / f, producer) for f in files))
 
 
+def _warn(message: str) -> None:
+    """One stderr line for a result the run reports anyway; no output changes."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _written_json(path: Path, value):
     """Write value as a JSON intermediate; returns what read_json gives back
     for it: keys sorted, tuples as lists."""
@@ -233,6 +239,9 @@ def stage_communities(cfg: RunConfig, graph, tweets, users) -> dict:
     assignment = community.label_propagation(
         graph, importance, seed=derive_seed(cfg.seed, "communities"),
         max_rounds=cfg.lp_max_rounds)
+    if not assignment.converged:
+        _warn(f"label propagation stopped at lp_max_rounds={cfg.lp_max_rounds} "
+              "without converging")
     gated = community.gate_communities(assignment, cfg.min_community_size)
 
     keywords = cfg.effective_flag_keywords()
@@ -259,6 +268,9 @@ def stage_influence(cfg: RunConfig, graph) -> dict:
     out = _out(cfg)
     result = influence.pagerank(graph, damping=cfg.damping,
                                 tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter)
+    if not result.converged:
+        _warn(f"PageRank stopped at pagerank_max_iter={cfg.pagerank_max_iter} "
+              "without converging")
     scaled = influence.scale_scores(result.scores)
     artifacts.write_csv(out / "influence.csv", ["user_id", "raw", "scaled"],
                         ([user_id, repr(raw), repr(scaled[user_id])]

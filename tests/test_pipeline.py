@@ -169,6 +169,28 @@ def test_topics_normalizes_each_distinct_text_once(fixture_config, full_run, tmp
         assert (out / name).read_bytes() == (full_run / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("stage, knob, kernel, reports", [
+    ("communities", "lp_max_rounds", "label propagation",
+     ("community_labels.csv", "communities.csv", "review_flags.csv", "community_stats.json")),
+    ("influence", "pagerank_max_iter", "PageRank", ("influence.csv", "influence_stats.json")),
+])
+def test_kernel_stopped_at_its_limit_warns_once(stage, knob, kernel, reports, fixture_config,
+                                                full_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(full_run, out)
+    capsys.readouterr()
+    run_stage(_config(fixture_config, out), stage)
+    assert capsys.readouterr().err == ""
+    for name in reports:
+        assert (out / name).read_bytes() == (full_run / name).read_bytes(), name
+
+    run_stage(_config(fixture_config, out, **{knob: 1}), stage)
+    assert capsys.readouterr().err == (f"warning: {kernel} stopped at {knob}=1 "
+                                       "without converging\n")
+    stats = json.loads((out / reports[-1]).read_text(encoding="utf-8"))
+    assert stats["converged"] is False
+
+
 @pytest.mark.parametrize("name, consumer, producer", [
     ("selected_tweets.ndjson", "graph", "ingest"),
     ("tweet_index.csv", "graph", "ingest"),
