@@ -36,7 +36,7 @@ import os
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -402,10 +402,12 @@ def read_csv_chunks(path: str | Path) -> Iterator[tuple[Sequence[int], dict[str,
                 line += rows
         else:
             fh.seek(0)
-        rows = _csv_rows(path, io.TextIOWrapper(fh, encoding="utf-8", newline="\n"), names, line)
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            headers, lines, fields = zip(*chunk)
-            yield lines, {name: Cells.of(cells) for name, cells in zip(headers[0], zip(*fields))}
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="\n") as text:
+            rows = _csv_rows(path, text, names, line)
+            while chunk := list(islice(rows, _CHUNK_ROWS)):
+                headers, lines, fields = zip(*chunk)
+                yield lines, {name: Cells.of(cells)
+                              for name, cells in zip(headers[0], zip(*fields))}
 
 
 def read_column(path: str | Path) -> Iterator[str]:
@@ -429,18 +431,22 @@ def read_json(path: str | Path, fields: Mapping[str, tuple[type, ...]]) -> dict:
         raise ValueError(f"{path}: key {missing[0]} is missing")
     if extra := sorted(obj.keys() - fields.keys()):
         raise ValueError(f"{path}: key {extra[0]} is not expected")
-    _check_types(path, obj, fields)
-    return obj
+    try:
+        return _typed(obj, fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def read_ndjson(path: str | Path, fields: Mapping[str, tuple[type, ...]],
-                key: str | None = None) -> Iterator[dict]:
-    """Yield the object on each non-blank line. A line is refused, naming the
-    file and the line, unless it is a JSON object whose keys are exactly the
-    fields and whose value for each field has one of that field's types
-    (exactly: a bool is no int); with a key field, also if an earlier line
-    has its value of that field, naming both lines."""
-    first = {}
+def read_ndjson(path: str | Path, fields: Collection[str], key: str | None = None,
+                parse: Callable[[dict], Any] | None = None) -> Iterator:
+    """Yield the object on each non-blank line, or parse(object). A line is
+    refused, naming the file and the line, unless it is a JSON object whose
+    keys are exactly the fields and whose values pass: each has one of its
+    field's types (exactly: a bool is no int), or, given parse, parse raises
+    no ValueError on the object, as it checks every value itself; with a key
+    field, also if an earlier line has its value of that field, naming both
+    lines."""
+    names, first = set(fields), {}
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             line = line.rstrip()
@@ -452,21 +458,26 @@ def read_ndjson(path: str | Path, fields: Mapping[str, tuple[type, ...]],
                 raise ValueError(f"{path} line {n} column {exc.colno}: {exc.msg}") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path} line {n}: not a JSON object")
-            if obj.keys() != fields.keys():
+            if obj.keys() != names:
                 raise ValueError(f"{path} line {n}: keys {sorted(obj)}, "
-                                 f"expected {sorted(fields)}")
-            _check_types(f"{path} line {n}", obj, fields)
+                                 f"expected {sorted(names)}")
+            try:
+                value = _typed(obj, fields) if parse is None else parse(obj)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {n}: {exc}") from None
             if key is not None and first.setdefault(obj[key], n) != n:
                 raise ValueError(f"{path} line {n}: {key} {json.dumps(obj[key])} repeats "
                                  f"line {first[obj[key]]}")
-            yield obj
+            yield value
 
 
-def _check_types(where: str | Path, obj: dict, fields: Mapping[str, tuple[type, ...]]) -> None:
+def _typed(obj: dict, fields: Mapping[str, tuple[type, ...]]) -> dict:
+    """obj, if its value for each field has one of that field's types."""
     for name, types in fields.items():
         if type(obj[name]) not in types:
-            raise ValueError(f"{where}: {name} {json.dumps(obj[name])} is not "
+            raise ValueError(f"{name} {json.dumps(obj[name])} is not "
                              f"{' or '.join(t.__name__ for t in types)}")
+    return obj
 
 
 def read_lines(path: str | Path) -> Iterator[str]:

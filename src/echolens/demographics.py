@@ -331,7 +331,7 @@ class DemographicAnnotation:
 
 _OPTIONAL_STR = (str, type(None))
 # The JSON types of each annotation field, which read_annotations checks.
-_ANNOTATION_TYPES = {"user_id": (str,), "country": _OPTIONAL_STR, "continent": _OPTIONAL_STR,
+ANNOTATION_FIELDS = {"user_id": (str,), "country": _OPTIONAL_STR, "continent": _OPTIONAL_STR,
                      "race": (str,), "age": (int, type(None)), "gender": _OPTIONAL_STR,
                      "eligible_youth": (bool,)}
 
@@ -414,7 +414,7 @@ def read_annotations(path: str | Path) -> dict[str, DemographicAnnotation]:
     """Refuses a line that is not an annotation object, or repeats a user,
     naming its line."""
     return {obj["user_id"]: DemographicAnnotation(**obj)
-            for obj in artifacts.read_ndjson(path, _ANNOTATION_TYPES, key="user_id")}
+            for obj in artifacts.read_ndjson(path, ANNOTATION_FIELDS, key="user_id")}
 
 
 def default_data_path(name: str) -> Path:

@@ -1,9 +1,12 @@
 """Archive ingestion: NDJSON parsing, stream selection, engagement cleaning.
 
-Corpora are newline-delimited JSON, one record per line. Parsing never aborts
-on a bad line; malformed records are collected as line-numbered errors so a
-run can report exactly what was skipped. Each stream spec becomes one
-predicate, and select_streams decides each record as it is parsed.
+Corpora are newline-delimited JSON, one record per line. iter_corpus and
+parse_corpus read raw archives only: parsing never aborts on a bad line;
+malformed records are collected as line-numbered errors so a run can report
+exactly what was skipped. The tweet and user intermediates are read strictly,
+by artifacts.read_ndjson, with the same parse_tweet and parse_user. Each
+stream spec becomes one predicate, and select_streams decides each record as
+it is parsed.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "parse_tweet",
     "parse_user",
     "write_ndjson",
+    "field_names",
     "record_dict",
     "stream_predicate",
     "select_streams",
@@ -154,7 +158,8 @@ def _count(obj: Mapping, key: str, default: int = 0) -> int:
 def parse_tweet(obj: Mapping) -> TweetRecord:
     """Build a TweetRecord from one decoded NDJSON object.
 
-    Raises ValueError on any schema violation; unknown keys are ignored.
+    Raises ValueError on any type or value that breaks the schema; unknown
+    keys are ignored and missing optional ones take their defaults.
     """
     tweet_id = _require_str(obj, "tweet_id")
     author_id = _require_str(obj, "author_id")
@@ -164,7 +169,7 @@ def parse_tweet(obj: Mapping) -> TweetRecord:
     created = obj.get("created_at")
     if isinstance(created, bool) or not isinstance(created, (int, float)):
         raise ValueError("missing or invalid required field 'created_at'")
-    created = int(created) if float(created).is_integer() else created
+    created = int(created) if isinstance(created, float) and created.is_integer() else created
 
     mentions = obj.get("mentions", [])
     if mentions is None:
@@ -187,24 +192,14 @@ def parse_tweet(obj: Mapping) -> TweetRecord:
             raise ValueError("coordinates out of range")
         lat, lon = float(lat), float(lon)
 
-    return TweetRecord(
-        tweet_id=tweet_id,
-        author_id=author_id,
-        text=text,
-        created_at=created,
-        likes=_count(obj, "likes"),
-        retweets=_count(obj, "retweets"),
-        replies=_count(obj, "replies"),
-        mentions=list(mentions),
-        reply_to=reply_to,
-        retweet_of=retweet_of,
-        lat=lat,
-        lon=lon,
-        place_name=_opt_str(obj, "place_name"),
-    )
+    # Positional, in field order: a dataclass built by keyword takes twice as long.
+    return TweetRecord(tweet_id, author_id, text, created, _count(obj, "likes"),
+                       _count(obj, "retweets"), _count(obj, "replies"), list(mentions),
+                       reply_to, retweet_of, lat, lon, _opt_str(obj, "place_name"))
 
 
 def parse_user(obj: Mapping) -> UserRecord:
+    """Build a UserRecord from one decoded NDJSON object, by parse_tweet's rules."""
     user_id = _require_str(obj, "user_id")
     handle = _require_str(obj, "handle")
     display_name = obj.get("display_name")
@@ -221,7 +216,8 @@ def parse_user(obj: Mapping) -> UserRecord:
         raise ValueError("field 'face_count' must be a non-negative integer")
 
     age = obj.get("age_estimate")
-    if age is not None and (isinstance(age, bool) or not isinstance(age, (int, float)) or age < 0):
+    if age is not None and (isinstance(age, bool) or not isinstance(age, (int, float))
+                            or not 0 <= age < float("inf")):
         raise ValueError("field 'age_estimate' must be a non-negative number")
     gender = _opt_str(obj, "gender_estimate")
     if gender is not None and gender not in GENDER_VALUES:
@@ -233,21 +229,13 @@ def parse_user(obj: Mapping) -> UserRecord:
     if kind not in ACCOUNT_KINDS:
         raise ValueError(f"field 'account_kind' must be one of {ACCOUNT_KINDS}")
 
-    return UserRecord(
-        user_id=user_id,
-        handle=handle,
-        display_name=display_name,
-        followers=_count(obj, "followers"),
-        has_profile_photo=has_photo,
-        face_count=face_count,
-        age_estimate=int(age) if age is not None else None,
-        gender_estimate=gender,
-        account_kind=kind,
-    )
+    return UserRecord(user_id, handle, display_name, _count(obj, "followers"), has_photo,
+                      face_count, int(age) if age is not None else None, gender, kind)
 
 
 @cache
-def _field_names(cls: type) -> tuple[str, ...]:
+def field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass record's fields, the keys of each line write_ndjson writes."""
     return tuple(f.name for f in fields(cls))
 
 
@@ -255,7 +243,7 @@ def record_dict(record) -> dict:
     """A dataclass record's fields as a new dict. vars(record) would give the
     record a __dict__ that it then keeps for life, as a record that a run
     hands on to later stages does."""
-    return {name: getattr(record, name) for name in _field_names(type(record))}
+    return {name: getattr(record, name) for name in field_names(type(record))}
 
 
 def write_ndjson(path: str | Path, records: Iterable[TweetRecord | UserRecord]) -> None:

@@ -8,6 +8,9 @@ names the intermediates it reads as its parameters and returns the values of
 those it wrote, each equal to what parsing its file returns. A full run
 holds each returned value until the last later stage that names it, so it
 parses none of its own files; a single stage parses its inputs once.
+Each intermediate is declared once, in _INTERMEDIATES, and parsed by the
+strict readers of artifacts, which refuse what its producer does not write;
+the lenient raw-archive parser of ingest reads the raw archive only.
 """
 
 from __future__ import annotations
@@ -62,48 +65,57 @@ def _require(path: Path, produced_by: str | None = None) -> Path:
     return path
 
 
-def _parse_records(path: Path, schema: str) -> list:
-    records, errors = ingest.parse_corpus(path, schema=schema)
-    if errors:
-        raise ValueError(f"corrupt intermediate {path}: {errors[0]}")
-    return records
-
-
-# Every intermediate a stage reads: its files, the stage that writes them and
-# its parser. Parsers look their readers up when called, so a wrapper
-# installed later on a module attribute (ingest.parse_corpus, read_edge_csv)
-# sees each parse.
+# Every intermediate a stage reads, declared once: its files, the stage that
+# writes them, its fields and its parser, called with the fields and the
+# paths. A JSON or NDJSON record's keys must be exactly the fields, which map
+# to their JSON types, or for tweets and users are the record's, with
+# parse_tweet and parse_user checking types and values as for a raw archive.
+# A CSV file is held to its own header (fields None). Parsers look their
+# readers up when called, so a wrapper installed later on a module attribute
+# (read_edge_csv, read_annotations) sees each parse.
 _INTERMEDIATES = {
-    "tweets": (("selected_tweets.ndjson",), "ingest",
-               lambda path: _parse_records(path, "tweets")),
-    "users": (("users.ndjson",), "ingest",
-              lambda path: {u.user_id: u for u in _parse_records(path, "users")}),
-    "tweet_index": (("tweet_index.csv",), "ingest",
-                    lambda path: {row["tweet_id"]: row["author_id"]
-                                  for row in artifacts.read_csv(path)}),
-    "ingest_stats": (("ingest_stats.json",), "ingest",
-                     lambda path: artifacts.read_json(path, _INGEST_STATS)),
-    "graph": (("graph_edges.csv", "graph_nodes.txt"), "graph",
-              lambda edges, nodes: read_edge_csv(edges, nodes)),
-    "graph_stats": (("graph_stats.json",), "graph",
-                    lambda path: artifacts.read_json(path, _GRAPH_STATS)),
-    "community_members": (("community_labels.csv",), "communities",
-                          lambda path: {row["user_id"] for row in artifacts.read_csv(path)}),
-    "community_stats": (("community_stats.json",), "communities",
-                        lambda path: artifacts.read_json(path, _COMMUNITY_STATS)),
-    "scaled_influence": (("influence.csv",), "influence",
-                         lambda path: {row["user_id"]: row["scaled"]
-                                       for row in artifacts.read_csv(path, {"scaled": float})}),
-    "annotations": (("annotations.ndjson",), "demographics",
-                    lambda path: demographics.read_annotations(path)),
-    "assignments": (("topic_assignments.ndjson",), "topics",
-                    lambda path: topics.read_assignments(path)),
-    "clusters": (("topic_clusters.csv",), "topics",
-                 lambda path: [(row["cluster_id"], row["size"], row["top_terms"])
-                               for row in artifacts.read_csv(path, {"cluster_id": int,
-                                                                    "size": int})]),
-    "topic_stats": (("topic_stats.json",), "topics",
-                    lambda path: artifacts.read_json(path, _TOPIC_STATS)),
+    "tweets": (("selected_tweets.ndjson",), "ingest", ingest.field_names(ingest.TweetRecord),
+               lambda fields, path: list(artifacts.read_ndjson(
+                   path, fields, "tweet_id", ingest.parse_tweet))),
+    "users": (("users.ndjson",), "ingest", ingest.field_names(ingest.UserRecord),
+              lambda fields, path: {u.user_id: u for u in artifacts.read_ndjson(
+                  path, fields, "user_id", ingest.parse_user)}),
+    "tweet_index": (("tweet_index.csv",), "ingest", None,
+                    lambda _, path: {row["tweet_id"]: row["author_id"]
+                                     for row in artifacts.read_csv(path)}),
+    "ingest_stats": (("ingest_stats.json",), "ingest", {
+        "records_read": (int,), "records_rejected": (int,), "records_kept": (int,),
+        "records_filtered": (int,), "records_kept_per_stream": (dict,),
+        "engagement_removed": (int,), "tweet_parse_errors": (list,),
+        "user_parse_errors": (list,), "users_read": (int,), "users_kept": (int,),
+    }, lambda fields, path: artifacts.read_json(path, fields)),
+    "graph": (("graph_edges.csv", "graph_nodes.txt"), "graph", None,
+              lambda _, edges, nodes: read_edge_csv(edges, nodes)),
+    "graph_stats": (("graph_stats.json",), "graph", {
+        "nodes": (int,), "edges": (int,), "total_weight": (int,), "resolved_retweets": (int,),
+        "resolved_replies": (int,), "unresolved_targets": (int,), "self_interactions": (int,),
+    }, lambda fields, path: artifacts.read_json(path, fields)),
+    "community_members": (("community_labels.csv",), "communities", None,
+                          lambda _, path: {row["user_id"] for row in artifacts.read_csv(path)}),
+    "community_stats": (("community_stats.json",), "communities", {
+        "iterations_run": (int,), "converged": (bool,), "communities_pre_gate": (int,),
+        "communities_post_gate": (int,), "dropped_members": (int,), "flagged": (int,),
+    }, lambda fields, path: artifacts.read_json(path, fields)),
+    "scaled_influence": (("influence.csv",), "influence", None,
+                         lambda _, path: {row["user_id"]: row["scaled"] for row in
+                                          artifacts.read_csv(path, {"scaled": float})}),
+    "annotations": (("annotations.ndjson",), "demographics", demographics.ANNOTATION_FIELDS,
+                    lambda _, path: demographics.read_annotations(path)),
+    "assignments": (("topic_assignments.ndjson",), "topics", topics.ASSIGNMENT_FIELDS,
+                    lambda _, path: topics.read_assignments(path)),
+    "clusters": (("topic_clusters.csv",), "topics", None,
+                 lambda _, path: [(row["cluster_id"], row["size"], row["top_terms"])
+                                  for row in artifacts.read_csv(path, {"cluster_id": int,
+                                                                       "size": int})]),
+    "topic_stats": (("topic_stats.json",), "topics", {
+        "clustered_tweets": (int,), "iterations": (int,), "converged": (bool,),
+        "final_sse": (float,), "silhouette": (float, type(None)),
+    }, lambda fields, path: artifacts.read_json(path, fields)),
 }
 
 # Bundled, not configurable; its sha256 goes into the manifest with the data files.
@@ -127,8 +139,8 @@ def _stage(fn):
 
 
 def _parse(out: Path, name: str):
-    files, producer, parse = _INTERMEDIATES[name]
-    return parse(*(_require(out / f, producer) for f in files))
+    files, producer, fields, parse = _INTERMEDIATES[name]
+    return parse(fields, *(_require(out / f, producer) for f in files))
 
 
 def _warn(message: str) -> None:
@@ -136,24 +148,16 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _written_json(path: Path, value):
-    """Write value as a JSON intermediate; returns what read_json gives back
-    for it: keys sorted, tuples as lists."""
-    artifacts.write_json(path, value)
+def _written_json(out: Path, name: str, value: dict) -> dict:
+    """Write value as the JSON intermediate name; returns what its parser
+    gives back for it: keys sorted, tuples as lists."""
+    (file,), *_ = _INTERMEDIATES[name]
+    artifacts.write_json(out / file, value)
     return json.loads(json.dumps(value, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
 # Stage implementations
-
-
-# The fields of ingest_stats.json, as stage_ingest writes them.
-_INGEST_STATS = {
-    "records_read": (int,), "records_rejected": (int,), "records_kept": (int,),
-    "records_filtered": (int,), "records_kept_per_stream": (dict,),
-    "engagement_removed": (int,), "tweet_parse_errors": (list,),
-    "user_parse_errors": (list,), "users_read": (int,), "users_kept": (int,),
-}
 
 
 @_stage
@@ -199,14 +203,7 @@ def stage_ingest(cfg: RunConfig) -> dict:
     ingest.write_ndjson(out / "selected_tweets.ndjson", cleaned)
     ingest.write_ndjson(out / "users.ndjson", users)
     return {"tweet_index": tweet_index, "tweets": cleaned,
-            "users": user_index, "ingest_stats": _written_json(out / "ingest_stats.json", stats)}
-
-
-# The fields of graph_stats.json, as stage_graph writes them.
-_GRAPH_STATS = {
-    "nodes": (int,), "edges": (int,), "total_weight": (int,), "resolved_retweets": (int,),
-    "resolved_replies": (int,), "unresolved_targets": (int,), "self_interactions": (int,),
-}
+            "users": user_index, "ingest_stats": _written_json(out, "ingest_stats", stats)}
 
 
 @_stage
@@ -215,19 +212,12 @@ def stage_graph(cfg: RunConfig, tweets, tweet_index) -> dict:
     g, stats = build_interaction_graph(tweets, tweet_index)
     write_edge_csv(g, out / "graph_edges.csv")
     write_node_list(g, out / "graph_nodes.txt")
-    return {"graph": g, "graph_stats": _written_json(out / "graph_stats.json", {
+    return {"graph": g, "graph_stats": _written_json(out, "graph_stats", {
         "nodes": len(g),
         "edges": g.num_edges(),
         "total_weight": g.total_weight(),
         **stats,
     })}
-
-
-# The fields of community_stats.json, as stage_communities writes them.
-_COMMUNITY_STATS = {
-    "iterations_run": (int,), "converged": (bool,), "communities_pre_gate": (int,),
-    "communities_post_gate": (int,), "dropped_members": (int,), "flagged": (int,),
-}
 
 
 @_stage
@@ -243,6 +233,9 @@ def stage_communities(cfg: RunConfig, graph, tweets, users) -> dict:
         _warn(f"label propagation stopped at lp_max_rounds={cfg.lp_max_rounds} "
               "without converging")
     gated = community.gate_communities(assignment, cfg.min_community_size)
+    if assignment.communities and not gated.communities:
+        _warn(f"the community gate at min_community_size={cfg.min_community_size} "
+              f"kept none of {len(assignment.communities)} communities")
 
     keywords = cfg.effective_flag_keywords()
     flags = community.flag_offtopic(gated, tweets, keywords, users) if keywords else []
@@ -252,7 +245,7 @@ def stage_communities(cfg: RunConfig, graph, tweets, users) -> dict:
     artifacts.write_csv(out / "community_labels.csv", ["user_id", "community_id"], labels)
     artifacts.write_csv(out / "communities.csv", ["community_id", "size", "anchor"],
                         ([c.community_id, c.size, c.anchor] for c in gated.communities))
-    stats = _written_json(out / "community_stats.json", {
+    stats = _written_json(out, "community_stats", {
         "iterations_run": assignment.iterations_run,
         "converged": assignment.converged,
         "communities_pre_gate": len(assignment.communities),
@@ -303,13 +296,6 @@ def stage_demographics(cfg: RunConfig, users, tweets) -> dict:
     return {"annotations": {user_id: annotations[user_id] for user_id in sorted(annotations)}}
 
 
-# The fields of topic_stats.json, as stage_topics writes them.
-_TOPIC_STATS = {
-    "clustered_tweets": (int,), "iterations": (int,), "converged": (bool,),
-    "final_sse": (float,), "silhouette": (float, type(None)),
-}
-
-
 @_stage
 def stage_topics(cfg: RunConfig, tweets, community_members, annotations) -> dict:
     out = _out(cfg)
@@ -334,6 +320,8 @@ def stage_topics(cfg: RunConfig, tweets, community_members, annotations) -> dict
 
     result = topics.cluster(vectors, cfg.k, seed=derive_seed(cfg.seed, "topics"),
                             max_iter=cfg.kmeans_max_iter)
+    if not result.converged:
+        _warn(f"k-means stopped at kmeans_max_iter={cfg.kmeans_max_iter} without converging")
 
     idf = topics.word_idf(texts)
     cluster_ids = result.assignments.tolist()
@@ -348,7 +336,7 @@ def stage_topics(cfg: RunConfig, tweets, community_members, annotations) -> dict
     topics.write_cluster_csv(clusters, out / "topic_clusters.csv")
     sil = (topics.silhouette(vectors, result.assignments)
            if 2 <= cfg.k < len(corpus) <= 4000 else None)
-    stats = _written_json(out / "topic_stats.json", {
+    stats = _written_json(out, "topic_stats", {
         "clustered_tweets": len(corpus),
         "iterations": result.iterations,
         "converged": result.converged,

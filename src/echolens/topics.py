@@ -587,9 +587,12 @@ def write_assignments(path: str | Path, assignment_map: Mapping[str, int]) -> No
                                   for tweet_id in sorted(assignment_map)))
 
 
+# The JSON types of each assignment field, which read_assignments checks.
+ASSIGNMENT_FIELDS = {"tweet_id": (str,), "cluster_id": (int,)}
+
+
 def read_assignments(path: str | Path) -> dict[str, int]:
     """Refuses a line that is not an assignment object, or repeats a tweet,
     naming its line."""
     return {obj["tweet_id"]: obj["cluster_id"]
-            for obj in artifacts.read_ndjson(path, {"tweet_id": (str,), "cluster_id": (int,)},
-                                             key="tweet_id")}
+            for obj in artifacts.read_ndjson(path, ASSIGNMENT_FIELDS, key="tweet_id")}

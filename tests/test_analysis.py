@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echolens import demographics, ingest, topics
+from echolens import demographics, pipeline, topics
 from echolens.analysis import disproportionality_report, emit_reports, topic_engagement
 from echolens.config import load_config
 from echolens.demographics import DemographicAnnotation
@@ -255,8 +256,7 @@ def test_report_rows_match_exact_oracle(seed7_run):
     """Every row of the seed-7 report against exact ratios counted axis by
     axis and topic by topic from the run's own intermediates."""
     out = seed7_run.out_dir
-    tweets, errors = ingest.parse_corpus(f"{out}/selected_tweets.ndjson", schema="tweets")
-    assert errors == []
+    tweets = pipeline._parse(Path(out), "tweets")
     want = reference_disproportionality(
         topics.read_assignments(f"{out}/topic_assignments.ndjson"), tweets,
         demographics.read_annotations(f"{out}/annotations.ndjson"),

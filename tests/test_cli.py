@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from echolens import artifacts
+from echolens import artifacts, pipeline
 from echolens.cli import main
 from echolens.config import (ConfigError, RunConfig, derive_seed, load_config,
                              parse_config_text)
@@ -335,6 +335,30 @@ def fixture_dir(tmp_path_factory):
     return root, config
 
 
+@pytest.fixture(scope="module")
+def primed(fixture_dir, tmp_path_factory):
+    """A full run over the fixture, for tests that edit one of its files."""
+    out = tmp_path_factory.mktemp("primed")
+    assert main(["run", "--config", str(fixture_dir[1]), "--out", str(out)]) == 0
+    return out
+
+
+def _edited(**changes):
+    """An edit of one NDJSON line that sets the given keys."""
+    return lambda text: json.dumps({**json.loads(text), **changes})
+
+
+def _without(key):
+    """An edit of one NDJSON line that removes key."""
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+TWEET_KEYS = ("author_id", "created_at", "likes", "lat", "lon", "mentions", "place_name",
+              "replies", "reply_to", "retweet_of", "retweets", "text", "tweet_id")
+USER_KEYS = ("account_kind", "age_estimate", "display_name", "face_count", "followers",
+             "gender_estimate", "handle", "has_profile_photo", "user_id")
+
+
 class TestExitCodes:
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -461,12 +485,33 @@ class TestExitCodes:
         ("report", "topic_assignments.ndjson", 3,
          lambda text: json.dumps({**json.loads(text), "tweet_id": 5}),
          "tweet_id 5 is not str"),
+        # The tweet and user files were read by the raw-archive parser, which
+        # ignores an unknown key and fills in a missing optional one: with
+        # "x": 1 on a line, report exited 0.
+        ("report", "selected_tweets.ndjson", 3, _edited(x=1),
+         f"keys {sorted([*TWEET_KEYS, 'x'])}, expected {sorted(TWEET_KEYS)}"),
+        ("graph", "selected_tweets.ndjson", 3, _without("place_name"),
+         f"keys {sorted(set(TWEET_KEYS) - {'place_name'})}, expected"),
+        ("graph", "selected_tweets.ndjson", 3, _edited(mentions="u0001"),
+         "field 'mentions' must be a list of user ids"),
+        ("report", "selected_tweets.ndjson", 3, _edited(retweets=-1),
+         "field 'retweets' must be a non-negative integer"),
+        ("graph", "selected_tweets.ndjson", 3, _edited(lat=91.0, lon=0.0),
+         "coordinates out of range"),
+        ("communities", "users.ndjson", 3, _edited(x=1),
+         f"keys {sorted([*USER_KEYS, 'x'])}, expected {sorted(USER_KEYS)}"),
+        ("demographics", "users.ndjson", 3, _without("followers"),
+         f"keys {sorted(set(USER_KEYS) - {'followers'})}, expected"),
+        ("report", "users.ndjson", 3, _edited(has_profile_photo="yes"),
+         "field 'has_profile_photo' must be a boolean"),
+        ("demographics", "users.ndjson", 3, _edited(gender_estimate="other"),
+         "field 'gender_estimate' must be one of ('female', 'male', 'unknown')"),
     ])
     def test_malformed_ndjson_record_exit_4_names_file_and_line(
-            self, fixture_dir, tmp_path, capsys, command, name, line, edit, reason):
+            self, fixture_dir, primed, tmp_path, capsys, command, name, line, edit, reason):
         _, config = fixture_dir
         out = tmp_path / "o"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        shutil.copytree(primed, out)
         lines = (out / name).read_text(encoding="utf-8").split("\n")[:-1]
         line = line if line > 0 else len(lines)
         lines[line - 1] = edit(lines[line - 1])
@@ -483,12 +528,14 @@ class TestExitCodes:
         ("report", "topic_assignments.ndjson", "tweet_id"),
         ("review-sample", "topic_assignments.ndjson", "tweet_id"),
         ("report", "annotations.ndjson", "user_id"),
+        ("graph", "selected_tweets.ndjson", "tweet_id"),
+        ("communities", "users.ndjson", "user_id"),
     ])
     def test_repeated_ndjson_id_exit_4_names_file_and_both_lines(
-            self, fixture_dir, tmp_path, capsys, command, name, key):
+            self, fixture_dir, primed, tmp_path, capsys, command, name, key):
         _, config = fixture_dir
         out = tmp_path / "o"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        shutil.copytree(primed, out)
         lines = (out / name).read_text(encoding="utf-8").split("\n")[:-1]
         record = json.loads(lines[2])
         lines.append(json.dumps({**record, "cluster_id": 0} if "cluster_id" in record
@@ -509,13 +556,30 @@ class TestExitCodes:
          "key clustered_tweets is missing"),
         ("ingest_stats.json", lambda stats: {**stats, "records_read": True},
          "records_read true is not int"),
+        # Each stats file refuses a key removed, a key added and a value retyped.
+        ("ingest_stats.json", lambda stats: {k: v for k, v in stats.items() if k != "users_kept"},
+         "key users_kept is missing"),
+        ("ingest_stats.json", lambda stats: {**stats, "x": 1}, "key x is not expected"),
+        ("graph_stats.json", lambda stats: {k: v for k, v in stats.items() if k != "edges"},
+         "key edges is missing"),
+        ("graph_stats.json", lambda stats: {**stats, "x": 1}, "key x is not expected"),
+        ("graph_stats.json", lambda stats: {**stats, "nodes": "297"}, 'nodes "297" is not int'),
+        ("community_stats.json",
+         lambda stats: {k: v for k, v in stats.items() if k != "flagged"},
+         "key flagged is missing"),
+        ("community_stats.json", lambda stats: {**stats, "x": 1}, "key x is not expected"),
+        ("community_stats.json", lambda stats: {**stats, "converged": 1},
+         "converged 1 is not bool"),
+        ("topic_stats.json", lambda stats: {**stats, "x": 1}, "key x is not expected"),
     ])
     def test_malformed_json_stats_exit_4_names_file_and_key(
-            self, fixture_dir, tmp_path, capsys, name, edit, reason):
+            self, fixture_dir, primed, tmp_path, capsys, name, edit, reason):
         _, config = fixture_dir
         out = tmp_path / "o"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        shutil.copytree(primed, out)
         stats = json.loads((out / name).read_text(encoding="utf-8"))
+        # As written, the file reads back equal.
+        assert pipeline._parse(out, name.removesuffix(".json")) == stats
         (out / name).write_text(json.dumps(edit(stats)), encoding="utf-8")
         capsys.readouterr()
         assert main(["report", "--config", str(config), "--out", str(out)]) == 4

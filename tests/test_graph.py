@@ -1,6 +1,8 @@
 
 import gc
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +127,26 @@ def test_edge_csv_round_trip(tmp_path):
     write_node_list(g, tmp_path / "nodes.txt")
     back = read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
     assert graphs_equal(back, g)
+
+
+def test_csv_module_path_leaves_no_unclosed_file(tmp_path):
+    # A quoted id sends the rows through the csv module, over a text wrapper
+    # of the file. Left unclosed, the wrapper's finalizer failed on the
+    # closed file: a ResourceWarning, raised as an error and then ignored.
+    g = InteractionGraph.from_weighted_edges([("a,b", "c", 1, 0), ("c", "a,b", 2, 1)])
+    write_edge_csv(g, tmp_path / "edges.csv")
+    write_node_list(g, tmp_path / "nodes.txt")
+    assert (tmp_path / "edges.csv").read_text().startswith('src,dst,weight,retweets,replies\n"')
+    ignored, hook = [], sys.unraisablehook
+    sys.unraisablehook = ignored.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert graphs_equal(read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt"), g)
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert [repr(u.exc_value) for u in ignored] == []
 
 
 # Ids a line reader would strip or split and a CSV reader must unquote:

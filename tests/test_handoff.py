@@ -86,22 +86,26 @@ def users(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(tweets())
-def test_tweets_and_tweet_index_round_trip(tmp_path_factory, records):
+@given(tweets(), st.data())
+def test_tweets_and_tweet_index_round_trip(tmp_path_factory, records, data):
     out = tmp_path_factory.mktemp("tweets")
     ingest.write_ndjson(out / "selected_tweets.ndjson", records)
     artifacts.write_csv(out / "tweet_index.csv", ["tweet_id", "author_id"],
                         ([t.tweet_id, t.author_id] for t in records))
     assert same(records, parse("tweets", out))
     assert same({t.tweet_id: t.author_id for t in records}, parse("tweet_index", out))
+    if records:
+        assert_key_change_refused(out, "tweets", out / "selected_tweets.ndjson", data)
 
 
 @settings(max_examples=60, deadline=None)
-@given(users())
-def test_users_round_trip_in_file_order(tmp_path_factory, records):
+@given(users(), st.data())
+def test_users_round_trip_in_file_order(tmp_path_factory, records, data):
     out = tmp_path_factory.mktemp("users")
     ingest.write_ndjson(out / "users.ndjson", records.values())
     assert same(records, parse("users", out))
+    if records:
+        assert_key_change_refused(out, "users", out / "users.ndjson", data)
 
 
 def assert_key_change_refused(out, name, path, data):
@@ -187,8 +191,8 @@ json_values = {int: counts, bool: st.booleans(), float: finite, type(None): st.n
 
 
 @pytest.mark.parametrize("name, fields", [
-    ("ingest_stats", pipeline._INGEST_STATS), ("graph_stats", pipeline._GRAPH_STATS),
-    ("community_stats", pipeline._COMMUNITY_STATS), ("topic_stats", pipeline._TOPIC_STATS),
+    (name, pipeline._INTERMEDIATES[name][2])
+    for name in ("ingest_stats", "graph_stats", "community_stats", "topic_stats")
 ])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -199,7 +203,7 @@ def test_json_stats_round_trip_and_refuse_key_changes(tmp_path_factory, name, fi
     stats = {key: data.draw(st.one_of(*map(json_values.get, types)))
              for key, types in fields.items()}
     out = tmp_path_factory.mktemp(name)
-    (path,), _, _ = pipeline._INTERMEDIATES[name]
+    (path,), *_ = pipeline._INTERMEDIATES[name]
     artifacts.write_json(out / path, stats)
     assert same(dict(sorted(stats.items())), parse(name, out))
 

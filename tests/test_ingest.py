@@ -69,6 +69,21 @@ class TestParseCorpus:
         with pytest.raises(OSError):
             parse_corpus(tmp_path / "nope.ndjson", schema="tweets")
 
+    def test_numbers_beyond_float_range_stop_no_parse(self, tmp_corpus):
+        # float() of a 401-digit created_at and int() of an infinite
+        # age_estimate raised OverflowError, which ended the whole parse.
+        path = tmp_corpus("tweets.ndjson", [json.dumps(dict(FULL_TWEET, created_at=10**400))])
+        records, errors = parse_corpus(path, schema="tweets")
+        assert errors == [] and records[0].created_at == 10**400
+        user = {"user_id": "u1", "handle": "amina", "display_name": "Amina Diallo",
+                "face_count": 1, "age_estimate": float("inf")}
+        path = tmp_corpus("users.ndjson", [json.dumps(user), json.dumps(dict(user, user_id="u2",
+                                                                             age_estimate=1.5))])
+        records, errors = parse_corpus(path, schema="users")
+        assert [str(e) for e in errors] == [
+            "line 1: field 'age_estimate' must be a non-negative number"]
+        assert [(u.user_id, u.age_estimate) for u in records] == [("u2", 1)]
+
     def test_retweet_and_reply_to_same_target_rejected(self):
         obj = dict(FULL_TWEET, reply_to="t0", retweet_of="t0")
         with pytest.raises(ValueError):

@@ -158,8 +158,7 @@ def test_topics_normalizes_each_distinct_text_once(fixture_config, full_run, tmp
     monkeypatch.setattr(topics, "normalize_text", counting)
     run_stage(_config(fixture_config, out), "topics")
 
-    tweets, _ = ingest.parse_corpus(out / "selected_tweets.ndjson", schema="tweets")
-    text_of = {t.tweet_id: t.text for t in tweets}
+    text_of = {t.tweet_id: t.text for t in pipeline._parse(out, "tweets")}
     studied = topics.read_assignments(out / "topic_assignments.ndjson")
     distinct = {text_of[tweet_id] for tweet_id in studied}
     assert len(distinct) < len(studied)
@@ -173,6 +172,8 @@ def test_topics_normalizes_each_distinct_text_once(fixture_config, full_run, tmp
     ("communities", "lp_max_rounds", "label propagation",
      ("community_labels.csv", "communities.csv", "review_flags.csv", "community_stats.json")),
     ("influence", "pagerank_max_iter", "PageRank", ("influence.csv", "influence_stats.json")),
+    ("topics", "kmeans_max_iter", "k-means",
+     ("topic_assignments.ndjson", "topic_clusters.csv", "topic_stats.json")),
 ])
 def test_kernel_stopped_at_its_limit_warns_once(stage, knob, kernel, reports, fixture_config,
                                                 full_run, tmp_path, capsys):
@@ -189,6 +190,21 @@ def test_kernel_stopped_at_its_limit_warns_once(stage, knob, kernel, reports, fi
                                        "without converging\n")
     stats = json.loads((out / reports[-1]).read_text(encoding="utf-8"))
     assert stats["converged"] is False
+
+
+def test_gate_that_keeps_no_community_warns_once(fixture_config, full_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(full_run, out)
+    capsys.readouterr()
+    run_stage(_config(fixture_config, out), "communities")
+    assert capsys.readouterr().err == ""
+
+    run_stage(_config(fixture_config, out, min_community_size=150), "communities")
+    stats = json.loads((out / "community_stats.json").read_text(encoding="utf-8"))
+    assert capsys.readouterr().err == (
+        "warning: the community gate at min_community_size=150 kept none of "
+        f"{stats['communities_pre_gate']} communities\n")
+    assert stats["communities_pre_gate"] > 0 and stats["communities_post_gate"] == 0
 
 
 @pytest.mark.parametrize("name, consumer, producer", [
