@@ -4,8 +4,9 @@ This is the one module that opens intermediate and report files, so the
 on-disk format is decided here and nowhere else:
 
 - Every artifact is UTF-8 text with `\\n` line endings and a trailing newline.
-- CSV: a header row, then one row per record; minimal quoting, and a field
-  holding a carriage return is quoted too.
+- CSV: a header row, then one row per record; minimal quoting, `""` for a
+  quote in a quoted field, and a field holding a carriage return is quoted
+  too. `read_csv_chunks` states what reading accepts and refuses.
 - JSON: one value, `indent=2`, sorted keys, non-ASCII kept as UTF-8.
 - NDJSON: one object per line, sorted keys, non-ASCII kept as UTF-8.
 - Columns: a headerless one-column CSV, one value per row.
@@ -16,14 +17,14 @@ the target with `os.replace`. If the writer raises, the temporary file is
 removed and any earlier file at the path is left untouched, so a reader never
 sees a half-written artifact. `write_coded_csv` writes the bytes
 `write_csv` would, from columns given as distinct cells and one integer code
-per row. Readers of row formats stream rows lazily; `read_csv_chunks` streams
-a CSV file column-wise, a slice at a time, as `Cells`: the fields' UTF-8
-bytes, which callers turn into arrays without an object per field. Both CSV
-readers refuse a row whose field count is not the header's, `read_csv` a
-field its converter refuses, and the NDJSON reader a line that is not an
-object of the expected fields and types, or that repeats a key field, naming
-the file and the line; the JSON reader likewise refuses an object whose keys
-or value types are not the expected ones, naming the file and the key.
+per row. Every CSV file is read by `read_csv_chunks`, column-wise, a slice at
+a time, as `Cells`: the fields' UTF-8 bytes, which callers turn into arrays
+without an object per field; `read_csv` and `read_column` give the same read
+as dicts and as values. Other readers stream rows lazily: the NDJSON reader
+refuses a line that is not an object of the expected fields and types, or
+that repeats a key field, naming the file and the line; the JSON reader
+likewise refuses an object whose keys or value types are not the expected
+ones, naming the file and the key.
 """
 
 from __future__ import annotations
@@ -75,47 +76,38 @@ def _replace_atomically(path: str | Path, newline: str = "", binary: bool = Fals
 
 
 _CHUNK_ROWS = 1024
+_QUOTE, _COMMA, _LF, _CR = b'",\n\r'
 
 
-def _formatted(rows: Iterable[Sequence[Any]]) -> Iterator[tuple[str, list[int]]]:
-    """The CSV text of rows, _CHUNK_ROWS at a time, with each row's length in
-    characters. Rows are sequences, since a chunk may be read twice.
-
-    Python's csv writer quotes a field for the characters of its line
-    terminator, not for a lone carriage return, which every reader then takes
-    for the end of the row. The writer never emits a carriage return itself,
-    so a chunk whose text holds one is formatted again row by row with
-    "\r\n" as the terminator, which quotes those fields, and each row's
-    "\r\n" is cut back to "\n"."""
+def _formatted(rows: Iterable[Sequence[Any]]) -> Iterator[str]:
+    """The CSV text of rows, _CHUNK_ROWS at a time. Rows are sequences, since
+    a chunk may be read twice. Python's csv writer quotes a field for the
+    characters of its line terminator, not for a lone carriage return, which
+    a reader takes for the end of the row. So a chunk whose text holds one is
+    formatted again with "\r\n" as the terminator, which quotes those fields,
+    and each "\r\n" outside quotes, a row's end, is cut back to "\n"."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         buf.seek(0)
         buf.truncate()
-        lengths = list(map(writer.writerow, chunk))
+        writer.writerows(chunk)
         text = buf.getvalue()
         if "\r" in text:
-            quoting = csv.writer(buf, lineterminator="\r\n")
-            lines = []
-            for row in chunk:
-                buf.seek(0)
-                buf.truncate()
-                quoting.writerow(row)
-                lines.append(buf.getvalue()[:-2] + "\n")
-            text, lengths = "".join(lines), list(map(len, lines))
-        yield text, lengths
-
-
-def _write_rows(fh, rows: Iterable[Sequence[Any]]) -> None:
-    for text, _ in _formatted(rows):
-        fh.write(text)
+            buf.seek(0)
+            buf.truncate()
+            csv.writer(buf, lineterminator="\r\n").writerows(chunk)
+            parts = buf.getvalue().split('"')
+            parts[::2] = [part.replace("\r\n", "\n") for part in parts[::2]]
+            text = '"'.join(parts)
+        yield text
 
 
 def write_csv(path: str | Path, header: Sequence[str],
               rows: Iterable[Sequence[Any]]) -> None:
     with _replace_atomically(path, newline="") as fh:
-        _write_rows(fh, chain([header], rows))
+        fh.writelines(_formatted(chain([header], rows)))
 
 
 # Rows that write_coded_csv puts together with one gather.
@@ -126,27 +118,13 @@ def _cell_bytes(cells: Sequence[Any]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """(bytes, starts, lengths): the UTF-8 bytes of each cell as write_csv
     formats it in a row of several fields, followed by a ",".
 
-    Each cell is formatted as the row [cell, ""], and the line feed is cut;
-    alone in its row, an empty cell would be quoted."""
-    texts, lengths = [], []
-    for text, n in _formatted(zip(cells, repeat(""))):
-        texts.append(text)
-        lengths += n
-    text = "".join(texts)
-    data = text.encode("utf-8")
-    lengths = np.array(lengths, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    starts = _byte_offsets(text, data, ends - lengths)
-    return np.frombuffer(data, np.uint8), starts, _byte_offsets(text, data, ends - 1) - starts
-
-
-def _byte_offsets(text: str, data: bytes, offsets: np.ndarray) -> np.ndarray:
-    """The offsets in data, the UTF-8 encoding of text, of text's character
-    offsets."""
-    if len(data) == len(text):  # ASCII
-        return offsets
-    chars = np.flatnonzero((np.frombuffer(data, np.uint8) & 0xC0) != 0x80)
-    return np.append(chars, len(data))[offsets]
+    Each cell is formatted as the row [cell, ""], cut at its line feed outside
+    quotes; alone in its row, an empty cell would be quoted."""
+    data = np.frombuffer("".join(_formatted(zip(cells, repeat("")))).encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(data == _LF)
+    ends = ends[np.searchsorted(np.flatnonzero(data == _QUOTE), ends) % 2 == 0]
+    starts = np.append(0, ends + 1)[:-1]
+    return data, starts, ends - starts
 
 
 def write_coded_csv(path: str | Path, header: Sequence[str],
@@ -173,7 +151,7 @@ def write_coded_csv(path: str | Path, header: Sequence[str],
         where.append((*placed[id(cells)], codes))
     data = np.concatenate(tables)
     with _replace_atomically(path, binary=True) as fh:
-        fh.write(next(_formatted([header]))[0].encode("utf-8"))
+        fh.write(next(_formatted([header])).encode("utf-8"))
         for a in range(0, rows, _GATHER_ROWS):
             span = slice(a, a + _GATHER_ROWS)
             starts = np.column_stack([s[codes[span]] for s, _, codes in where]).ravel()
@@ -202,18 +180,16 @@ def write_ndjson(path: str | Path, objects: Iterable[Any]) -> None:
 
 def write_column(path: str | Path, values: Iterable[str]) -> None:
     with _replace_atomically(path, newline="") as fh:
-        _write_rows(fh, ((value,) for value in values))
+        fh.writelines(_formatted((value,) for value in values))
 
 
 def read_csv(path: str | Path,
              types: Mapping[str, Callable[[str], Any]] | None = None) -> Iterator[dict[str, Any]]:
-    """Yield each data row as a header-keyed dict, the fields named in types
-    converted by their function. Blank lines are skipped; a row whose field
-    count is not the header's, or a field its function refuses with a
-    ValueError, is refused, naming its line."""
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        for names, line, row in _csv_rows(path, fh, None, 1):
-            record = dict(zip(names, row))
+    """Yield read_csv_chunks' rows as header-keyed dicts, the fields named in
+    types converted by their function; one it refuses (ValueError) names its line."""
+    for lines, columns in read_csv_chunks(path):
+        for line, row in zip(lines, zip(*(cells.strings() for cells in columns.values()))):
+            record = dict(zip(columns, row))
             for name, convert in (types or {}).items():
                 try:
                     record[name] = convert(record[name])
@@ -221,29 +197,6 @@ def read_csv(path: str | Path,
                     raise ValueError(f"{path} line {line}: {name} {record[name]!r} is not "
                                      f"{convert.__name__}") from None
             yield record
-
-
-def _csv_rows(path: str | Path, fh, names: list[str] | None,
-              line: int) -> Iterator[tuple[list[str], int, list[str]]]:
-    """Yield (header names, start line, fields) for each non-blank data row of
-    the text file fh, read from its position, the start of `line`; the first
-    row is the header if names is None. fh splits lines at "\n" only, as
-    they are written, so a carriage return in a quoted field starts no line.
-    A ragged row, or an unquoted carriage return, raises, naming its line."""
-    reader = csv.reader(fh)
-    start = line
-    try:
-        for row in reader:
-            if row and names is None:
-                names = row
-            elif row:
-                if len(row) != len(names):
-                    raise ValueError(f"{path} line {start}: {len(row)} fields, the header "
-                                     f"has {len(names)}")
-                yield names, start, row
-            start = line + reader.line_num
-    except csv.Error as exc:
-        raise ValueError(f"{path} line {start}: {exc}") from None
 
 
 # Big-endian masks that keep the first r bytes of 8, for r = 0 to 8.
@@ -264,11 +217,10 @@ class Cells:
 
     @classmethod
     def of(cls, strings: Sequence[str]) -> "Cells":
-        text = "".join(strings)
-        data = text.encode("utf-8")
-        ends = np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)))
-        bounds = _byte_offsets(text, data, np.append(0, ends))
-        return cls(np.frombuffer(data + bytes(8), np.uint8), bounds[:-1], np.diff(bounds))
+        data = [string.encode("utf-8") for string in strings]
+        lengths = np.fromiter(map(len, data), np.int64, len(data))
+        return cls(np.frombuffer(b"".join(data) + bytes(8), np.uint8),
+                   np.cumsum(lengths) - lengths, lengths)
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -277,9 +229,9 @@ class Cells:
         return Cells(self.data, self.starts[rows], self.lengths[rows])
 
     def strings(self) -> list[str]:
-        view = memoryview(self.data)
-        return [str(view[start:start + n], "utf-8")
-                for start, n in zip(self.starts.tolist(), self.lengths.tolist())]
+        text = self.data.tobytes().decode("latin-1")  # a character a byte
+        fields = [text[a:a + n] for a, n in zip(self.starts.tolist(), self.lengths.tolist())]
+        return fields if text.isascii() else [f.encode("latin-1").decode() for f in fields]
 
     def words(self, j: int) -> np.ndarray:
         """Bytes 8j to 8j + 7 of each field as a big-endian uint64, zero past
@@ -359,61 +311,108 @@ _CHUNK_BYTES = 1 << 18
 
 
 def read_csv_chunks(path: str | Path) -> Iterator[tuple[Sequence[int], dict[str, Cells]]]:
-    """Yield a CSV file's data rows column-wise, a slice of the file at a
-    time, as (lines, {header name: Cells}); row j of a slice starts on line
-    lines[j]. Blank lines are skipped.
+    """Yield a CSV file's data rows column-wise, a slice at a time, as
+    (lines, {header name: Cells}); row j of a slice starts on line lines[j],
+    counting line feeds in quoted fields. One dialect is read, write_csv's:
+    minimal quoting, a quote only opening, closing or doubled in a field, and
+    also "\\r\\n" row ends; blank lines are skipped (a lone "" is an empty
+    field). Refused, naming the line: a stray quote, a carriage return outside
+    quotes that ends no row, bytes not UTF-8, and a row whose field count is
+    not the header's."""
+    return _chunks(path, None)
 
-    Builds no object per row or field. Each slice of _CHUNK_BYTES, read on to
-    the end of its line, is split at its separators by numpy while it is
-    plain: no quote or carriage return, and its separators the header's row
-    pattern repeated, k - 1 commas and a line feed for k columns. With two or
-    more columns that rules out a blank line too; with one, a blank line is
-    an empty field, and write_csv quotes a lone empty field. The separators
-    are found on the bytes, since in UTF-8 no byte of a multi-byte character
-    is a comma or a line feed. From the first slice that is not plain, the
-    rest of the file goes through the csv module, _CHUNK_ROWS rows at a
-    time, since a quoted field may span lines; there a row whose field count
-    is not the header's is refused, naming its line.
-    """
+
+def _chunks(path: str | Path, names: list[str] | None) -> Iterator[tuple]:
+    """read_csv_chunks, or, given names, that of a file with no header. Slices
+    end at a line feed after an even count of quotes; `in` spares a slow count."""
+    line = 1
     with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8")
-        names, line = None, 1
-        if header.strip("\n") and not any(c in header for c in '"\r'):
-            names, line = header.rstrip("\n").split(","), 2
-            k = len(names)
-            row = np.frombuffer(b"," * (k - 1) + b"\n", np.uint8)  # the separators of one row
-            while data := fh.read(_CHUNK_BYTES) + fh.readline():
-                end = b"" if data.endswith(b"\n") else b"\n"  # of an unterminated last line
-                buf = np.frombuffer(data + end + bytes(8), np.uint8)
-                ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-                starts = np.empty_like(ends)
-                starts[0], starts[1:] = 0, ends[:-1] + 1
-                lengths = ends - starts
-                rows = ends.size // k
-                if (b'"' in data or b"\r" in data or ends.size % k
-                        or not (buf[ends].reshape(rows, k) == row).all()
-                        or k == 1 and not lengths.all()):
-                    fh.seek(fh.tell() - len(data))
-                    break
-                if not data.isascii():
-                    data.decode("utf-8")  # refuses what is not UTF-8, as the csv module would
-                yield range(line, line + rows), {
-                    name: Cells(buf, starts[i::k], lengths[i::k]) for i, name in enumerate(names)}
-                line += rows
-        else:
-            fh.seek(0)
-        with io.TextIOWrapper(fh, encoding="utf-8", newline="\n") as text:
-            rows = _csv_rows(path, text, names, line)
-            while chunk := list(islice(rows, _CHUNK_ROWS)):
-                headers, lines, fields = zip(*chunk)
-                yield lines, {name: Cells.of(cells)
-                              for name, cells in zip(headers[0], zip(*fields))}
+        while data := fh.read(_CHUNK_BYTES) + fh.readline():
+            while b'"' in data and data.count(b'"') % 2 and (more := fh.readline()):
+                data += more + fh.read(_CHUNK_BYTES) + fh.readline()
+            data += b"" if data.endswith(b"\n") else b"\n"
+            names, lines, buf, starts, lengths, line = _split(path, data, line, names)
+            if len(lines):
+                yield lines, {name: Cells(buf, starts[:, i], lengths[:, i])
+                              for i, name in enumerate(names)}
+
+
+def _split(path: str | Path, data: bytes, line: int, names: list[str] | None) -> tuple:
+    """(names, lines, buf, starts, lengths, line) of data, whole rows from
+    line `line` on: the names given or the header's, each data row's
+    line, its fields' starts and lengths in buf as (rows, k) arrays, and the
+    line after data. Plain data (no quote or carriage return, and the
+    header's separators on every row) is split at each comma and line feed.
+    Otherwise quote i opens a field or ends a "" pair if i is even, and
+    closes a field or starts a pair if odd: so a comma or line feed
+    separates only after an even count of quotes, and a quote is stray
+    unless it opens or closes a field or is in a pair. No byte of a
+    multi-byte UTF-8 character is a quote, comma or line feed."""
+    faults = []
+    try:
+        data.isascii() or data.decode("utf-8")  # ASCII is UTF-8, and decoding copies
+    except UnicodeDecodeError as exc:
+        faults = [(exc.start, f"invalid UTF-8, {exc.reason}")]
+    plain = not faults and b'"' not in data and b"\r" not in data
+    if names is None and plain and data[:1] != b"\n":
+        head, data = data.split(b"\n", 1)  # a plain header
+        names, line = head.decode().split(","), line + 1
+    buf = np.frombuffer(data + bytes(8), np.uint8)
+    if names is not None and plain:
+        k = len(names)
+        ends = np.flatnonzero((buf == _COMMA) | (buf == _LF))
+        starts = np.append(0, ends + 1)[:-1]
+        rows, row = ends.size // k, np.frombuffer(b"," * (k - 1) + b"\n", np.uint8)
+        if (not ends.size % k and (buf[ends].reshape(rows, k) == row).all()
+                and (k > 1 or (ends > starts).all())):  # else a blank line, as "" is written
+            starts, lengths = starts.reshape(rows, k), (ends - starts).reshape(rows, k)
+            return names, range(line, line + rows), buf, starts, lengths, line + rows
+
+    quotes = np.flatnonzero(buf == _QUOTE)
+    seps = np.flatnonzero((buf == _COMMA) | (buf == _LF) | (buf == _CR))
+    # The last line feed ends the last row, even in a quoted field never closed.
+    seps = seps[(np.searchsorted(quotes, seps) % 2 == 0) | (seps == len(data) - 1)]
+    crs, seps = seps[buf[seps] == _CR], seps[buf[seps] != _CR]
+    starts = np.append(0, seps + 1)[:-1]
+    ends = seps - ((buf[seps] == _LF) & (buf[seps - 1] == _CR))  # "\r\n" ends a row too
+    last = np.flatnonzero(buf[seps] == _LF)  # the last field of each row
+    first = np.append(0, last + 1)[:-1]
+    counts = last - first + 1
+    rows = np.flatnonzero((counts > 1) | (ends[first] > starts[first]))  # not blank
+    header = rows[0] if names is None and rows.size else None
+    rows = rows[header is not None:]
+    k = len(names or ()) if header is None else counts[header]
+    opens, closes = quotes[0::2], quotes[1::2]
+    pairs = buf[closes + 1] == _QUOTE
+    stray = np.concatenate([opens[~np.isin(opens, starts) & (buf[opens - 1] != _QUOTE)],
+                            closes[~np.isin(closes + 1, ends) & ~pairs],
+                            quotes[quotes.size - quotes.size % 2:]])  # never closed
+    ragged = rows[counts[rows] != k][:1]
+    faults += [(at.min(), message) for at, message in (
+        (stray, "stray quote"),
+        (crs[buf[crs + 1] != _LF], "new-line character seen in unquoted field"),
+        (seps[last[ragged]], f"{counts[ragged].sum()} fields, the header has {k}")) if at.size]
+    if faults:
+        at, message = min(faults)  # the first in the data
+        line += data.count(b"\n", 0, starts[first[np.searchsorted(seps[last], at)]])
+        raise ValueError(f"{path} line {line}: {message}")
+
+    feeds = np.flatnonzero(buf == _LF)
+    lines = line + np.searchsorted(feeds, starts[first[rows]])
+    drop = np.delete(quotes, 2 * np.flatnonzero(pairs) + 1)  # all but one quote of each pair
+    buf = np.delete(buf, drop)
+    starts, ends = starts - np.searchsorted(drop, starts), ends - np.searchsorted(drop, ends)
+    lengths = ends - starts
+    if header is not None:
+        names = Cells(buf, starts, lengths)[first[header]:last[header] + 1].strings()
+    fields = first[rows][:, None] + np.arange(k)
+    return names, lines, buf, starts[fields], lengths[fields], line + feeds.size
 
 
 def read_column(path: str | Path) -> Iterator[str]:
-    """Yield the values written by write_column, exactly; blank lines are skipped."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        yield from (row[0] for row in csv.reader(fh) if row)
+    """Yield the values written by write_column, exactly."""
+    for _, columns in _chunks(path, [""]):
+        yield from columns[""].strings()
 
 
 def read_json(path: str | Path, fields: Mapping[str, tuple[type, ...]]) -> dict:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echolens import artifacts
+from echolens import artifacts, demographics
 
 
 def test_formats_are_utf8_with_newline_endings(tmp_path):
@@ -214,8 +214,9 @@ def test_read_csv_chunks_round_trips_and_names_a_ragged_row(tmp_path_factory, ro
     # One row gains or loses a field, or one gains and another loses one, so
     # that the file as a whole still holds a multiple of the header's fields.
     # Plain fields keep every slice on the plain path unless a row is ragged;
-    # the others send the file through the csv module. Slices of 16 bytes and
-    # chunks of 2 rows put a ragged row in any slice or chunk.
+    # the others send each slice that holds a quote or a carriage return
+    # through the quote-parity split. Slices of 16 bytes put a ragged row in
+    # any slice, and chunks of 2 rows split the writing.
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     names = [f"c{i}" for i in range(len(rows[0]))]
     starts = [2 + sum(1 + sum(f.count("\n") for f in row) for row in rows[:j])
@@ -239,3 +240,114 @@ def test_read_csv_chunks_round_trips_and_names_a_ragged_row(tmp_path_factory, ro
                                              rf"{len(edited[first])} fields, "
                                              rf"the header has {len(names)}$"):
             read_columns(path, names)
+
+
+def csv_module_rows(path):
+    """The oracle: the non-blank rows Python's csv module reads from the file."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [row for row in csv.reader(fh) if row]
+
+
+oracle_fields = st.text(alphabet=st.sampled_from(list(',"\n\r\x00é語a')), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+           st.lists(oracle_fields, min_size=k, max_size=k, unique=True),
+           st.lists(st.lists(oracle_fields, min_size=k, max_size=k), max_size=8))),
+       st.sampled_from([16, 17]))
+def test_reads_equal_the_csv_module(tmp_path_factory, table, chunk_bytes):
+    # Reads of 16 or 17 bytes end anywhere, in a quoted field too, and a
+    # quoted field longer than a read spans reads. The "\r\n" copy ends its
+    # rows at a carriage return and a line feed that a read may split. A row
+    # starts on the line after the line feeds before it, those inside quoted
+    # fields included.
+    header, rows = table
+    tmp = tmp_path_factory.mktemp("csv")
+    artifacts.write_csv(tmp / "lf.csv", header, rows)
+    with open(tmp / "crlf.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\r\n").writerows([header] + rows)
+    artifacts.write_column(tmp / "column.txt", [row[0] for row in [header] + rows])
+    lines = [2 + sum(field.count("\n") for row in [header] + rows[:j] for field in row) + j
+             for j in range(len(rows))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(artifacts, "_CHUNK_BYTES", chunk_bytes)
+        for path in (tmp / "lf.csv", tmp / "crlf.csv"):
+            names, *body = csv_module_rows(path)
+            assert [names] + body == [header] + rows
+            assert list(artifacts.read_csv(path)) == [dict(zip(names, row)) for row in body]
+            assert read_columns(path, names) == (
+                {name: [row[i] for row in body] for i, name in enumerate(names)}, lines)
+        assert list(artifacts.read_column(tmp / "column.txt")) == [
+            row[0] for row in csv_module_rows(tmp / "column.txt")]
+
+
+def test_crlf_split_across_a_slice_boundary_and_a_long_quoted_field(tmp_path, monkeypatch):
+    monkeypatch.setattr(artifacts, "_CHUNK_BYTES", 16)
+    path = tmp_path / "t.csv"
+    long = 'a "quoted", field\r\nlonger than a slice'
+    path.write_bytes(b'a,b\r\n1234567,89\r\n3,"' + long.replace('"', '""').encode()
+                     + b'"\r\n4,5\r\n')
+    assert path.read_bytes()[15:17] == b"\r\n"
+    assert read_columns(path, "ab") == ({"a": ["1234567", "3", "4"], "b": ["89", long, "5"]},
+                                        [2, 3, 5])
+
+
+def test_quoted_header_blank_lines_and_a_lone_empty_field(tmp_path):
+    # Blank lines before the header are skipped; a lone "" is an empty field.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'\n\r\n"a""1,\n"\n""\n\nx\n')
+    assert read_columns(path, ['a"1,\n']) == ({'a"1,\n': ["", "x"]}, [5, 7])
+    path.write_bytes(b'"a","b c"\n"1",2\n')
+    assert list(artifacts.read_csv(path)) == [{"a": "1", "b c": "2"}]
+
+
+# The written file: row 2 holds a field of two lines, so row 3 starts on line
+# 4 and row 4 on line 5.
+WRITTEN = ['1,"x\ny"\n', '2,"say ""hi"""\n', "3,z\n"]
+
+
+@pytest.mark.parametrize("row, edited, line, message", [
+    (2, b'3,a"z\n', 5, "stray quote"),
+    (0, b'1,"x\ny"q\n', 2, "stray quote"),
+    (1, b'2,"say ""hi""" \n', 4, "stray quote"),
+    (2, b'3,"z\n', 5, "stray quote"),  # never closed
+    (2, b"3,z\rw\n", 5, "new-line character seen in unquoted field"),
+    (1, b'2,"say ""hi""",w\n', 4, "3 fields, the header has 2"),
+    (1, b'2,"say ""h\xffi"""\n', 4, "invalid UTF-8, invalid start byte"),
+    (0, b'1,"x\n\xe8y"\n', 2, "invalid UTF-8, invalid continuation byte"),
+])
+@pytest.mark.parametrize("chunk_bytes", [16, 1 << 18])
+def test_read_refuses_what_the_writer_never_writes_naming_its_line(
+        tmp_path, monkeypatch, row, edited, line, message, chunk_bytes):
+    monkeypatch.setattr(artifacts, "_CHUNK_BYTES", chunk_bytes)
+    path = tmp_path / "t.csv"
+    artifacts.write_csv(path, ["a", "b"], [["1", "x\ny"], ["2", 'say "hi"'], ["3", "z"]])
+    rows = ["a,b\n"] + WRITTEN
+    assert path.read_bytes() == "".join(rows).encode()
+    rows[1 + row] = edited
+    path.write_bytes(b"".join(r if isinstance(r, bytes) else r.encode() for r in rows))
+    for read in (artifacts.read_csv, artifacts.read_csv_chunks):
+        with pytest.raises(ValueError, match=rf"t\.csv line {line}: {message}$"):
+            list(read(path))
+
+
+def test_the_first_fault_is_named_whatever_the_slice_size(tmp_path, monkeypatch):
+    # A ragged row, then bytes that are not UTF-8: one slice holds both, or
+    # each is in its own.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\n1,2,3\n\xff,4\n")
+    for chunk_bytes in (4, 1 << 18):
+        monkeypatch.setattr(artifacts, "_CHUNK_BYTES", chunk_bytes)
+        with pytest.raises(ValueError, match=r"t\.csv line 2: 3 fields, the header has 2$"):
+            list(artifacts.read_csv_chunks(path))
+
+
+def test_crlf_copies_of_the_bundled_data_load_the_same(tmp_path):
+    for name, load in (("gazetteer.csv", demographics.load_gazetteer),
+                       ("name_lists.csv", demographics.load_name_lists)):
+        bundled = demographics.default_data_path(name)
+        copy = tmp_path / name
+        copy.write_bytes(bundled.read_bytes().replace(b"\n", b"\r\n"))
+        assert copy.read_bytes().count(b"\r\n") > 10
+        assert load(copy) == load(bundled)

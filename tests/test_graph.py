@@ -130,9 +130,10 @@ def test_edge_csv_round_trip(tmp_path):
 
 
 def test_csv_module_path_leaves_no_unclosed_file(tmp_path):
-    # A quoted id sends the rows through the csv module, over a text wrapper
-    # of the file. Left unclosed, the wrapper's finalizer failed on the
-    # closed file: a ResourceWarning, raised as an error and then ignored.
+    # A quoted id sends its slice through the quote-parity split. It once
+    # sent the rows through the csv module, over a text wrapper of the file;
+    # left unclosed, the wrapper's finalizer failed on the closed file: a
+    # ResourceWarning, raised as an error and then ignored.
     g = InteractionGraph.from_weighted_edges([("a,b", "c", 1, 0), ("c", "a,b", 2, 1)])
     write_edge_csv(g, tmp_path / "edges.csv")
     write_node_list(g, tmp_path / "nodes.txt")
@@ -246,7 +247,7 @@ def test_non_integer_count_rejected_by_every_builder(builder, bad, message, tmp_
 
 
 def test_bad_count_cell_named_by_the_line_its_row_starts_on(tmp_path):
-    # A quoted id spanning two lines sends the file through the csv module.
+    # A quoted id spanning two lines sends its slice through the quote-parity split.
     (tmp_path / "edges.csv").write_text(
         'src,dst,weight,retweets,replies\n"b\nc",a,1,1,0\na,b,1,1,x\n')
     (tmp_path / "nodes.txt").write_text("a\nb\n")
