@@ -325,19 +325,20 @@ def read_csv_chunks(path: str | Path) -> Iterator[tuple[Sequence[int], dict[str,
 def _chunks(path: str | Path, names: list[str] | None) -> Iterator[tuple]:
     """read_csv_chunks, or, given names, that of a file with no header. Slices
     end at a line feed after an even count of quotes; `in` spares a slow count."""
-    line = 1
+    line, headed = 1, names is None
     with open(path, "rb") as fh:
         while data := fh.read(_CHUNK_BYTES) + fh.readline():
             while b'"' in data and data.count(b'"') % 2 and (more := fh.readline()):
                 data += more + fh.read(_CHUNK_BYTES) + fh.readline()
             data += b"" if data.endswith(b"\n") else b"\n"
-            names, lines, buf, starts, lengths, line = _split(path, data, line, names)
+            names, lines, buf, starts, lengths, line = _split(path, data, line, names, headed)
             if len(lines):
                 yield lines, {name: Cells(buf, starts[:, i], lengths[:, i])
                               for i, name in enumerate(names)}
 
 
-def _split(path: str | Path, data: bytes, line: int, names: list[str] | None) -> tuple:
+def _split(path: str | Path, data: bytes, line: int, names: list[str] | None,
+           headed: bool) -> tuple:
     """(names, lines, buf, starts, lengths, line) of data, whole rows from
     line `line` on: the names given or the header's, each data row's
     line, its fields' starts and lengths in buf as (rows, k) arrays, and the
@@ -347,7 +348,8 @@ def _split(path: str | Path, data: bytes, line: int, names: list[str] | None) ->
     closes a field or starts a pair if odd: so a comma or line feed
     separates only after an even count of quotes, and a quote is stray
     unless it opens or closes a field or is in a pair. No byte of a
-    multi-byte UTF-8 character is a quote, comma or line feed."""
+    multi-byte UTF-8 character is a quote, comma or line feed. A ragged row
+    is named against the header's count only if `headed`."""
     faults = []
     try:
         data.isascii() or data.decode("utf-8")  # ASCII is UTF-8, and decoding copies
@@ -391,7 +393,8 @@ def _split(path: str | Path, data: bytes, line: int, names: list[str] | None) ->
     faults += [(at.min(), message) for at, message in (
         (stray, "stray quote"),
         (crs[buf[crs + 1] != _LF], "new-line character seen in unquoted field"),
-        (seps[last[ragged]], f"{counts[ragged].sum()} fields, the header has {k}")) if at.size]
+        (seps[last[ragged]], f"{counts[ragged].sum()} fields, "
+                             f"{'the header has' if headed else 'expected'} {k}")) if at.size]
     if faults:
         at, message = min(faults)  # the first in the data
         line += data.count(b"\n", 0, starts[first[np.searchsorted(seps[last], at)]])

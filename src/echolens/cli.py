@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, RunConfig, load_config, parse_list
+from .config import ConfigError, RunConfig, load_config, parse_config_text
 from .pipeline import (STAGES, MissingInputError, StageError, review_sample,
                        run_pipeline, run_stage)
 from .synth import write_fixture
@@ -25,14 +25,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Batch social-graph analytics over archived corpora.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each override flag's dest is a config key, whose parser reads its value.
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="run config file (flat key = value)")
         p.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="global seed (overrides config)")
-        p.add_argument("--k", type=int, help="number of topic clusters")
-        p.add_argument("--min-community-size", type=int, dest="min_community_size",
+        p.add_argument("--seed", help="global seed (overrides config)")
+        p.add_argument("--k", help="number of topic clusters")
+        p.add_argument("--min-community-size", dest="min_community_size",
                        help="community gate threshold (strictly greater than)")
-        p.add_argument("--damping", type=float, help="PageRank damping factor")
+        p.add_argument("--damping", help="PageRank damping factor")
         p.add_argument("--formats", help="report formats, e.g. csv,json")
 
     run_p = sub.add_parser("run", help="run the full pipeline")
@@ -44,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     review_p = sub.add_parser("review-sample",
                               help="stratified topic sample for human review")
     add_common(review_p)
-    review_p.add_argument("--n", type=int, help="number of topics to sample")
+    review_p.add_argument("--n", dest="review_sample_size", metavar="N",
+                          help="number of topics to sample")
 
     synth_p = sub.add_parser("synth",
                              help="write the synthetic fixture corpus and config")
@@ -55,18 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    for key in ("out_dir", "seed", "k", "min_community_size", "damping"):
-        if getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
-    if args.formats is not None:
-        cfg.formats = set(parse_list(args.formats))
-    if getattr(args, "n", None) is not None:
-        cfg.review_sample_size = args.n
-    errors = cfg.validate()
-    if errors:
-        raise ConfigError(errors)
-    return cfg
+    flags = {key: raw for key, raw in vars(args).items()
+             if raw is not None and key not in ("command", "config")}
+    return load_config(args.config, flags) if args.config else parse_config_text("", flags)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,15 +72,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = _load(args)
-    except ConfigError as exc:
-        for message in exc.errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-
-    try:
         if args.command == "run":
             manifest = run_pipeline(cfg)
             print(f"pipeline complete; manifest at {manifest}")
@@ -97,8 +81,15 @@ def main(argv: list[str] | None = None) -> int:
         else:
             run_stage(cfg, args.command)
             print(f"stage {args.command} complete")
+    except ConfigError as exc:
+        for message in exc.errors:
+            print(f"config error: {message}", file=sys.stderr)
+        return EXIT_CONFIG
     except MissingInputError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_MISSING_INPUT
+    except FileNotFoundError as exc:
+        print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except StageError as exc:
         print(str(exc), file=sys.stderr)

@@ -2,9 +2,12 @@
 
 A config file is plain text, one `key = value` per line; a line starting with
 `#` is a comment. An empty file yields exactly the documented defaults. Stream
-specs use grouped keys (stream.1.kind, stream.1.keywords, ...). The config hash
-covers every semantic setting but not the output directory, so the same inputs
-written to two locations still produce identical manifests.
+specs use grouped keys (stream.1.kind, stream.1.keywords, ...). Each other key
+is declared once, as a RunConfig field: its default, its check and, for a data
+file, its bundled fixture; a value from a file or a flag is parsed by the type
+of its default. The config hash covers every semantic setting but not the
+output directory, so the same inputs written to two locations still produce
+identical manifests.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import ClassVar
 
 from .demographics import default_data_path
 from .ingest import StreamSpec
@@ -21,7 +25,7 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "parse_config_text", "pars
            "derive_seed"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid configuration; .errors lists field-level messages."""
 
     def __init__(self, errors: list[str]):
@@ -29,64 +33,87 @@ class ConfigError(Exception):
         self.errors = errors
 
 
+def _key(default, check=None, fixture: str | None = None):
+    """A field: its default (a set is copied for each config), its check of
+    (config, key), which returns a message or None, and a data file's fixture."""
+    metadata = {"check": check, "fixture": fixture}
+    if isinstance(default, set):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _check(passes, message: str):
+    """A check of one key: `key: message` unless passes(its value)."""
+    return lambda cfg, key: None if passes(getattr(cfg, key)) else f"{key}: {message}"
+
+
+def _rule(passes, message: str):
+    """A check of several keys, declared on the last: `message` unless passes(cfg)."""
+    return lambda cfg, key: None if passes(cfg) else message
+
+
+def _at_least(n: int):
+    return _check(lambda value: value >= n, f"must be >= {n}")
+
+
+def _inside(lo: int, hi: int):
+    return _check(lambda value: lo < value < hi, f"must be in ({lo}, {hi})")
+
+
+def _one_of(*options: str):
+    return _check(lambda value: value in options, f"must be {' or '.join(options)}")
+
+
 @dataclass
 class RunConfig:
-    tweets: str | None = None
-    users: str | None = None
+    tweets: str | None = _key(None, _check(bool, "path to the tweet corpus is required"))
+    users: str | None = _key(None, _check(bool, "path to the user corpus is required"))
     out_dir: str = "out"
-    seed: int = 0
+    seed: int = _key(0, _at_least(0))
 
     streams: list[StreamSpec] = field(default_factory=list)
 
-    min_community_size: int = 120
-    lp_max_rounds: int = 100
-    importance_mode: str = "weighted_in_degree"
+    min_community_size: int = _key(120, _at_least(1))
+    lp_max_rounds: int = _key(100, _at_least(1))
+    importance_mode: str = _key("weighted_in_degree", _one_of("weighted_in_degree", "pagerank"))
 
-    damping: float = 0.85
-    pagerank_tol: float = 1e-9
-    pagerank_max_iter: int = 100
-    table_rows: int = 10
+    damping: float = _key(0.85, _inside(0, 1))
+    pagerank_tol: float = _key(1e-9, _check(lambda tol: tol > 0, "must be > 0"))
+    pagerank_max_iter: int = _key(100, _at_least(1))
+    table_rows: int = _key(10, _at_least(1))
     privacy: bool = True
 
-    k: int = 250
-    dim: int = 512
-    kmeans_max_iter: int = 100
-    embedding_source: str = "builtin"
-    vectors: str | None = None
+    k: int = _key(250, _at_least(1))
+    dim: int = _key(512, _at_least(2))
+    kmeans_max_iter: int = _key(100, _at_least(1))
+    embedding_source: str = _key("builtin", _one_of("builtin", "external"))
+    vectors: str | None = _key(None, _rule(
+        lambda cfg: cfg.vectors or cfg.embedding_source != "external",
+        "vectors: required when embedding_source = external"))
 
-    tau: float = 0.6
+    tau: float = _key(0.6, _inside(0, 1))
     tau_hi: float = 1.25
-    tau_lo: float = 0.8
+    tau_lo: float = _key(0.8, _rule(lambda cfg: cfg.tau_hi > 1.0 > cfg.tau_lo > 0.0,
+                                    "tau_hi/tau_lo: must satisfy tau_hi > 1 > tau_lo > 0"))
     retweet_weighted: bool = False
 
-    gazetteer: str | None = None
-    name_lists: str | None = None
-    classifier_names: str | None = None
-    given_names: str | None = None
-    stopwords: str | None = None
+    gazetteer: str | None = _key(None, fixture="gazetteer.csv")
+    name_lists: str | None = _key(None, fixture="name_lists.csv")
+    classifier_names: str | None = _key(None, fixture="classifier_names.csv")
+    given_names: str | None = _key(None, fixture="given_names.csv")
+    stopwords: str | None = _key(None, fixture="stopwords.txt")
 
-    formats: set[str] = field(default_factory=lambda: {"csv"})
+    formats: set[str] = _key({"csv"}, _check(lambda chosen: chosen and chosen <= {"csv", "json"},
+                                             "must be a non-empty subset of {csv, json}"))
     flag_keywords: list[str] = field(default_factory=list)
-    review_sample_size: int = 30
+    review_sample_size: int = _key(30, _at_least(1))
 
-    # -- data-file resolution ----------------------------------------------
-
-    # Each demographic data-file key and the bundled fixture used when it is unset.
-    DATA_FILES = {
-        "gazetteer": "gazetteer.csv",
-        "name_lists": "name_lists.csv",
-        "classifier_names": "classifier_names.csv",
-        "given_names": "given_names.csv",
-        "stopwords": "stopwords.txt",
-    }
+    DATA_FILES: ClassVar[dict[str, str]]  # each data-file key: its fixture
 
     def data_file(self, name: str) -> Path:
         """Configured path for one demographic data file, or the bundled
         synthetic fixture when unset."""
-        configured = getattr(self, name)
-        if configured:
-            return Path(configured)
-        return default_data_path(self.DATA_FILES[name])
+        return Path(getattr(self, name) or default_data_path(self.DATA_FILES[name]))
 
     def effective_flag_keywords(self) -> list[str]:
         if self.flag_keywords:
@@ -97,56 +124,16 @@ class RunConfig:
                 merged.extend(spec.keywords)
         return merged
 
-    # -- validation ----------------------------------------------------------
-
     def validate(self) -> list[str]:
-        errors: list[str] = []
-        if not self.tweets:
-            errors.append("tweets: path to the tweet corpus is required")
-        if not self.users:
-            errors.append("users: path to the user corpus is required")
-        if self.seed < 0:
-            errors.append("seed: must be >= 0")
-        if self.min_community_size < 1:
-            errors.append("min_community_size: must be >= 1")
-        if self.lp_max_rounds < 1:
-            errors.append("lp_max_rounds: must be >= 1")
-        if self.importance_mode not in ("weighted_in_degree", "pagerank"):
-            errors.append("importance_mode: must be weighted_in_degree or pagerank")
-        if not 0.0 < self.damping < 1.0:
-            errors.append("damping: must be in (0, 1)")
-        if self.pagerank_tol <= 0:
-            errors.append("pagerank_tol: must be > 0")
-        if self.pagerank_max_iter < 1:
-            errors.append("pagerank_max_iter: must be >= 1")
-        if self.table_rows < 1:
-            errors.append("table_rows: must be >= 1")
-        if self.k < 1:
-            errors.append("k: must be >= 1")
-        if self.dim < 2:
-            errors.append("dim: must be >= 2")
-        if self.kmeans_max_iter < 1:
-            errors.append("kmeans_max_iter: must be >= 1")
-        if self.embedding_source not in ("builtin", "external"):
-            errors.append("embedding_source: must be builtin or external")
-        if self.embedding_source == "external" and not self.vectors:
-            errors.append("vectors: required when embedding_source = external")
-        if not 0.0 < self.tau < 1.0:
-            errors.append("tau: must be in (0, 1)")
-        if not (self.tau_hi > 1.0 > self.tau_lo > 0.0):
-            errors.append("tau_hi/tau_lo: must satisfy tau_hi > 1 > tau_lo > 0")
-        if not self.formats or self.formats - {"csv", "json"}:
-            errors.append("formats: must be a non-empty subset of {csv, json}")
-        if self.review_sample_size < 1:
-            errors.append("review_sample_size: must be >= 1")
+        """Each failed check's message, in field order, then each stream's."""
+        checks = [(f.name, f.metadata["check"]) for f in fields(self) if f.metadata.get("check")]
+        errors = [message for key, check in checks if (message := check(self, key))]
         for i, spec in enumerate(self.streams, start=1):
             try:
                 spec.validate()
             except ValueError as exc:
                 errors.append(f"stream.{i}: {exc}")
         return errors
-
-    # -- hashing -------------------------------------------------------------
 
     def canonical_text(self) -> str:
         """Stable serialization of every semantic setting (out_dir excluded)."""
@@ -169,6 +156,10 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
+
+
+RunConfig.DATA_FILES = {f.name: f.metadata["fixture"] for f in fields(RunConfig)
+                        if f.metadata.get("fixture")}
 
 
 def derive_seed(global_seed: int, stage: str) -> int:
@@ -200,7 +191,8 @@ def _parse_bool(raw: str) -> bool:
 _PARSERS = {int: int, float: float, bool: _parse_bool, str: str,
             type(None): lambda raw: raw or None,
             list: parse_list, set: lambda raw: set(parse_list(raw))}
-_KEYS = {f.name for f in fields(RunConfig)} - {"streams"}
+_KEY_PARSERS = {key: _PARSERS[type(default)] for key, default in vars(RunConfig()).items()
+                if key != "streams"}
 
 
 def _parse_timestamp(raw: str) -> int:
@@ -242,8 +234,9 @@ def _build_stream(index: str, group: dict[str, str], errors: list[str]) -> Strea
                       bounding_box=bbox, window=window)
 
 
-def parse_config_text(text: str) -> RunConfig:
-    """Parse config text; raises ConfigError listing every problem found."""
+def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Parse config text, then the raw values in overrides, such as flags,
+    each by its key's parser; raises ConfigError listing every problem found."""
     values: dict[str, str] = {}
     stream_groups: dict[str, dict[str, str]] = {}
     errors: list[str] = []
@@ -270,12 +263,11 @@ def parse_config_text(text: str) -> RunConfig:
         group[name] = value
 
     cfg = RunConfig()
-    for key, raw in values.items():
+    for key, raw in [*values.items(), *(overrides or {}).items()]:
         try:
-            if key not in _KEYS:
+            if key not in _KEY_PARSERS:
                 raise ValueError("unknown key")
-            # Each key is set at most once, so cfg still holds its default.
-            setattr(cfg, key, _PARSERS[type(getattr(cfg, key))](raw))
+            setattr(cfg, key, _KEY_PARSERS[key](raw))
         except ValueError as exc:
             errors.append(f"{key}: {exc}")
 
@@ -289,5 +281,5 @@ def parse_config_text(text: str) -> RunConfig:
     return cfg
 
 
-def load_config(path: str | Path) -> RunConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
+    return parse_config_text(Path(path).read_text(encoding="utf-8"), overrides)

@@ -301,8 +301,8 @@ def read_edge_csv(edge_path: str | Path, node_path: str | Path) -> InteractionGr
     """Rebuild a graph persisted by write_edge_csv and write_node_list, a
     slice of the edge file at a time. Each id cell is looked up by its bytes
     among the node file's ids; only one missing there is decoded, and it
-    still becomes a node. A count cell that is not an integer is refused,
-    naming its line."""
+    still becomes a node. A count cell that is not an integer, or a weight
+    other than retweets + replies, is refused, naming its line."""
     def parts(index: dict[str, int]) -> Iterator[tuple]:
         nodes = artifacts.CellIndex(list(index))
 
@@ -314,9 +314,15 @@ def read_edge_csv(edge_path: str | Path, node_path: str | Path) -> InteractionGr
             return found
 
         for lines, columns in artifacts.read_csv_chunks(edge_path):
-            yield (indices(columns["src"]), indices(columns["dst"]),
-                   *(_count_cells(columns[name], lines, name, edge_path)
-                     for name in ("retweets", "replies")))
+            weight, retweets, replies = (_count_cells(columns[name], lines, name, edge_path)
+                                         for name in _EDGE_HEADER[2:])
+            # A negative count is left to the graph's refusal, which names its pair.
+            wrong = (weight != retweets + replies) & (np.minimum(retweets, replies) >= 0)
+            if wrong.any():
+                i = wrong.argmax()
+                raise ValueError(f"{edge_path} line {lines[i]}: weight {weight[i]} is not "
+                                 "retweets + replies")
+            yield indices(columns["src"]), indices(columns["dst"]), retweets, replies
 
     return _built(artifacts.read_column(node_path), parts)
 

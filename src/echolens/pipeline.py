@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import analysis, artifacts, community, demographics, influence, ingest, topics
-from .config import RunConfig, derive_seed
+from .config import ConfigError, RunConfig, derive_seed
 from .graph import build_interaction_graph, read_edge_csv, write_edge_csv, write_node_list
 
 __all__ = [
@@ -394,7 +394,14 @@ def _failures_of(stage: str):
         raise StageError(stage, exc) from exc
 
 
+def _checked(cfg: RunConfig) -> None:
+    """Refuse an invalid config before any file is read or written."""
+    if errors := cfg.validate():
+        raise ConfigError(errors)
+
+
 def _run(cfg: RunConfig, stages: tuple[str, ...]) -> None:
+    _checked(cfg)
     # Stages are looked up by name when run, so a wrapper installed on a
     # module attribute stage_<name> is the one called.
     held: dict = {}
@@ -425,13 +432,12 @@ def review_sample(cfg: RunConfig) -> Path:
     Clusters are split into small/medium/large size terciles and sampled
     in proportion to the terciles' sizes, by largest remainder, with an RNG
     seeded from cfg.seed; reruns with the same seed pick the same topics.
-    The sample holds min(size, non-empty clusters) topics; the size must be
-    >= 1. Writes
-    review_sample.csv and returns its path; a corrupt intermediate raises
-    StageError for the stage `review-sample`.
+    The sample holds min(size, non-empty clusters) topics. Writes
+    review_sample.csv and returns its path; an invalid config raises
+    ConfigError, and a corrupt intermediate StageError for the stage
+    `review-sample`.
     """
-    if cfg.review_sample_size < 1:
-        raise ValueError("review_sample_size: must be >= 1")
+    _checked(cfg)
     with _failures_of("review-sample"):
         return _review_sample(cfg, {})
 

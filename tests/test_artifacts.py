@@ -332,6 +332,17 @@ def test_read_refuses_what_the_writer_never_writes_naming_its_line(
             list(read(path))
 
 
+@pytest.mark.parametrize("chunk_bytes", [4, 1 << 18])
+def test_read_column_names_a_ragged_row_against_one_field(tmp_path, monkeypatch,
+                                                           chunk_bytes):
+    # A column file has no header, so the count is not the header's.
+    monkeypatch.setattr(artifacts, "_CHUNK_BYTES", chunk_bytes)
+    path = tmp_path / "c.txt"
+    path.write_bytes(b'a\n"x\ny"\nb,c\nd\n')
+    with pytest.raises(ValueError, match=r"c\.txt line 4: 2 fields, expected 1$"):
+        list(artifacts.read_column(path))
+
+
 def test_the_first_fault_is_named_whatever_the_slice_size(tmp_path, monkeypatch):
     # A ragged row, then bytes that are not UTF-8: one slice holds both, or
     # each is in its own.

@@ -308,10 +308,42 @@ class TestConfig:
             assert getattr(cfg, key) == getattr(defaults, key), key
 
     def test_validation_collects_field_messages(self):
-        cfg = parse_config_text("damping = 1.5\ntau_hi = 0.5\n")
-        errors = cfg.validate()
-        assert any("damping" in e for e in errors)
-        assert any("tau_hi" in e for e in errors)
+        # Every check fails but embedding_source's, which the vectors rule
+        # needs to pass; each message is listed once, in this order.
+        cfg = parse_config_text(
+            "seed = -1\nmin_community_size = 0\nlp_max_rounds = 0\n"
+            "importance_mode = degree\ndamping = 1.0\npagerank_tol = 0\n"
+            "pagerank_max_iter = 0\ntable_rows = 0\nk = 0\ndim = 1\n"
+            "kmeans_max_iter = 0\nembedding_source = external\ntau = 0\n"
+            "tau_hi = 1\ntau_lo = 0\nformats = csv, xml\nreview_sample_size = 0\n"
+            "stream.1.kind = keyword\nstream.2.kind = bogus\n")
+        assert cfg.validate() == [
+            "tweets: path to the tweet corpus is required",
+            "users: path to the user corpus is required",
+            "seed: must be >= 0",
+            "min_community_size: must be >= 1",
+            "lp_max_rounds: must be >= 1",
+            "importance_mode: must be weighted_in_degree or pagerank",
+            "damping: must be in (0, 1)",
+            "pagerank_tol: must be > 0",
+            "pagerank_max_iter: must be >= 1",
+            "table_rows: must be >= 1",
+            "k: must be >= 1",
+            "dim: must be >= 2",
+            "kmeans_max_iter: must be >= 1",
+            "vectors: required when embedding_source = external",
+            "tau: must be in (0, 1)",
+            "tau_hi/tau_lo: must satisfy tau_hi > 1 > tau_lo > 0",
+            "formats: must be a non-empty subset of {csv, json}",
+            "review_sample_size: must be >= 1",
+            "stream.1: keyword stream needs at least one keyword",
+            "stream.2: unknown stream kind 'bogus'",
+        ]
+        cfg = parse_config_text("tweets = t\nusers = u\nembedding_source = glove\n"
+                                "formats =\n")
+        assert cfg.validate() == ["embedding_source: must be builtin or external",
+                                  "formats: must be a non-empty subset of {csv, json}"]
+        assert parse_config_text("tweets = t\nusers = u\n").validate() == []
 
     def test_hash_stable_and_ignores_out_dir(self):
         a = parse_config_text("seed = 3\nout_dir = x\n")
@@ -372,6 +404,17 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--formats", ""]) == 2
         assert "formats: must be a non-empty subset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "x", "seed: invalid literal for int() with base 10: 'x'"),
+        ("--damping", "y", "damping: could not convert string to float: 'y'"),
+    ], ids=["seed", "damping"])
+    def test_unparsable_flag_exit_2(self, tmp_path, capsys, flag, value, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tweets = t.ndjson\nusers = u.ndjson\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     flag, value]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_missing_required_inputs_exit_2(self, tmp_path):
         # no tweets/users keys at all -> config error with field messages

@@ -255,6 +255,19 @@ def test_bad_count_cell_named_by_the_line_its_row_starts_on(tmp_path):
         read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
 
 
+@pytest.mark.parametrize("chunk_bytes", [16, 1 << 18])
+def test_weight_that_disagrees_with_its_counts_is_refused(tmp_path, monkeypatch, chunk_bytes):
+    # The weight column was never read: a row edited from a,b,1,1,0 to
+    # a,b,99,1,0 read back as weight 1.
+    monkeypatch.setattr(artifacts, "_CHUNK_BYTES", chunk_bytes)
+    (tmp_path / "edges.csv").write_text(
+        "src,dst,weight,retweets,replies\nb,c,3,1,2\na,b,99,1,0\nc,a,0,0,0\n")
+    (tmp_path / "nodes.txt").write_text("a\nb\nc\n")
+    with pytest.raises(ValueError, match=r"edges\.csv line 3: weight 99 is not "
+                                         r"retweets \+ replies$"):
+        read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
+
+
 def test_rows_that_balance_only_as_a_slice_are_refused(tmp_path):
     # A short row then a long one hold five fields each on average: read as
     # one slice, they came back as a graph with a node "1" and a replies

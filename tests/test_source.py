@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+from dataclasses import fields
 from pathlib import Path
+
+from echolens.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "echolens"
@@ -68,3 +71,32 @@ def test_one_csv_read_rule():
              for name in ("csv.reader", "csv.DictReader", "TextIOWrapper")
              if name in path.read_text(encoding="utf-8")]
     assert found == []
+
+
+def _attributes_of(name, tree, skip=()):
+    """Each attribute read off the name `name` in tree, outside the nodes in skip."""
+    skipped = {id(node) for top in skip for node in ast.walk(top)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == name and id(node) not in skipped}
+
+
+def test_every_config_key_is_read_and_every_read_is_declared():
+    # A key that no code reads changes no output. A check in a field's
+    # declaration does not count as a read; RunConfig's methods do, and
+    # data_file, DATA_FILES and effective_flag_keywords read the keys they name.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    config_class = next(node for tree in trees for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    declarations = [top for top in config_class.body if not isinstance(top, ast.FunctionDef)]
+    used = set().union(*(_attributes_of("cfg", tree, declarations) for tree in trees))
+    read = used | _attributes_of("self", config_class, declarations)
+    if used & {"data_file", "DATA_FILES"}:
+        read |= set(RunConfig.DATA_FILES)
+    if "effective_flag_keywords" in used:
+        read.add("flag_keywords")
+    declared = {f.name for f in fields(RunConfig)}
+    assert sorted(declared - {"streams"} - read) == []
+    members = {name for name in vars(RunConfig) if not name.startswith("_")}
+    cfg_reads = set().union(*(_attributes_of("cfg", tree) for tree in trees))
+    assert sorted(cfg_reads - declared - members) == []
