@@ -21,10 +21,10 @@ per row. Every CSV file is read by `read_csv_chunks`, column-wise, a slice at
 a time, as `Cells`: the fields' UTF-8 bytes, which callers turn into arrays
 without an object per field; `read_csv` and `read_column` give the same read
 as dicts and as values. Other readers stream rows lazily: the NDJSON reader
-refuses a line that is not an object of the expected fields and types, or
-that repeats a key field, naming the file and the line; the JSON reader
-likewise refuses an object whose keys or value types are not the expected
-ones, naming the file and the key.
+refuses a line, naming the file and the line, unless it is an object of the
+expected keys that a record parser, if given, accepts, with values of their
+JSON types, and repeats no key field; the JSON reader likewise refuses an
+object whose keys or value types are not the expected ones, naming the key.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import os
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -439,16 +439,15 @@ def read_json(path: str | Path, fields: Mapping[str, tuple[type, ...]]) -> dict:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def read_ndjson(path: str | Path, fields: Collection[str], key: str | None = None,
+def read_ndjson(path: str | Path, fields: Mapping[str, tuple[type, ...]], key: str | None = None,
                 parse: Callable[[dict], Any] | None = None) -> Iterator:
     """Yield the object on each non-blank line, or parse(object). A line is
     refused, naming the file and the line, unless it is a JSON object whose
-    keys are exactly the fields and whose values pass: each has one of its
-    field's types (exactly: a bool is no int), or, given parse, parse raises
-    no ValueError on the object, as it checks every value itself; with a key
-    field, also if an earlier line has its value of that field, naming both
-    lines."""
-    names, first = set(fields), {}
+    keys are exactly the fields, on which parse, if given, raises no
+    ValueError, and whose value for each field then has one of that field's
+    types (exactly: a bool is no int); with a key field, also if an earlier
+    line has its value of that field, naming both lines."""
+    names, first = fields.keys(), {}
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             line = line.rstrip()
@@ -464,7 +463,8 @@ def read_ndjson(path: str | Path, fields: Collection[str], key: str | None = Non
                 raise ValueError(f"{path} line {n}: keys {sorted(obj)}, "
                                  f"expected {sorted(names)}")
             try:
-                value = _typed(obj, fields) if parse is None else parse(obj)
+                value = obj if parse is None else parse(obj)
+                _typed(obj, fields)
             except ValueError as exc:
                 raise ValueError(f"{path} line {n}: {exc}") from None
             if key is not None and first.setdefault(obj[key], n) != n:

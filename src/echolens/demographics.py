@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import artifacts
-from .ingest import TweetRecord, UserRecord, record_dict
+from .ingest import TweetRecord, UserRecord, record_dict, record_fields
 
 __all__ = [
     "RACE_CATEGORIES",
@@ -329,13 +329,6 @@ class DemographicAnnotation:
     eligible_youth: bool = False
 
 
-_OPTIONAL_STR = (str, type(None))
-# The JSON types of each annotation field, which read_annotations checks.
-ANNOTATION_FIELDS = {"user_id": (str,), "country": _OPTIONAL_STR, "continent": _OPTIONAL_STR,
-                     "race": (str,), "age": (int, type(None)), "gender": _OPTIONAL_STR,
-                     "eligible_youth": (bool,)}
-
-
 def _user_country(tweets: Sequence[TweetRecord], gaz: Gazetteer) -> str | None:
     """Most frequent located country across the user's tweets; ties break to
     the lexicographically smallest ISO code."""
@@ -413,8 +406,8 @@ def write_annotations(path: str | Path,
 def read_annotations(path: str | Path) -> dict[str, DemographicAnnotation]:
     """Refuses a line that is not an annotation object, or repeats a user,
     naming its line."""
-    return {obj["user_id"]: DemographicAnnotation(**obj)
-            for obj in artifacts.read_ndjson(path, ANNOTATION_FIELDS, key="user_id")}
+    return {obj["user_id"]: DemographicAnnotation(**obj) for obj in
+            artifacts.read_ndjson(path, record_fields(DemographicAnnotation), "user_id")}
 
 
 def default_data_path(name: str) -> Path:

@@ -330,18 +330,17 @@ def read_edge_csv(edge_path: str | Path, node_path: str | Path) -> InteractionGr
 def _count_cells(cells: artifacts.Cells, lines: Sequence[int], name: str,
                  path: str | Path) -> np.ndarray:
     """Count cells as int64: cells of plain digits from their bytes, others as
-    numpy converts their strings, which refuses a non-integer."""
+    numpy converts their strings, each refused unless its value formats back
+    to the cell, as write_edge_csv writes it ("+1", " 1" and "1_0" do not)."""
     values = cells.integers()
     if values is not None:
         return values
     strings = cells.strings()
-    try:
-        return np.array(strings, dtype=np.int64)
-    except (ValueError, OverflowError):
-        for cell, line in zip(strings, lines):
-            try:
-                np.int64(cell)
-            except (ValueError, OverflowError):
-                raise ValueError(f"{path} line {line}: {name} {cell!r} is not an "
-                                 "integer") from None
-        raise
+    for cell, line in zip(strings, lines):
+        try:
+            if str(np.int64(cell)) == cell:
+                continue
+        except (ValueError, OverflowError):
+            pass
+        raise ValueError(f"{path} line {line}: {name} {cell!r} is not an integer")
+    return np.array(strings, dtype=np.int64)

@@ -51,14 +51,17 @@ def pagerank(g: InteractionGraph, damping: float = 0.85, tol: float = 1e-9,
     x' = damping * (P x + dangling_mass / n) + (1 - damping) / n, iterated
     until the L1 change is below tol. Scores sum to 1 to within float error.
     A graph without edges is its own fixed point: every node is dangling, so
-    the scores are exactly 1/n, converged after 0 iterations.
+    the scores are exactly 1/n, converged after 0 iterations. ValueError
+    unless tol > 0 (so not NaN) and max_iter >= 1.
     """
     if len(g) == 0:
         raise ValueError("pagerank needs a nonempty graph")
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN included
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
     n = len(g)
     if g.num_edges() == 0:

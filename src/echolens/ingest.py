@@ -4,9 +4,9 @@ Corpora are newline-delimited JSON, one record per line. iter_corpus and
 parse_corpus read raw archives only: parsing never aborts on a bad line;
 malformed records are collected as line-numbered errors so a run can report
 exactly what was skipped. The tweet and user intermediates are read strictly,
-by artifacts.read_ndjson, with the same parse_tweet and parse_user. Each
-stream spec becomes one predicate, and select_streams decides each record as
-it is parsed.
+by artifacts.read_ndjson: parse_tweet and parse_user, then the exact JSON
+keys and types of record_fields. Each stream spec becomes one predicate, and
+select_streams decides each record as it is parsed.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from __future__ import annotations
 import json
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType, UnionType
+from typing import (Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 from . import artifacts
 
@@ -31,7 +33,7 @@ __all__ = [
     "parse_tweet",
     "parse_user",
     "write_ndjson",
-    "field_names",
+    "record_fields",
     "record_dict",
     "stream_predicate",
     "select_streams",
@@ -52,7 +54,7 @@ class TweetRecord:
     tweet_id: str
     author_id: str
     text: str
-    created_at: int
+    created_at: int | float
     likes: int = 0
     retweets: int = 0
     replies: int = 0
@@ -234,16 +236,20 @@ def parse_user(obj: Mapping) -> UserRecord:
 
 
 @cache
-def field_names(cls: type) -> tuple[str, ...]:
-    """A dataclass record's fields, the keys of each line write_ndjson writes."""
-    return tuple(f.name for f in fields(cls))
+def record_fields(cls: type) -> Mapping[str, tuple[type, ...]]:
+    """A dataclass record's fields, the keys of each line write_ndjson writes,
+    each with the JSON types of its value: X | None is X or null, list[str] a list."""
+    unions = {name: get_args(hint) if get_origin(hint) is UnionType else (hint,)
+              for name, hint in get_type_hints(cls).items()}
+    return MappingProxyType({name: tuple(get_origin(t) or t for t in types)
+                             for name, types in unions.items()})
 
 
 def record_dict(record) -> dict:
     """A dataclass record's fields as a new dict. vars(record) would give the
     record a __dict__ that it then keeps for life, as a record that a run
     hands on to later stages does."""
-    return {name: getattr(record, name) for name in field_names(type(record))}
+    return {name: getattr(record, name) for name in record_fields(type(record))}
 
 
 def write_ndjson(path: str | Path, records: Iterable[TweetRecord | UserRecord]) -> None:

@@ -68,16 +68,16 @@ def _require(path: Path, produced_by: str | None = None) -> Path:
 # Every intermediate a stage reads, declared once: its files, the stage that
 # writes them, its fields and its parser, called with the fields and the
 # paths. A JSON or NDJSON record's keys must be exactly the fields, which map
-# to their JSON types, or for tweets and users are the record's, with
-# parse_tweet and parse_user checking types and values as for a raw archive.
+# to their JSON types (a dataclass record's from ingest.record_fields); tweets
+# and users first pass parse_tweet and parse_user, as for a raw archive.
 # A CSV file is held to its own header (fields None). Parsers look their
 # readers up when called, so a wrapper installed later on a module attribute
 # (read_edge_csv, read_annotations) sees each parse.
 _INTERMEDIATES = {
-    "tweets": (("selected_tweets.ndjson",), "ingest", ingest.field_names(ingest.TweetRecord),
+    "tweets": (("selected_tweets.ndjson",), "ingest", ingest.record_fields(ingest.TweetRecord),
                lambda fields, path: list(artifacts.read_ndjson(
                    path, fields, "tweet_id", ingest.parse_tweet))),
-    "users": (("users.ndjson",), "ingest", ingest.field_names(ingest.UserRecord),
+    "users": (("users.ndjson",), "ingest", ingest.record_fields(ingest.UserRecord),
               lambda fields, path: {u.user_id: u for u in artifacts.read_ndjson(
                   path, fields, "user_id", ingest.parse_user)}),
     "tweet_index": (("tweet_index.csv",), "ingest", None,
@@ -104,7 +104,8 @@ _INTERMEDIATES = {
     "scaled_influence": (("influence.csv",), "influence", None,
                          lambda _, path: {row["user_id"]: row["scaled"] for row in
                                           artifacts.read_csv(path, {"scaled": float})}),
-    "annotations": (("annotations.ndjson",), "demographics", demographics.ANNOTATION_FIELDS,
+    "annotations": (("annotations.ndjson",), "demographics",
+                    ingest.record_fields(demographics.DemographicAnnotation),
                     lambda _, path: demographics.read_annotations(path)),
     "assignments": (("topic_assignments.ndjson",), "topics", topics.ASSIGNMENT_FIELDS,
                     lambda _, path: topics.read_assignments(path)),

@@ -139,13 +139,9 @@ def _distinct_texts(texts: Sequence[NormalizedText]) -> tuple[np.ndarray, np.nda
     """Group texts by token list: the index of each group's first text, in
     first-occurrence order, and each text's group."""
     groups: dict[tuple[str, ...], int] = {}
-    firsts: list[int] = []
-    inverse = np.empty(len(texts), dtype=np.intp)
-    for i, text in enumerate(texts):
-        inverse[i] = group = groups.setdefault(tuple(text.tokens), len(groups))
-        if group == len(firsts):
-            firsts.append(i)
-    return np.asarray(firsts, dtype=np.intp), inverse
+    inverse = np.fromiter((groups.setdefault(tuple(text.tokens), len(groups)) for text in texts),
+                          np.intp, len(texts))
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
 def _idf(n_docs: int, df: int) -> float:
@@ -434,7 +430,8 @@ def cluster(vectors: np.ndarray, k: int, seed: int = 0,
             max_iter: int = 100) -> KMeansResult:
     """Lloyd's k-means on L2-normalized vectors, deterministic given seed.
 
-    k must be at most the number of distinct vectors; otherwise ValueError.
+    k must be at most the number of distinct vectors, and max_iter at least
+    1; otherwise ValueError.
     Within-cluster SSE is checked to be non-increasing across iterations; a
     cluster that an iteration leaves empty is re-seeded from the point
     currently farthest from its own centroid.
@@ -445,6 +442,8 @@ def cluster(vectors: np.ndarray, k: int, seed: int = 0,
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of vectors ({n})")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     # Distances cover every row, repeats included: a product over distinct
     # rows only is not bit-equal to those rows of the full product.
     with np.errstate(over="ignore"):  # rows that overflow are refused below

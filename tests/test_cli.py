@@ -549,6 +549,12 @@ class TestExitCodes:
          "field 'has_profile_photo' must be a boolean"),
         ("demographics", "users.ndjson", 3, _edited(gender_estimate="other"),
          "field 'gender_estimate' must be one of ('female', 'male', 'unknown')"),
+        # The record parsers normalise these: 22.7 read as age 22, and a null
+        # as no mentions, and demographics and report exited 0.
+        ("demographics", "users.ndjson", 4, _edited(age_estimate=22.7),
+         "age_estimate 22.7 is not int or NoneType"),
+        ("report", "selected_tweets.ndjson", 3, _edited(mentions=None),
+         "mentions null is not list"),
     ])
     def test_malformed_ndjson_record_exit_4_names_file_and_line(
             self, fixture_dir, primed, tmp_path, capsys, command, name, line, edit, reason):

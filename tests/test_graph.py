@@ -227,6 +227,11 @@ def test_negative_count_rejected_by_every_builder(builder, tmp_path):
     ("read_edge_csv", "1.5", r"'1\.5'"),
     ("read_edge_csv", "", r"''"),
     ("read_edge_csv", "99999999999999999999", r"'99999999999999999999'"),
+    # Cells write_edge_csv never writes, which numpy read as 1, 1, 10 and 3.
+    ("read_edge_csv", "+1", r"'\+1'"),
+    ("read_edge_csv", " 1", r"' 1'"),
+    ("read_edge_csv", "1_0", r"'1_0'"),
+    ("read_edge_csv", "\u0663", r"'\u0663'"),
 ])
 def test_non_integer_count_rejected_by_every_builder(builder, bad, message, tmp_path):
     # Unchecked, a retweet count of 1.5 built a count of 1, "2" one of 2, and
@@ -238,7 +243,7 @@ def test_non_integer_count_rejected_by_every_builder(builder, bad, message, tmp_
     else:
         (tmp_path / "edges.csv").write_text(
             "src,dst,weight,retweets,replies\n"
-            + "".join(f"{s},{d},1,{rt},{rp}\n" for s, d, rt, rp in rows))
+            + "".join(f"{s},{d},1,{rt},{rp}\n" for s, d, rt, rp in rows), encoding="utf-8")
         (tmp_path / "nodes.txt").write_text("a\nb\nc\n")
         build = lambda: read_edge_csv(tmp_path / "edges.csv", tmp_path / "nodes.txt")
         want = rf"edges\.csv line 3: retweets {message} is not an integer$"

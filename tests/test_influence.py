@@ -137,6 +137,21 @@ class TestPageRank:
         with pytest.raises(ValueError):
             pagerank(cycle_graph(), damping=1.0)
 
+    @pytest.mark.parametrize("graph", [cycle_graph(),
+                                       InteractionGraph.from_weighted_edges([], nodes=["a"])],
+                             ids=["cycle", "edgeless"])
+    @pytest.mark.parametrize("limits, message", [
+        # max_iter 0 and a NaN tol were accepted, and gave the uniform start as scores.
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"max_iter": -1}, "max_iter must be >= 1"),
+        ({"tol": float("nan")}, "tol must be positive"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": -1e-9}, "tol must be positive"),
+    ])
+    def test_limit_it_cannot_run_rejected(self, graph, limits, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pagerank(graph, **limits)
+
 
 class TestScaleScores:
     def test_hand_worked_mapping(self):

@@ -250,6 +250,12 @@ class TestKMeans:
         with pytest.raises(ValueError):
             cluster(np.zeros((3, 2)), k=4, seed=0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        # Accepted, max_iter=0 assigned every point to cluster -1.
+        with pytest.raises(ValueError, match=r"^max_iter must be >= 1$"):
+            cluster(np.eye(4), k=2, seed=0, max_iter=max_iter)
+
     def test_deterministic_given_seed(self):
         points, _ = make_blobs(seed=5)
         a = cluster(points, k=3, seed=9)
